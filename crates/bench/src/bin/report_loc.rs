@@ -8,6 +8,13 @@
 //! and — as the hand-written comparison — this repository's
 //! ovn-controller-style incremental baseline implementing the same
 //! features.
+//!
+//! It also prints this repository's own size: non-blank, non-comment
+//! Rust lines per crate, `src` and `tests` separately, so a PR quotes
+//! its LOC delta from a tool (ROADMAP "least code"). Pass a checkout's
+//! root as the only argument to measure that tree instead of this one.
+
+use std::path::Path;
 
 use bench::print_table;
 use nerpa::codegen::{ovsdb2ddlog, p4info2ddlog, CodegenOptions};
@@ -21,7 +28,59 @@ fn loc(s: &str) -> usize {
         .count()
 }
 
+/// Non-blank, non-comment lines of every `.rs` file under `dir`.
+fn dir_loc(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| e.path())
+        .map(|p| match p.extension() {
+            _ if p.is_dir() => dir_loc(&p),
+            Some(ext) if ext == "rs" => loc(&std::fs::read_to_string(&p).unwrap_or_default()),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// `(crate, src LOC, tests LOC)` for the root package and every crate
+/// under `crates/`, sorted by name.
+fn crate_loc(root: &Path) -> Vec<(String, usize, usize)> {
+    let mut dirs = vec![("(root)".to_string(), root.to_path_buf())];
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for e in entries.flatten().filter(|e| e.path().is_dir()) {
+            dirs.push((e.file_name().to_string_lossy().into_owned(), e.path()));
+        }
+    }
+    dirs.sort();
+    dirs.into_iter()
+        .map(|(name, dir)| (name, dir_loc(&dir.join("src")), dir_loc(&dir.join("tests"))))
+        .collect()
+}
+
 fn main() {
+    let root = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
+    let per_crate = crate_loc(Path::new(&root));
+    let mut rows: Vec<Vec<String>> = per_crate
+        .iter()
+        .map(|(name, src, tests)| vec![name.clone(), src.to_string(), tests.to_string()])
+        .collect();
+    let total = |f: fn(&(String, usize, usize)) -> usize| per_crate.iter().map(f).sum::<usize>();
+    rows.push(vec![
+        "total".into(),
+        total(|c| c.1).to_string(),
+        total(|c| c.2).to_string(),
+    ]);
+    print_table(
+        &format!("Rust lines of code per crate (non-blank, non-comment) in {root}"),
+        &["crate", "src", "tests"],
+        &rows,
+    );
+    println!();
+
     println!("E3: snvs artifact sizes (paper §4.3: 350 DDlog + 300 P4 + schema + 50 glue = ~700)");
 
     let schema = ovsdb::Schema::parse(snvs::assets::SNVS_SCHEMA).unwrap();

@@ -298,7 +298,7 @@ pub struct Controller {
     /// endpoint's page closure; refreshed after each commit while the
     /// endpoint holds a clone (the engine itself cannot cross threads).
     dataflow: std::sync::Arc<std::sync::Mutex<String>>,
-    /// Rendered `/why` snapshot (provenance ledger summary), refreshed
+    /// Rendered `/why` snapshot (derived rows per relation), refreshed
     /// like `dataflow`.
     why_page: std::sync::Arc<std::sync::Mutex<String>>,
     /// Metrics collected so far.
@@ -310,20 +310,8 @@ impl Controller {
     /// the whole stack is type-checked together; errors carry the DDlog
     /// diagnostics.
     pub fn new(program: &NerpaProgram) -> Result<Controller, String> {
-        Controller::new_with(program, ddlog::ProvenanceConfig::off())
-    }
-
-    /// Like [`Controller::new`], with explicit provenance configuration
-    /// for the engine: when enabled, every derived tuple carries its
-    /// justification and [`Controller::why_entry`] /
-    /// [`Controller::why_mcast`] can answer "why is this rule
-    /// installed?" down to the OVSDB-mirrored base facts.
-    pub fn new_with(
-        program: &NerpaProgram,
-        prov: ddlog::ProvenanceConfig,
-    ) -> Result<Controller, String> {
         let (src, _schema_gen, p4_gen) = program.generate();
-        let engine = Engine::from_source_with(&src, prov).map_err(|e| e.to_string())?;
+        let engine = Engine::from_source(&src).map_err(|e| e.to_string())?;
         Ok(Controller {
             engine,
             schema: program.schema.clone(),
@@ -848,29 +836,22 @@ impl Controller {
     }
 
     /// Resolve an installed P4 table entry back to the output-relation
-    /// row that produced it, through the table bindings (the reverse of
-    /// the commit path's row→update conversion). Returns
+    /// row that produced it: invert the entry through the table binding
+    /// ([`Controller::entry_to_row`], the reverse of the commit path's
+    /// row→update conversion) and check the row is there. Returns
     /// `(relation, row)`.
     pub fn entry_source(
         &self,
         switch_id: usize,
         entry: &TableEntry,
     ) -> Result<(String, Vec<ddlog::Value>), String> {
-        let Some(binding) = self.tables.get(&entry.table) else {
-            return Err(format!(
-                "no table-bound output relation named `{}`",
-                entry.table
-            ));
-        };
-        for row in self.engine.dump(&entry.table).map_err(|e| e.to_string())? {
-            let (target, update) = convert::row_to_update(&row, 1, binding)?;
-            let applies = match target {
-                Some(t) => t == switch_id,
-                None => true,
-            };
-            if applies && update.entry == *entry {
-                return Ok((entry.table.clone(), row));
-            }
+        let row = self.entry_to_row(switch_id, entry)?;
+        if self
+            .engine
+            .contains(&entry.table, &row)
+            .map_err(|e| e.to_string())?
+        {
+            return Ok((entry.table.clone(), row));
         }
         Err(format!(
             "no `{}` output row maps to that entry on switch {switch_id}",
@@ -880,8 +861,7 @@ impl Controller {
 
     /// Why is this P4 table entry installed? Resolves the entry to its
     /// output-relation row and returns the engine's derivation tree,
-    /// rooted at the OVSDB-mirrored input facts. Requires a
-    /// provenance-enabled controller ([`Controller::new_with`]).
+    /// rooted at the OVSDB-mirrored input facts.
     pub fn why_entry(
         &self,
         switch_id: usize,
@@ -891,42 +871,54 @@ impl Controller {
         self.engine.why(&rel, row).map_err(|e| e.to_string())
     }
 
+    /// The `MulticastGroup` convention-relation row for a group member
+    /// (2-column form, or 3-column with a leading switch id), typed
+    /// against the relation's declared columns.
+    fn mcast_row(
+        &self,
+        switch_id: usize,
+        group: u16,
+        port: u16,
+    ) -> Result<Vec<ddlog::Value>, String> {
+        let schema = self
+            .engine
+            .relation_schema("MulticastGroup")
+            .map_err(|e| e.to_string())?;
+        let vals = [switch_id as u128, group as u128, port as u128];
+        let vals = match schema.len() {
+            2 => &vals[1..],
+            3 => &vals[..],
+            n => return Err(format!("MulticastGroup must have 2 or 3 columns, has {n}")),
+        };
+        schema
+            .iter()
+            .zip(vals)
+            .map(|((_, ty), v)| num_value(Some(ty), *v))
+            .collect()
+    }
+
     /// Why is `port` a member of multicast `group`? Resolves through
-    /// the `MulticastGroup` convention relation (2- or 3-column form)
-    /// and returns the derivation tree.
+    /// the `MulticastGroup` convention relation and returns the
+    /// derivation tree.
     pub fn why_mcast(
         &self,
         switch_id: usize,
         group: u16,
         port: u16,
     ) -> Result<ddlog::WhyNode, String> {
-        for row in self
+        let row = self.mcast_row(switch_id, group, port)?;
+        if !self
             .engine
-            .dump("MulticastGroup")
+            .contains("MulticastGroup", &row)
             .map_err(|e| e.to_string())?
         {
-            let hit = match row.len() {
-                2 => {
-                    row[0].as_u128() == Some(group as u128)
-                        && row[1].as_u128() == Some(port as u128)
-                }
-                3 => {
-                    row[0].as_u128() == Some(switch_id as u128)
-                        && row[1].as_u128() == Some(group as u128)
-                        && row[2].as_u128() == Some(port as u128)
-                }
-                _ => false,
-            };
-            if hit {
-                return self
-                    .engine
-                    .why("MulticastGroup", row)
-                    .map_err(|e| e.to_string());
-            }
+            return Err(format!(
+                "no MulticastGroup row for group {group} port {port} on switch {switch_id}"
+            ));
         }
-        Err(format!(
-            "no MulticastGroup row for group {group} port {port} on switch {switch_id}"
-        ))
+        self.engine
+            .why("MulticastGroup", row)
+            .map_err(|e| e.to_string())
     }
 
     /// Build the output-relation row that *would* produce `entry` on
@@ -939,7 +931,6 @@ impl Controller {
         switch_id: usize,
         entry: &TableEntry,
     ) -> Result<Vec<ddlog::Value>, String> {
-        use ddlog::Type;
         use p4sim::runtime::FieldMatch;
         let Some(binding) = self.tables.get(&entry.table) else {
             return Err(format!(
@@ -952,16 +943,9 @@ impl Controller {
             .relation_schema(&entry.table)
             .map_err(|e| e.to_string())?;
         let mut types = schema.iter().map(|(_, t)| t);
-        fn num(ty: Option<&Type>, v: u128) -> Result<ddlog::Value, String> {
-            match ty {
-                Some(Type::Bit(w)) => Ok(ddlog::Value::Bit { width: *w, val: v }),
-                Some(Type::Int) => Ok(ddlog::Value::Int(v as i128)),
-                other => Err(format!("expected numeric column, found {other:?}")),
-            }
-        }
         let mut row = Vec::with_capacity(schema.len());
         if binding.per_switch {
-            row.push(num(types.next(), switch_id as u128)?);
+            row.push(num_value(types.next(), switch_id as u128)?);
         }
         if entry.matches.len() != binding.table.keys.len() {
             return Err(format!(
@@ -973,36 +957,44 @@ impl Controller {
         }
         for m in &entry.matches {
             match m {
-                FieldMatch::Exact { value } => row.push(num(types.next(), *value)?),
+                FieldMatch::Exact { value } => row.push(num_value(types.next(), *value)?),
                 FieldMatch::Lpm { value, prefix_len } => {
-                    row.push(num(types.next(), *value)?);
-                    row.push(num(types.next(), *prefix_len as u128)?);
+                    row.push(num_value(types.next(), *value)?);
+                    row.push(num_value(types.next(), *prefix_len as u128)?);
                 }
                 FieldMatch::Ternary { value, mask } => {
-                    row.push(num(types.next(), *value)?);
-                    row.push(num(types.next(), *mask)?);
+                    row.push(num_value(types.next(), *value)?);
+                    row.push(num_value(types.next(), *mask)?);
                 }
             }
         }
         if binding.has_priority {
-            row.push(num(types.next(), entry.priority as u128)?);
+            row.push(num_value(types.next(), entry.priority as u128)?);
         }
         let _ = types.next(); // action column
         row.push(ddlog::Value::str(&entry.action));
-        let action_params: Vec<u128> = binding
+        let action = binding
             .table
             .actions
             .iter()
-            .find(|a| a.name == entry.action)
-            .map(|a| (0..a.params.len()).map(|i| entry.params[i]).collect())
-            .unwrap_or_default();
+            .find(|a| a.name == entry.action);
+        if let Some(a) = action.filter(|a| a.params.len() != entry.params.len()) {
+            return Err(format!(
+                "entry for table `{}` carries {} param(s), action `{}` declares {}",
+                entry.table,
+                entry.params.len(),
+                a.name,
+                a.params.len()
+            ));
+        }
+        let action_params: &[u128] = action.map_or(&[], |_| &entry.params);
         for (_, owner, idx) in &binding.param_cols {
             let v = if owner == &entry.action {
                 action_params.get(*idx).copied().unwrap_or(0)
             } else {
                 0
             };
-            row.push(num(types.next(), v)?);
+            row.push(num_value(types.next(), v)?);
         }
         Ok(row)
     }
@@ -1225,49 +1217,15 @@ impl Controller {
             drop(client);
         }
     }
+}
 
-    /// Run a blocking event loop over channels of monitor updates and
-    /// digests until `stop` fires. Intended to be called on a dedicated
-    /// thread.
-    pub fn run_event_loop(
-        &mut self,
-        monitor_updates: Receiver<Json>,
-        digest_feeds: Vec<Receiver<Vec<Digest>>>,
-        stop: Receiver<()>,
-    ) -> Result<(), String> {
-        loop {
-            let mut sel = Select::new();
-            let mon_idx = sel.recv(&monitor_updates);
-            let digest_base = 1 + digest_feeds.len();
-            let mut digest_idxs = Vec::new();
-            for rx in &digest_feeds {
-                digest_idxs.push(sel.recv(rx));
-            }
-            let stop_idx = sel.recv(&stop);
-            let _ = digest_base;
-            let op = sel.select();
-            let idx = op.index();
-            if idx == mon_idx {
-                match op.recv(&monitor_updates) {
-                    Ok(update) => {
-                        self.handle_monitor_update(&update)?;
-                    }
-                    Err(_) => return Ok(()), // channel closed
-                }
-            } else if idx == stop_idx {
-                let _ = op.recv(&stop);
-                return Ok(());
-            } else {
-                // A digest feed: find which one.
-                let pos = digest_idxs.iter().position(|i| *i == idx).unwrap();
-                match op.recv(&digest_feeds[pos]) {
-                    Ok(digests) => {
-                        self.handle_digests(pos, &digests)?;
-                    }
-                    Err(_) => return Ok(()),
-                }
-            }
-        }
+/// A numeric value typed against a declared column (`bit<N>` or
+/// `bigint`).
+fn num_value(ty: Option<&ddlog::Type>, v: u128) -> Result<ddlog::Value, String> {
+    match ty {
+        Some(ddlog::Type::Bit(w)) => Ok(ddlog::Value::Bit { width: *w, val: v }),
+        Some(ddlog::Type::Int) => Ok(ddlog::Value::Int(v as i128)),
+        other => Err(format!("expected numeric column, found {other:?}")),
     }
 }
 

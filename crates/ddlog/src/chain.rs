@@ -209,9 +209,6 @@ pub type RuleProf<'a> = (&'a [OpId], &'a [Option<OpId>], &'a mut WorkProfile);
 ///   upkeep is recorded to its own operator and subtracted from the
 ///   stage wall so "index too big" and "probe too hot" are
 ///   distinguishable.
-/// * `capture` — when provenance is enabled, every derived head row is
-///   also pushed here with the final binding that produced it and its
-///   derivation weight; the captures mirror the returned delta exactly.
 /// * Returns the delta of head-row derivations (weighted).
 pub fn process_rule(
     rule: &CompiledRule,
@@ -219,7 +216,6 @@ pub fn process_rule(
     stores: &[RelationStore],
     rel_deltas: &HashMap<RelId, ZSet<Row>>,
     mut prof: Option<RuleProf<'_>>,
-    capture: Option<&mut Vec<(Row, Binding, isize)>>,
 ) -> Result<ZSet<Row>> {
     // Fast path: nothing this rule depends on changed.
     if !rule
@@ -482,17 +478,12 @@ pub fn process_rule(
 
     // Map final bindings through the head expressions.
     let mut head_delta = ZSet::new();
-    let mut capture = capture;
     for (b, w) in cur.iter() {
         let mut row = Vec::with_capacity(rule.head_exprs.len());
         for e in &rule.head_exprs {
             row.push(eval(e, b)?);
         }
-        let row: Row = Arc::new(row);
-        if let Some(cap) = capture.as_deref_mut() {
-            cap.push((row.clone(), b.clone(), w));
-        }
-        head_delta.add(row, w);
+        head_delta.add(Arc::new(row), w);
     }
     Ok(head_delta)
 }

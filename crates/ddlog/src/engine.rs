@@ -14,7 +14,7 @@ use crate::chain::{process_rule, RuleState};
 use crate::error::{Error, Phase, Result};
 use crate::plan::{plan, CompiledProgram};
 use crate::profile::{AuditConfig, FixpointProbe, OpCatalog, WorkProfile};
-use crate::provenance::{Ledger, ProvenanceConfig, QueryCtx, WhyNode, WhyNot, FACT};
+use crate::provenance::{QueryCtx, WhyNode, WhyNot};
 use crate::recursive::process_recursive_stratum;
 use crate::store::{RelId, RelationStore};
 use crate::stratify::{stratify, Stratification};
@@ -51,7 +51,8 @@ fn engine_metrics() -> &'static EngineMetrics {
             zset_rows: reg.gauge("ddlog_zset_rows", "Visible rows across all relation stores"),
             state_bytes: reg.gauge(
                 "ddlog_state_bytes",
-                "Approximate resident bytes of stores and arrangements",
+                "Approximate resident bytes of all per-row engine state: stores \
+                 (rows, counts, last-touch stamps) and arrangements",
             ),
         }
     })
@@ -200,26 +201,14 @@ pub struct Engine {
     /// events (consumed per commit; 0 = untraced).
     commit_trace: u64,
     /// Per plan index: whether the rule runs in a recursive stratum
-    /// (provenance answers those by driven search, not the ledger).
+    /// (set semantics; provenance expects no derivation counts there).
     recursive_plans: Vec<bool>,
-    /// The provenance ledger, maintained when the engine was built with
-    /// [`ProvenanceConfig::on`].
-    provenance: Option<Ledger>,
 }
 
 impl Engine {
     /// Parse, type-check, stratify, plan, and initialize an engine from
-    /// program source. Provenance is off; use
-    /// [`Engine::from_source_with`] to enable it.
+    /// program source.
     pub fn from_source(src: &str) -> Result<Engine> {
-        Engine::from_source_with(src, ProvenanceConfig::off())
-    }
-
-    /// Like [`Engine::from_source`], with explicit provenance
-    /// configuration. The choice is fixed for the engine's lifetime:
-    /// the capture hooks exist only when enabled, so a provenance-off
-    /// engine evaluates exactly as before.
-    pub fn from_source_with(src: &str, prov: ProvenanceConfig) -> Result<Engine> {
         let program = crate::parser::parse_program(src)?;
         let checked = check(&program)?;
         let strat = stratify(&checked.program)?;
@@ -315,7 +304,6 @@ impl Engine {
             audit: None,
             commit_trace: 0,
             recursive_plans,
-            provenance: prov.enabled.then(Ledger::default),
         };
 
         // Install constant facts and propagate them like a transaction.
@@ -323,9 +311,6 @@ impl Engine {
         let facts = engine.compiled.facts.clone();
         for (rel, row) in facts {
             let row: Row = std::sync::Arc::new(row);
-            if let Some(ledger) = engine.provenance.as_mut() {
-                ledger.apply(rel, FACT, row.clone(), std::sync::Arc::new(Vec::new()), 1);
-            }
             let sd = engine.stores[rel].apply_derivation_delta(&ZSet::singleton(row, 1));
             rel_deltas.entry(rel).or_default().merge(sd);
         }
@@ -334,7 +319,6 @@ impl Engine {
         let init_out = engine.propagate(&mut rel_deltas, &mut init_profile);
         engine.flush_arrangement_stats(&mut init_profile);
         init_out?;
-        engine.stamp_touches(&rel_deltas, 0);
         engine.cumulative.merge(&init_profile);
         Ok(engine)
     }
@@ -427,6 +411,13 @@ impl Engine {
             entry.1 = *is_insert;
         }
 
+        // Rows this commit makes visible are stamped (trace, commit) in
+        // their store entry as they are applied.
+        let trace = std::mem::take(&mut self.commit_trace);
+        for store in &mut self.stores {
+            store.set_touch((trace, self.commits + 1));
+        }
+
         // Apply the net intents per relation, recording each relation's
         // Distinct operator (derivation-count maintenance).
         let mut profile = WorkProfile::new(self.catalog.len());
@@ -459,7 +450,6 @@ impl Engine {
         // Drain pending arrangement-maintenance stats into this commit's
         // profile even on error, so they can't leak into the next commit.
         let arrange_maintained = self.flush_arrangement_stats(&mut profile);
-        let trace = std::mem::take(&mut self.commit_trace);
         if out.is_err() {
             self.poisoned = true;
         }
@@ -468,7 +458,6 @@ impl Engine {
         metrics.commit_us.record_duration(started.elapsed());
         metrics.commits.inc();
         let delta = out?;
-        self.stamp_touches(&rel_deltas, trace);
         metrics.output_changes.add(delta.len() as u64);
         for (rel, rows) in &delta.changes {
             relation_changes_counter(rel).add(rows.len() as u64);
@@ -567,7 +556,6 @@ impl Engine {
                 }
             } else {
                 let mut acc: HashMap<RelId, ZSet<Row>> = HashMap::new();
-                let mut captures: Vec<(Row, crate::cexpr::Binding, isize)> = Vec::new();
                 for pi in &stratum.plan_idxs {
                     let rule = &self.compiled.rules[*pi];
                     let head_delta = process_rule(
@@ -580,13 +568,7 @@ impl Engine {
                             &self.catalog.stage_arrange_ops[*pi],
                             profile,
                         )),
-                        self.provenance.is_some().then_some(&mut captures),
                     )?;
-                    if let Some(ledger) = self.provenance.as_mut() {
-                        for (row, env, w) in captures.drain(..) {
-                            ledger.apply(rule.head_rel, *pi, row, env, w);
-                        }
-                    }
                     if !head_delta.is_empty() {
                         acc.entry(rule.head_rel).or_default().merge(head_delta);
                     }
@@ -664,30 +646,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Stamp the set-level row changes of a committed transaction into
-    /// the provenance touch map: inserts record `(trace, commit)`,
-    /// retractions forget the stamp.
-    fn stamp_touches(&mut self, rel_deltas: &HashMap<RelId, ZSet<Row>>, trace: u64) {
-        let commit = self.commits;
-        let Some(ledger) = self.provenance.as_mut() else {
-            return;
-        };
-        for (rel, z) in rel_deltas {
-            for (row, w) in z.iter() {
-                if w > 0 {
-                    ledger.stamp(*rel, row, trace, commit);
-                } else {
-                    ledger.unstamp(*rel, row);
-                }
-            }
-        }
-    }
-
-    /// True when this engine maintains the provenance ledger.
-    pub fn provenance_enabled(&self) -> bool {
-        self.provenance.is_some()
-    }
-
     /// The declared `(column name, type)` pairs of a relation; lets
     /// callers (e.g. the `nerpa-why` CLI) parse textual row literals.
     pub fn relation_schema(&self, relation: &str) -> Result<Vec<(String, crate::types::Type)>> {
@@ -749,8 +707,9 @@ impl Engine {
             stores: &self.stores,
             rule_states: &self.rule_states,
             recursive_plans: &self.recursive_plans,
-            ledger: self.provenance.as_ref(),
             rule_text: &rule_text,
+            examined: Default::default(),
+            truncations: Default::default(),
         };
         f(&ctx)
     }
@@ -758,16 +717,12 @@ impl Engine {
     /// Why is `row` in `relation`? Returns the derivation tree rooted
     /// at base (input-relation) facts: each node cites the rule and the
     /// supporting rows that produced it, annotated with the flight-
-    /// recorder trace that last touched each fact. Requires a
-    /// provenance-enabled engine ([`Engine::from_source_with`]); the
-    /// row must be visible (otherwise ask [`Engine::why_not`]).
+    /// recorder trace that last touched each fact. Answered on demand
+    /// by a bounded search over the live arrangements (nothing is
+    /// recorded per commit; see [`crate::provenance`]), so it works on
+    /// every engine. The row must be visible (otherwise ask
+    /// [`Engine::why_not`]).
     pub fn why(&self, relation: &str, row: Vec<Value>) -> Result<WhyNode> {
-        if self.provenance.is_none() {
-            return Err(Error::new(
-                Phase::Eval,
-                "provenance is disabled; build the engine with ProvenanceConfig::on()".to_string(),
-            ));
-        }
         let rel = self.rel_id(relation)?;
         self.check_row_arity(rel, &row)?;
         let row: Row = std::sync::Arc::new(row);
@@ -781,9 +736,9 @@ impl Engine {
     }
 
     /// Why is `row` *not* in `relation`? Reports, for every candidate
-    /// rule with this head, the first failing literal that blocks a
-    /// derivation. Works on any engine (the search is on-demand; no
-    /// ledger needed).
+    /// rule with this head, the deepest failing literal that blocks a
+    /// derivation — the other view of the search behind
+    /// [`Engine::why`].
     pub fn why_not(&self, relation: &str, row: Vec<Value>) -> Result<WhyNot> {
         let rel = self.rel_id(relation)?;
         self.check_row_arity(rel, &row)?;
@@ -791,33 +746,38 @@ impl Engine {
         self.with_query_ctx(|ctx| crate::provenance::why_not(ctx, rel, &row))
     }
 
-    /// The `(trace, commit)` that last inserted `row`, when provenance
-    /// is on and the row was touched since construction.
+    /// The `(trace, commit)` that last made `row` visible (`None` when
+    /// it is not). Rows installed by declared facts carry `(0, 0)`.
     pub fn last_touch(&self, relation: &str, row: &[Value]) -> Result<Option<(u64, u64)>> {
         let rel = self.rel_id(relation)?;
         self.check_row_arity(rel, row)?;
         let row: Row = std::sync::Arc::new(row.to_vec());
-        Ok(self
-            .provenance
-            .as_ref()
-            .and_then(|l| l.last_touch(rel, &row)))
+        Ok(self.stores[rel].last_touch(&row))
     }
 
-    /// Validate the provenance ledger against the live stores: every
-    /// justification re-evaluates, per-row counts match the stores'
-    /// derivation counts, and every visible chain-derived row is
-    /// justified. The provenance analogue of
-    /// [`Engine::validate_arrangements`].
+    /// Check the provenance search against the stores: every visible
+    /// derived row has a derivation, and for non-recursive relations
+    /// the search finds exactly the store's derivation count — two
+    /// independent computations of the same number. Walks the whole
+    /// state; a test/debug aid like [`Engine::validate_arrangements`].
     pub fn validate_provenance(&self) -> Result<()> {
         self.with_query_ctx(crate::provenance::validate)
     }
 
-    /// The `/why` exposition document: ledger size and shape per
-    /// relation, as deterministic JSON.
+    /// The `/why` exposition document: visible derived rows per
+    /// relation plus the search budget, as deterministic JSON.
+    /// O(#relations).
     pub fn provenance_summary_json(&self) -> String {
         let commits = self.commits;
         self.with_query_ctx(|ctx| Ok(crate::provenance::summary_json(ctx, commits)))
             .unwrap_or_default()
+    }
+
+    /// True when `row` is visible in `relation`.
+    pub fn contains(&self, relation: &str, row: &[Value]) -> Result<bool> {
+        let rel = self.rel_id(relation)?;
+        self.check_row_arity(rel, row)?;
+        Ok(self.stores[rel].contains(&std::sync::Arc::new(row.to_vec())))
     }
 
     /// The current contents of any relation, sorted.
@@ -860,8 +820,9 @@ impl Engine {
         Ok(self.stores[rel].len())
     }
 
-    /// Approximate resident bytes of all stores and arrangements — the
-    /// "memory-intensive data indexing" the paper's §2.2 worst case
+    /// Approximate resident bytes of all per-row engine state — stores
+    /// (rows, derivation counts, last-touch stamps) and arrangements —
+    /// the "memory-intensive data indexing" the paper's §2.2 worst case
     /// measures. Cheap: per-store byte counts are maintained
     /// incrementally, so this is O(#relations + #rules), not O(state).
     pub fn approx_bytes(&self) -> usize {

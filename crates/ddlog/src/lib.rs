@@ -52,6 +52,6 @@ pub mod zset;
 pub use engine::{Engine, Transaction, TxnDelta};
 pub use error::{Error, Result};
 pub use profile::{AuditConfig, OpCatalog, OpId, OpKind, OpMeta, OpStats, WorkProfile};
-pub use provenance::{CandidateReport, ProvenanceConfig, WhyJust, WhyNode, WhyNot, WhySupport};
+pub use provenance::{CandidateReport, WhyJust, WhyNode, WhyNot, WhySupport};
 pub use types::Type;
 pub use value::Value;

@@ -1,169 +1,39 @@
-//! Per-tuple provenance: the justification ledger behind
+//! Per-tuple provenance, derived on demand: the search behind
 //! [`crate::engine::Engine::why`] and [`crate::engine::Engine::why_not`].
 //!
-//! When an engine is built with [`ProvenanceConfig::on`], every head row
-//! derived by the incremental chain ([`crate::chain`]) is captured
-//! together with the rule and the final binding (environment) that
-//! produced it. The [`Ledger`] keeps one entry per `(rule, environment)`
-//! justification with a count that mirrors the row's derivation count —
-//! the same +w/−w stream the chain's bilinear deltas emit — so a
-//! retraction prunes exactly the justification whose support vanished,
-//! with no scanning and no stale references.
+//! Nothing is recorded while the engine evaluates. A question about a
+//! `(relation, row)` is answered by one search over the state the
+//! evaluators already keep: for each rule headed at the relation, bind
+//! the head backwards onto the rule's variables, walk the body with
+//! [`crate::recursive::explain_stages`] (probing the shared
+//! arrangements on every variable bound so far), and resolve aggregate
+//! groups against the chain evaluator's live group state. Per rule the
+//! search yields either the environments under which the rule derives
+//! the row or the deepest literal that blocks it — `why` renders the
+//! first side as a derivation tree rooted in base facts, `why_not` the
+//! second. Supporting input rows are re-found by projecting an
+//! environment back through each atom's columns, so an answer can never
+//! cite a retracted fact: it is computed from what is visible now.
 //!
-//! Supporting *input rows* are deliberately not stored: they are
-//! reconstructed on demand by projecting the recorded environment back
-//! through each atom's column sources ([`crate::plan::atom_col_srcs`])
-//! and probing the live stores (reusing the PR 7 shared arrangements).
-//! A justification therefore can never point at a retracted fact — if
-//! the fact is gone, the chain has already retracted the justification
-//! itself. Relations in recursive strata are evaluated by driven search
-//! with set semantics (no per-derivation counts), so their derivations
-//! are likewise found on demand with the same driven machinery
-//! ([`crate::recursive::explain_stages`]).
+//! The only per-row state is the `(trace, commit)` last-touch stamp the
+//! store keeps inside each row entry ([`crate::store::RelationStore`]).
+//!
+//! Every search is bounded: it examines at most [`SEARCH_BUDGET`] rows
+//! per rule. A search that runs out reports *truncated* — never "no
+//! derivation".
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashSet;
 
 use crate::ast::RelationRole;
-use crate::cexpr::{eval, eval_aggregate, Binding};
+use crate::cexpr::{eval, eval_aggregate, eval_cast, CExpr};
 use crate::chain::RuleState;
 use crate::error::{Error, Phase, Result};
-use crate::plan::{atom_col_srcs, ColSrc, CompiledProgram, CompiledRule, HeadBind, PStage};
-use crate::recursive::explain_stages;
+use crate::plan::{CompiledProgram, CompiledRule, PStage};
+use crate::recursive::{atom_pattern, explain_stages, fmt_pattern, fmt_row, HeadCheck};
 use crate::store::{RelId, RelationStore};
+use crate::types::Type;
 use crate::value::{Row, Value};
-
-/// Whether an engine maintains the provenance ledger. Fixed at
-/// construction ([`crate::engine::Engine::from_source_with`]): capture
-/// hooks and ledger state exist only when enabled, so a disabled engine
-/// pays nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProvenanceConfig {
-    /// Maintain per-tuple justifications alongside evaluation.
-    pub enabled: bool,
-}
-
-impl ProvenanceConfig {
-    /// Provenance on.
-    pub fn on() -> ProvenanceConfig {
-        ProvenanceConfig { enabled: true }
-    }
-
-    /// Provenance off (the default).
-    pub fn off() -> ProvenanceConfig {
-        ProvenanceConfig { enabled: false }
-    }
-}
-
-/// Sentinel `plan_idx` for rows installed by declared facts
-/// (`R(10).`) rather than by a rule.
-pub(crate) const FACT: usize = usize::MAX;
-
-/// One recorded justification of a derived row: the rule (by plan
-/// index) and the final environment, with a count of how many
-/// derivations currently flow through it.
-#[derive(Debug, Clone)]
-pub(crate) struct JustEntry {
-    /// Index into [`CompiledProgram::rules`], or [`FACT`].
-    pub plan_idx: usize,
-    /// The final binding the chain evaluated the head under (post-
-    /// aggregate layout for aggregate rules). Empty for facts.
-    pub env: Binding,
-    /// Net derivation count through this (rule, env); always positive.
-    pub count: isize,
-}
-
-/// Approximate resident bytes of one ledger environment.
-fn env_bytes(env: &Binding) -> usize {
-    env.iter().map(crate::store::value_bytes).sum::<usize>() + 48
-}
-
-/// The justification ledger: per derived row, the `(rule, environment)`
-/// pairs that currently support it, plus the last-touch stamp per row
-/// (the flight-recorder trace and commit that most recently inserted
-/// it).
-#[derive(Debug, Default)]
-pub(crate) struct Ledger {
-    justs: HashMap<(RelId, Row), Vec<JustEntry>>,
-    touch: HashMap<(RelId, Row), (u64, u64)>,
-    entries: usize,
-    bytes: usize,
-}
-
-impl Ledger {
-    /// Fold one captured derivation (`±w`) into the ledger.
-    pub fn apply(&mut self, rel: RelId, plan_idx: usize, row: Row, env: Binding, w: isize) {
-        if w == 0 {
-            return;
-        }
-        let key = (rel, row);
-        let list = self.justs.entry(key.clone()).or_default();
-        if let Some(e) = list
-            .iter_mut()
-            .find(|e| e.plan_idx == plan_idx && e.env == env)
-        {
-            e.count += w;
-            if e.count == 0 {
-                self.bytes = self.bytes.saturating_sub(env_bytes(&env));
-                self.entries -= 1;
-                list.retain(|e| e.count != 0);
-                if list.is_empty() {
-                    self.justs.remove(&key);
-                }
-            }
-        } else {
-            self.bytes += env_bytes(&env);
-            self.entries += 1;
-            list.push(JustEntry {
-                plan_idx,
-                env,
-                count: w,
-            });
-        }
-    }
-
-    /// Stamp `row`'s last touch (set-level insert) with a trace/commit.
-    pub fn stamp(&mut self, rel: RelId, row: &Row, trace: u64, commit: u64) {
-        self.touch.insert((rel, row.clone()), (trace, commit));
-    }
-
-    /// Forget the stamp of a retracted row.
-    pub fn unstamp(&mut self, rel: RelId, row: &Row) {
-        self.touch.remove(&(rel, row.clone()));
-    }
-
-    /// The (trace, commit) that last inserted `row`, if stamped.
-    pub fn last_touch(&self, rel: RelId, row: &Row) -> Option<(u64, u64)> {
-        self.touch.get(&(rel, row.clone())).copied()
-    }
-
-    /// Justifications of one row (empty when untracked).
-    pub fn entries_of(&self, rel: RelId, row: &Row) -> &[JustEntry] {
-        self.justs
-            .get(&(rel, row.clone()))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Iterate all `(rel, row) → justifications`.
-    pub fn iter(&self) -> impl Iterator<Item = (&(RelId, Row), &Vec<JustEntry>)> {
-        self.justs.iter()
-    }
-
-    /// Number of justification entries across all rows.
-    pub fn total_entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Number of rows with at least one justification.
-    pub fn total_rows(&self) -> usize {
-        self.justs.len()
-    }
-
-    /// Approximate resident bytes of recorded environments.
-    pub fn approx_bytes(&self) -> usize {
-        self.bytes
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Query results
@@ -188,6 +58,13 @@ pub struct WhyNode {
     pub repeated: bool,
     /// Truncation or limit notes, if any.
     pub note: Option<String>,
+    /// Rows the search looked at to explain this node and everything
+    /// below it (the root's value is the cost of the whole query).
+    pub examined: usize,
+    /// True when a search at or below this node ran out of
+    /// [`SEARCH_BUDGET`]: the tree may be missing derivations that
+    /// exist.
+    pub truncated: bool,
 }
 
 /// One justification of a node: a rule application (or declared fact)
@@ -233,6 +110,11 @@ pub struct WhyNot {
     pub input: bool,
     /// One report per candidate rule with this head relation.
     pub candidates: Vec<CandidateReport>,
+    /// Rows the search looked at.
+    pub examined: usize,
+    /// True when a candidate's search ran out of [`SEARCH_BUDGET`]: its
+    /// report says so instead of naming a failing literal.
+    pub truncated: bool,
 }
 
 /// Why one candidate rule fails to derive the target row.
@@ -251,11 +133,6 @@ pub struct CandidateReport {
 
 // ---------------------------------------------------------------------------
 // Rendering
-
-fn fmt_row(relation: &str, row: &[Value]) -> String {
-    let vals: Vec<String> = row.iter().map(Value::to_string).collect();
-    format!("{}({})", relation, vals.join(", "))
-}
 
 fn fmt_touch(touch: Option<(u64, u64)>) -> String {
     match touch {
@@ -481,16 +358,21 @@ impl WhyNot {
 // ---------------------------------------------------------------------------
 // Queries
 
-/// Everything a provenance query needs from the engine.
+/// Everything a provenance query needs from the engine, plus the
+/// query's running cost.
 pub(crate) struct QueryCtx<'a> {
     pub compiled: &'a CompiledProgram,
     pub stores: &'a [RelationStore],
     pub rule_states: &'a [RuleState],
-    /// Per plan index: whether the rule runs in a recursive stratum.
+    /// Per plan index: whether the rule runs in a recursive stratum
+    /// (set semantics: its rows carry no per-derivation counts).
     pub recursive_plans: &'a [bool],
-    pub ledger: Option<&'a Ledger>,
     /// Rule index → human-readable rendering.
     pub rule_text: &'a dyn Fn(usize) -> String,
+    /// Rows examined so far.
+    pub examined: Cell<usize>,
+    /// Searches that ran out of budget so far.
+    pub truncations: Cell<usize>,
 }
 
 /// Depth cap of a derivation tree.
@@ -501,8 +383,10 @@ const MAX_SUPPORT_ROWS: usize = 8;
 const MAX_JUSTS: usize = 4;
 /// Max aggregate contributors expanded per justification.
 const MAX_CONTRIBUTORS: usize = 16;
-/// Row-examination budget of one driven derivation search.
-const SEARCH_BUDGET: usize = 50_000;
+/// Rows one rule's search (or one support lookup) may examine. Probes
+/// that hit an arrangement spend one unit per matching row; an atom no
+/// arrangement covers is scanned, spending one unit per stored row.
+pub const SEARCH_BUDGET: usize = 50_000;
 
 impl<'a> QueryCtx<'a> {
     fn describe(&self) -> impl Fn(RelId) -> (String, usize) + '_ {
@@ -513,74 +397,334 @@ impl<'a> QueryCtx<'a> {
     }
 
     fn head_row(&self, rule: &CompiledRule, env: &[Value]) -> Result<Vec<Value>> {
-        let mut row = Vec::with_capacity(rule.head_exprs.len());
-        for e in &rule.head_exprs {
-            row.push(eval(e, env)?);
-        }
-        Ok(row)
+        rule.head_exprs.iter().map(|e| eval(e, env)).collect()
     }
 
     /// Plan indices of the rules headed at `rel`.
-    fn rules_of(&self, rel: RelId) -> Vec<usize> {
-        (0..self.compiled.rules.len())
-            .filter(|pi| self.compiled.rules[*pi].head_rel == rel)
-            .collect()
+    fn rules_of(&self, rel: RelId) -> impl Iterator<Item = usize> + '_ {
+        (0..self.compiled.rules.len()).filter(move |pi| self.compiled.rules[*pi].head_rel == rel)
     }
 
     /// True when `rel` is maintained by a recursive stratum.
     fn is_recursive(&self, rel: RelId) -> bool {
-        self.rules_of(rel)
-            .iter()
-            .any(|pi| self.recursive_plans[*pi])
+        self.rules_of(rel).any(|pi| self.recursive_plans[pi])
     }
-}
 
-/// Map a head row onto init bindings via `head_binds`. `Err(reason)`
-/// when a head constant rules the row out entirely.
-fn head_init(
-    rule: &CompiledRule,
-    row: &[Value],
-) -> std::result::Result<Option<Vec<(usize, Value)>>, String> {
-    let Some(binds) = &rule.head_binds else {
-        return Ok(None);
-    };
-    let mut init = Vec::new();
-    for (hb, v) in binds.iter().zip(row.iter()) {
-        match hb {
-            HeadBind::Slot(s) => init.push((*s, v.clone())),
-            HeadBind::Const(c) => {
-                if c != v {
-                    return Err(format!(
-                        "head constant {c} can never equal the target's {v}"
-                    ));
-                }
-            }
+    fn spend(&self, examined: usize, exhausted: bool) {
+        self.examined.set(self.examined.get() + examined);
+        if exhausted {
+            self.truncations.set(self.truncations.get() + 1);
         }
     }
-    Ok(Some(init))
 }
 
-/// The column pattern of an atom under a fully bound environment.
-fn stage_pattern(stage: &PStage, env: &[Value], arity: usize) -> Vec<Option<Value>> {
-    let mut pattern = vec![None; arity];
-    for (col, src) in atom_col_srcs(stage) {
-        pattern[col] = Some(match src {
-            ColSrc::Const(v) => v,
-            ColSrc::Slot(s) => env[s].clone(),
-        });
+fn inconsistent(msg: String) -> Error {
+    Error::new(Phase::Eval, format!("{msg} — engine state inconsistent"))
+}
+
+/// The rule's aggregate stage, if any: its index and group-key slots.
+fn aggregate_of(rule: &CompiledRule) -> Option<(usize, &[usize])> {
+    rule.stages.iter().enumerate().find_map(|(i, s)| match s {
+        PStage::Aggregate { group_slots, .. } => Some((i, group_slots.as_slice())),
+        _ => None,
+    })
+}
+
+/// The declared type of the column that binds `slot`, when an atom of
+/// the rule binds it.
+fn slot_type(ctx: &QueryCtx<'_>, rule: &CompiledRule, slot: usize) -> Option<Type> {
+    rule.stages.iter().find_map(|s| match s {
+        PStage::Atom { rel, binds, .. } => binds
+            .iter()
+            .find(|(_, sl)| *sl == slot)
+            .map(|(col, _)| ctx.compiled.decls[*rel].columns[*col].1.clone()),
+        _ => None,
+    })
+}
+
+/// One more than the highest slot `stages` bind: the environment size a
+/// walk over them needs.
+fn slots_of(stages: &[PStage]) -> usize {
+    let bound = stages.iter().flat_map(|s| match s {
+        PStage::Atom { binds, .. } => binds.iter().map(|(_, sl)| *sl).collect(),
+        PStage::Assign { slot, .. } | PStage::FlatMap { slot, .. } => vec![*slot],
+        PStage::Filter { .. } | PStage::Aggregate { .. } => Vec::new(),
+    });
+    bound.max().map_or(0, |m| m + 1)
+}
+
+/// Bind a head row backwards onto the rule's final environment layout:
+/// a plain-variable argument pins its slot, a constant argument must
+/// equal the target (`Err(reason)` when it cannot). With `invert_casts`
+/// an argument `x as T` also pins `x`, to the one value of its declared
+/// type that casts to the target without wrapping; `.1` reports that
+/// such a guess was made (a wrapping preimage would be missed, so
+/// [`derivations`] retries uninverted when this comes up short).
+/// Computed arguments stay unbound and are checked at the leaf.
+fn head_init(
+    ctx: &QueryCtx<'_>,
+    rule: &CompiledRule,
+    row: &[Value],
+    invert_casts: bool,
+) -> std::result::Result<(Vec<(usize, Value)>, bool), String> {
+    let mut init = Vec::new();
+    let mut guessed = false;
+    for (e, v) in rule.head_exprs.iter().zip(row) {
+        match e {
+            CExpr::Var(s) => init.push((*s, v.clone())),
+            CExpr::Const(c) if c != v => {
+                return Err(format!(
+                    "head constant {c} can never equal the target's {v}"
+                ));
+            }
+            CExpr::Cast(inner, to) if invert_casts => {
+                let CExpr::Var(s) = **inner else { continue };
+                // Behind an aggregate the head's slots name group keys
+                // (the aggregate result has no declared column type).
+                let declared = match aggregate_of(rule) {
+                    Some((_, group_slots)) => group_slots.get(s).copied(),
+                    None => Some(s),
+                }
+                .and_then(|pre| slot_type(ctx, rule, pre));
+                let back = declared.and_then(|ty| eval_cast(v.clone(), &ty).ok());
+                if let Some(u) = back.filter(|u| eval_cast(u.clone(), to).as_ref() == Ok(v)) {
+                    init.push((s, u));
+                    guessed = true;
+                }
+            }
+            _ => {}
+        }
     }
-    pattern
+    Ok((init, guessed))
 }
 
-fn fmt_pattern(relation: &str, pattern: &[Option<Value>]) -> String {
-    let cols: Vec<String> = pattern
-        .iter()
-        .map(|p| match p {
-            Some(v) => v.to_string(),
-            None => "_".to_string(),
-        })
-        .collect();
-    format!("{}({})", relation, cols.join(", "))
+/// What the search found for one rule headed at the target's relation.
+enum Outcome {
+    /// The environments (final layout) under which the rule derives
+    /// the row, one per derivation.
+    Derives(Vec<Vec<Value>>),
+    /// The deepest literal that blocks every derivation (`stage` is
+    /// `None` when the head itself rules the row out).
+    Blocked {
+        stage: Option<usize>,
+        failure: String,
+    },
+}
+
+/// The result of searching every rule (and declared fact) for
+/// derivations of one row.
+struct Search {
+    /// Per rule headed at the relation, by plan index.
+    rules: Vec<(usize, Outcome)>,
+    /// Declared facts equal to the row.
+    facts: usize,
+    /// A head cast was inverted by guess (see [`head_init`]).
+    guessed: bool,
+    /// More derivations exist than the cap admitted.
+    capped: bool,
+    /// Some rule's search ran out of budget.
+    truncated: bool,
+}
+
+impl Search {
+    fn found(&self) -> usize {
+        let envs = self.rules.iter().map(|(_, o)| match o {
+            Outcome::Derives(envs) => envs.len(),
+            Outcome::Blocked { .. } => 0,
+        });
+        self.facts + envs.sum::<usize>()
+    }
+}
+
+fn truncated_outcome(stage: Option<usize>, examined: usize) -> Outcome {
+    Outcome::Blocked {
+        stage,
+        failure: format!("search truncated: {examined} rows examined without settling this rule"),
+    }
+}
+
+/// Resolve an aggregate rule's head against the chain evaluator's live
+/// groups: the post-aggregate environments (`key ++ [aggregate]`) whose
+/// head is the target, or — when the head pins one existing group that
+/// aggregates to something else — that mismatch. `Ok(None)` when no
+/// group is in play and the body has to say why.
+fn group_envs(
+    ctx: &QueryCtx<'_>,
+    pi: usize,
+    ai: usize,
+    init: &[(usize, Value)],
+    row: &Row,
+) -> Result<Option<Outcome>> {
+    let rule = &ctx.compiled.rules[pi];
+    let PStage::Aggregate {
+        group_slots,
+        func,
+        arg,
+    } = &rule.stages[ai]
+    else {
+        unreachable!("stage {ai} is not the aggregate")
+    };
+    let groups = ctx.rule_states[pi]
+        .stage_groups(ai)
+        .ok_or_else(|| inconsistent("aggregate stage without groups".to_string()))?;
+    let bound = |j: usize| init.iter().find(|(s, _)| *s == j).map(|(_, v)| v);
+    let pinned: Option<Vec<Value>> = (0..group_slots.len()).map(|j| bound(j).cloned()).collect();
+    let keys: Vec<&Vec<Value>> = match &pinned {
+        Some(key) => groups
+            .get_key_value(key)
+            .map(|(k, _)| k)
+            .into_iter()
+            .collect(),
+        // The head leaves part of the key open: scan the groups — all
+        // of them or none, so the answer does not depend on hash order.
+        None if groups.len() > SEARCH_BUDGET => {
+            ctx.spend(SEARCH_BUDGET, true);
+            return Ok(Some(truncated_outcome(Some(ai), SEARCH_BUDGET)));
+        }
+        None => groups
+            .keys()
+            .filter(|k| (0..k.len()).all(|j| bound(j).is_none_or(|v| *v == k[j])))
+            .collect(),
+    };
+    ctx.spend(if pinned.is_some() { 1 } else { groups.len() }, false);
+    let mut envs = Vec::new();
+    let mut mismatch = None;
+    for key in keys {
+        let group = &groups[key];
+        let agg = eval_aggregate(*func, arg.as_ref(), group)?;
+        let mut env = key.clone();
+        env.push(agg.clone());
+        if ctx.head_row(rule, &env)? == **row {
+            envs.push(env);
+        } else if let (Some(_), Some(want)) = (&pinned, bound(group_slots.len())) {
+            mismatch = Some(Outcome::Blocked {
+                stage: Some(ai),
+                failure: format!(
+                    "the {} contributing row(s) aggregate to {agg}, not the target's {want}",
+                    group.support().count()
+                ),
+            });
+        }
+    }
+    Ok(if envs.is_empty() {
+        mismatch
+    } else {
+        Some(Outcome::Derives(envs))
+    })
+}
+
+/// The one search: for each rule headed at `rel`, how (or why not) it
+/// derives `row`. At most `env_cap` derivations are collected.
+fn search(
+    ctx: &QueryCtx<'_>,
+    rel: RelId,
+    row: &Row,
+    env_cap: usize,
+    invert_casts: bool,
+) -> Result<Search> {
+    let describe = ctx.describe();
+    let truncations = ctx.truncations.get();
+    let facts = ctx.compiled.facts.iter();
+    let mut out = Search {
+        rules: Vec::new(),
+        facts: facts.filter(|(r, v)| *r == rel && v == &**row).count(),
+        guessed: false,
+        capped: false,
+        truncated: false,
+    };
+    for pi in ctx.rules_of(rel) {
+        let rule = &ctx.compiled.rules[pi];
+        let init = match head_init(ctx, rule, row, invert_casts) {
+            Ok((init, guessed)) => {
+                out.guessed |= guessed;
+                init
+            }
+            Err(failure) => {
+                let stage = None;
+                out.rules.push((pi, Outcome::Blocked { stage, failure }));
+                continue;
+            }
+        };
+        // What to walk: the whole body, checking the head at the leaf;
+        // or, for an aggregate rule whose groups did not settle the
+        // question, the stages that feed the groups (head slots mapped
+        // back through the group key) — only to find the literal that
+        // keeps rows from reaching the target's group.
+        let agg = aggregate_of(rule);
+        let (body, init, head, cap) = match agg {
+            None => {
+                let head = HeadCheck {
+                    relation: &ctx.compiled.decls[rel].name,
+                    exprs: &rule.head_exprs,
+                    target: row,
+                };
+                let room = env_cap.saturating_sub(out.found());
+                (&rule.stages[..], init, Some(head), room)
+            }
+            Some((ai, group_slots)) => {
+                if let Some(outcome) = group_envs(ctx, pi, ai, &init, row)? {
+                    out.rules.push((pi, outcome));
+                    continue;
+                }
+                let pre = init
+                    .into_iter()
+                    .filter_map(|(s, v)| group_slots.get(s).map(|p| (*p, v)))
+                    .collect();
+                (&rule.stages[..ai], pre, None, 1)
+            }
+        };
+        let n_slots = slots_of(body);
+        let ex = explain_stages(
+            body,
+            n_slots,
+            ctx.stores,
+            &describe,
+            &init,
+            head,
+            SEARCH_BUDGET,
+            cap,
+        )?;
+        ctx.spend(ex.examined, ex.truncated);
+        let outcome = match (agg, ex.fail) {
+            (_, fail) if ex.truncated => truncated_outcome(fail.map(|(s, _)| s), ex.examined),
+            (None, _) if !ex.envs.is_empty() => {
+                out.capped |= ex.capped;
+                Outcome::Derives(ex.envs)
+            }
+            (Some((ai, _)), _) if !ex.envs.is_empty() => Outcome::Blocked {
+                stage: Some(ai),
+                failure: "rows reach the aggregate but no group yields the target".to_string(),
+            },
+            (_, Some((stage, failure))) => Outcome::Blocked {
+                stage: Some(stage),
+                failure,
+            },
+            (_, None) => Outcome::Blocked {
+                stage: Some(0),
+                failure: "rule body is never satisfiable".to_string(),
+            },
+        };
+        out.rules.push((pi, outcome));
+    }
+    out.truncated = ctx.truncations.get() > truncations;
+    Ok(out)
+}
+
+/// [`search`] with head casts inverted; when that finds fewer
+/// derivations than the store says exist (a cast wrapped), once more
+/// without. Recursive relations keep no counts, so there any
+/// derivation suffices.
+fn derivations(ctx: &QueryCtx<'_>, rel: RelId, row: &Row, env_cap: usize) -> Result<Search> {
+    let s = search(ctx, rel, row, env_cap, true)?;
+    let want = if ctx.is_recursive(rel) {
+        1
+    } else {
+        ctx.stores[rel].derivation_count(row).max(1) as usize
+    };
+    if s.guessed && s.found() < want.min(env_cap) {
+        return search(ctx, rel, row, env_cap, false);
+    }
+    Ok(s)
 }
 
 /// Build the derivation tree of a visible row.
@@ -601,10 +745,12 @@ fn why_node(
         relation: decl.name.clone(),
         row: (**row).clone(),
         base: decl.role == RelationRole::Input,
-        touch: ctx.ledger.and_then(|l| l.last_touch(rel, row)),
+        touch: ctx.stores[rel].last_touch(row),
         justs: Vec::new(),
         repeated: false,
         note: None,
+        examined: 0,
+        truncated: false,
     };
     if node.base {
         return Ok(node);
@@ -617,125 +763,51 @@ fn why_node(
         node.note = Some(format!("depth limit {MAX_DEPTH} reached"));
         return Ok(node);
     }
+    let (examined, truncations) = (ctx.examined.get(), ctx.truncations.get());
+    let found = derivations(ctx, rel, row, MAX_JUSTS)?;
+    // (On error the whole query is abandoned, stack included.)
     stack.push((rel, row.clone()));
-    let result = if ctx.is_recursive(rel) {
-        recursive_justs(ctx, rel, row, stack, depth)
-    } else {
-        ledger_justs(ctx, rel, row, stack, depth)
-    };
+    for _ in 0..found.facts.min(MAX_JUSTS) {
+        node.justs.push(WhyJust {
+            rule_index: None,
+            rule: "declared fact".to_string(),
+            supports: Vec::new(),
+            note: None,
+        });
+    }
+    for (pi, outcome) in &found.rules {
+        let Outcome::Derives(envs) = outcome else {
+            continue;
+        };
+        for env in envs.iter().take(MAX_JUSTS - node.justs.len()) {
+            node.justs.push(env_just(ctx, *pi, env, stack, depth)?);
+        }
+    }
     stack.pop();
-    let (justs, note) = result?;
-    node.justs = justs;
-    node.note = note;
+    node.examined = ctx.examined.get() - examined;
+    node.truncated = ctx.truncations.get() > truncations;
+    if node.justs.is_empty() {
+        if !found.truncated {
+            return Err(inconsistent(format!(
+                "no derivation found for visible row {}",
+                fmt_row(&decl.name, row)
+            )));
+        }
+        node.note = Some(format!(
+            "derivation search truncated: budget of {SEARCH_BUDGET} rows per rule exhausted \
+             before a derivation was found"
+        ));
+    } else if found.capped || found.found() > node.justs.len() {
+        node.note = Some("further derivation(s) not shown".to_string());
+    } else if found.truncated {
+        node.note = Some("derivation search truncated".to_string());
+    }
     Ok(node)
 }
 
-/// Justifications of a chain-maintained row, straight from the ledger.
-fn ledger_justs(
-    ctx: &QueryCtx<'_>,
-    rel: RelId,
-    row: &Row,
-    stack: &mut Vec<(RelId, Row)>,
-    depth: usize,
-) -> Result<(Vec<WhyJust>, Option<String>)> {
-    let Some(ledger) = ctx.ledger else {
-        return Err(Error::new(
-            Phase::Eval,
-            "provenance is disabled; build the engine with ProvenanceConfig::on()".to_string(),
-        ));
-    };
-    let mut entries: Vec<&JustEntry> = ledger.entries_of(rel, row).iter().collect();
-    if entries.is_empty() {
-        return Err(Error::new(
-            Phase::Eval,
-            format!(
-                "no justification recorded for visible row {} — provenance ledger out of sync",
-                fmt_row(&ctx.compiled.decls[rel].name, row)
-            ),
-        ));
-    }
-    entries.sort_by(|a, b| (a.plan_idx, &a.env).cmp(&(b.plan_idx, &b.env)));
-    let mut justs = Vec::new();
-    let mut note = None;
-    for e in entries.iter().take(MAX_JUSTS) {
-        if e.plan_idx == FACT {
-            justs.push(WhyJust {
-                rule_index: None,
-                rule: "declared fact".to_string(),
-                supports: Vec::new(),
-                note: None,
-            });
-            continue;
-        }
-        justs.push(env_just(ctx, e.plan_idx, &e.env, stack, depth)?);
-    }
-    if entries.len() > MAX_JUSTS {
-        note = Some(format!(
-            "{} further justification(s) not shown",
-            entries.len() - MAX_JUSTS
-        ));
-    }
-    Ok((justs, note))
-}
-
-/// Justifications of a recursive-stratum row, found by driven search
-/// over the live stores.
-fn recursive_justs(
-    ctx: &QueryCtx<'_>,
-    rel: RelId,
-    row: &Row,
-    stack: &mut Vec<(RelId, Row)>,
-    depth: usize,
-) -> Result<(Vec<WhyJust>, Option<String>)> {
-    let describe = ctx.describe();
-    let mut justs = Vec::new();
-    let mut truncated = false;
-    for pi in ctx.rules_of(rel) {
-        if justs.len() >= MAX_JUSTS {
-            truncated = true;
-            break;
-        }
-        let rule = &ctx.compiled.rules[pi];
-        let init = match head_init(rule, row) {
-            Ok(Some(init)) => init,
-            Ok(None) => Vec::new(),
-            Err(_) => continue, // head constant mismatch: not a candidate
-        };
-        let ex = explain_stages(
-            &rule.stages,
-            rule.n_slots,
-            ctx.stores,
-            &describe,
-            &init,
-            SEARCH_BUDGET,
-            MAX_JUSTS,
-        )?;
-        truncated |= ex.truncated;
-        for env in &ex.envs {
-            if justs.len() >= MAX_JUSTS {
-                truncated = true;
-                break;
-            }
-            if ctx.head_row(rule, env)? != **row {
-                continue; // head_binds was None; this valuation derives another row
-            }
-            justs.push(env_just(ctx, pi, env, stack, depth)?);
-        }
-    }
-    if justs.is_empty() {
-        return Err(Error::new(
-            Phase::Eval,
-            format!(
-                "no derivation found for visible recursive row {} — engine state inconsistent",
-                fmt_row(&ctx.compiled.decls[rel].name, row)
-            ),
-        ));
-    }
-    let note = truncated.then(|| "derivation search truncated".to_string());
-    Ok((justs, note))
-}
-
-/// Expand one `(rule, environment)` justification into its supports.
+/// Expand one `(rule, environment)` derivation into its supports: the
+/// input rows each atom matched, re-found by projecting the environment
+/// back through the atom's columns, each explained in turn.
 fn env_just(
     ctx: &QueryCtx<'_>,
     pi: usize,
@@ -744,132 +816,78 @@ fn env_just(
     depth: usize,
 ) -> Result<WhyJust> {
     let rule = &ctx.compiled.rules[pi];
-    let mut just = WhyJust {
-        rule_index: Some(rule.rule_index),
-        rule: (ctx.rule_text)(rule.rule_index),
-        supports: Vec::new(),
-        note: None,
-    };
+    let mut supports = Vec::new();
     let mut notes = Vec::new();
-    if rule.has_aggregate {
-        let ai = rule
-            .stages
-            .iter()
-            .position(|s| matches!(s, PStage::Aggregate { .. }))
-            .expect("aggregate rule without aggregate stage");
-        let PStage::Aggregate { group_slots, .. } = &rule.stages[ai] else {
-            unreachable!()
-        };
-        let key: Vec<Value> = env[..group_slots.len()].to_vec();
-        let groups = ctx.rule_states[pi]
-            .stage_groups(ai)
-            .ok_or_else(|| Error::new(Phase::Eval, "aggregate stage without groups".to_string()))?;
-        let mut contributors: Vec<&Binding> = groups
-            .get(&key)
-            .map(|z| z.support().collect())
-            .unwrap_or_default();
-        contributors.sort();
-        if contributors.is_empty() {
-            return Err(Error::new(
-                Phase::Eval,
-                "aggregation group vanished under a recorded justification — ledger out of sync"
-                    .to_string(),
-            ));
+    let mut seen: HashSet<(RelId, Row)> = HashSet::new();
+    // Behind an aggregate the environment is `key ++ [aggregate]` and
+    // the supports are those of the group's contributing bindings.
+    let (stages, envs): (&[PStage], Vec<&[Value]>) = match aggregate_of(rule) {
+        None => (&rule.stages, vec![env]),
+        Some((ai, _)) => {
+            let groups = ctx.rule_states[pi].stage_groups(ai);
+            let mut contributors: Vec<&[Value]> = groups
+                .and_then(|g| g.get(&env[..env.len() - 1]))
+                .map(|z| z.support().map(|b| b.as_slice()).collect())
+                .unwrap_or_default();
+            contributors.sort();
+            if contributors.is_empty() {
+                let msg = "aggregation group vanished mid-query";
+                return Err(inconsistent(msg.to_string()));
+            }
+            if contributors.len() > MAX_CONTRIBUTORS {
+                notes.push(format!(
+                    "{MAX_CONTRIBUTORS} of {} aggregate contributors shown",
+                    contributors.len()
+                ));
+                contributors.truncate(MAX_CONTRIBUTORS);
+            }
+            (&rule.stages[..ai], contributors)
         }
-        if contributors.len() > MAX_CONTRIBUTORS {
-            notes.push(format!(
-                "{} of {} aggregate contributors shown",
-                MAX_CONTRIBUTORS,
-                contributors.len()
-            ));
-            contributors.truncate(MAX_CONTRIBUTORS);
-        }
-        let mut seen: HashSet<(RelId, Row)> = HashSet::new();
-        for contrib in contributors {
-            collect_atom_supports(
-                ctx,
-                &rule.stages[..ai],
-                contrib,
-                stack,
-                depth,
-                &mut just.supports,
-                &mut seen,
-                &mut notes,
-            )?;
-        }
-    } else {
-        let mut seen: HashSet<(RelId, Row)> = HashSet::new();
-        collect_atom_supports(
-            ctx,
-            &rule.stages,
-            env,
-            stack,
-            depth,
-            &mut just.supports,
-            &mut seen,
-            &mut notes,
-        )?;
-    }
-    if !notes.is_empty() {
-        just.note = Some(notes.join("; "));
-    }
-    Ok(just)
-}
-
-/// Reconstruct and expand the atom supports of one environment.
-#[allow(clippy::too_many_arguments)]
-fn collect_atom_supports(
-    ctx: &QueryCtx<'_>,
-    stages: &[PStage],
-    env: &[Value],
-    stack: &mut Vec<(RelId, Row)>,
-    depth: usize,
-    supports: &mut Vec<WhySupport>,
-    seen: &mut HashSet<(RelId, Row)>,
-    notes: &mut Vec<String>,
-) -> Result<()> {
-    for stage in stages {
+    };
+    for (env, stage) in envs.iter().flat_map(|e| stages.iter().map(move |s| (e, s))) {
         let PStage::Atom { rel, neg, .. } = stage else {
             continue;
         };
         let decl = &ctx.compiled.decls[*rel];
-        let pattern = stage_pattern(stage, env, decl.arity());
+        let pattern = atom_pattern(stage, decl.arity(), env);
+        let shown = fmt_pattern(&decl.name, &pattern);
         if *neg {
             supports.push(WhySupport::Absent {
                 relation: decl.name.clone(),
-                pattern: fmt_pattern(&decl.name, &pattern),
+                pattern: shown,
             });
             continue;
         }
-        let (rows, truncated) = ctx.stores[*rel].matching_rows(&pattern, MAX_SUPPORT_ROWS);
-        if truncated {
+        let m = ctx.stores[*rel].matching_rows(&pattern, MAX_SUPPORT_ROWS, SEARCH_BUDGET);
+        ctx.spend(m.examined, m.exhausted);
+        if m.capped {
             notes.push(format!(
-                "support rows of {} truncated at {MAX_SUPPORT_ROWS}",
-                fmt_pattern(&decl.name, &pattern)
+                "support rows of {shown} truncated at {MAX_SUPPORT_ROWS}"
             ));
         }
-        if rows.is_empty() {
-            return Err(Error::new(
-                Phase::Eval,
-                format!(
-                    "justification references {} but no visible row matches — \
-                     dangling provenance",
-                    fmt_pattern(&decl.name, &pattern)
-                ),
-            ));
+        if m.exhausted {
+            notes.push(format!("lookup of {shown} truncated"));
+        } else if m.rows.is_empty() {
+            return Err(inconsistent(format!(
+                "a derivation cites {shown} but no visible row matches"
+            )));
         }
-        for r in rows {
-            if !seen.insert((*rel, r.clone())) {
-                continue;
+        for r in m.rows {
+            if seen.insert((*rel, r.clone())) {
+                supports.push(WhySupport::Fact(why_node(ctx, *rel, &r, stack, depth + 1)?));
             }
-            supports.push(WhySupport::Fact(why_node(ctx, *rel, &r, stack, depth + 1)?));
         }
     }
-    Ok(())
+    Ok(WhyJust {
+        rule_index: Some(rule.rule_index),
+        rule: (ctx.rule_text)(rule.rule_index),
+        supports,
+        note: (!notes.is_empty()).then(|| notes.join("; ")),
+    })
 }
 
-/// Report why `row` is absent from `rel`: the first failing literal of
-/// every candidate rule.
+/// Report why `row` is absent from `rel`: the deepest failing literal
+/// of every candidate rule.
 pub(crate) fn why_not(ctx: &QueryCtx<'_>, rel: RelId, row: &Row) -> Result<WhyNot> {
     let decl = &ctx.compiled.decls[rel];
     let mut report = WhyNot {
@@ -878,447 +896,93 @@ pub(crate) fn why_not(ctx: &QueryCtx<'_>, rel: RelId, row: &Row) -> Result<WhyNo
         present: ctx.stores[rel].contains(row),
         input: decl.role == RelationRole::Input,
         candidates: Vec::new(),
+        examined: 0,
+        truncated: false,
     };
     if report.present || report.input {
         return Ok(report);
     }
-    let describe = ctx.describe();
-    for pi in ctx.rules_of(rel) {
+    for (pi, outcome) in search(ctx, rel, row, 1, true)?.rules {
         let rule = &ctx.compiled.rules[pi];
-        let text = (ctx.rule_text)(rule.rule_index);
-        let mut push = |stage: Option<usize>, failure: String| {
-            report.candidates.push(CandidateReport {
-                rule_index: rule.rule_index,
-                rule: text.clone(),
-                stage,
-                failure,
-            });
-        };
-        let init = match head_init(rule, row) {
-            Ok(Some(init)) => init,
-            Ok(None) => Vec::new(),
-            Err(reason) => {
-                push(None, reason);
-                continue;
-            }
-        };
-        if rule.has_aggregate {
-            let ai = rule
-                .stages
-                .iter()
-                .position(|s| matches!(s, PStage::Aggregate { .. }))
-                .expect("aggregate rule without aggregate stage");
-            let PStage::Aggregate {
-                group_slots,
-                func,
-                arg,
-            } = &rule.stages[ai]
-            else {
-                unreachable!()
-            };
-            // Map post-aggregate init slots back onto the pre-aggregate
-            // layout: slot j < |key| is group_slots[j]; slot |key| is
-            // the aggregate result itself.
-            let mut pre_init = Vec::new();
-            let mut expected_agg = None;
-            let mut invertible = !init.is_empty() || group_slots.is_empty();
-            for (slot, v) in &init {
-                if *slot < group_slots.len() {
-                    pre_init.push((group_slots[*slot], v.clone()));
-                } else {
-                    expected_agg = Some(v.clone());
-                }
-            }
-            if rule.head_binds.is_none() {
-                invertible = false;
-            }
-            if !invertible {
-                push(
-                    None,
-                    "cannot invert an aggregate head with computed arguments".to_string(),
-                );
-                continue;
-            }
-            let ex = explain_stages(
-                &rule.stages[..ai],
-                rule.n_slots,
-                ctx.stores,
-                &describe,
-                &pre_init,
-                SEARCH_BUDGET,
-                1,
-            )?;
-            if ex.envs.is_empty() {
-                let (stage, failure) = ex
-                    .fail
-                    .unwrap_or((0, "no rows reach the aggregate for this group".to_string()));
-                push(Some(stage), failure);
-                continue;
-            }
-            let key: Vec<Value> = group_slots.iter().map(|s| ex.envs[0][*s].clone()).collect();
-            let groups = ctx.rule_states[pi].stage_groups(ai).ok_or_else(|| {
-                Error::new(Phase::Eval, "aggregate stage without groups".to_string())
-            })?;
-            match groups.get(&key) {
-                None => push(Some(ai), format!("aggregation group {key:?} is empty")),
-                Some(group) => {
-                    let agg = eval_aggregate(*func, arg.as_ref(), group)?;
-                    match expected_agg {
-                        Some(want) if agg != want => push(
-                            Some(ai),
-                            format!(
-                                "the {} contributing row(s) aggregate to {agg}, \
-                                 not the target's {want}",
-                                group.support().count()
-                            ),
-                        ),
-                        _ => push(
-                            Some(ai),
-                            "derivable from the current group — engine state inconsistent"
-                                .to_string(),
-                        ),
-                    }
-                }
-            }
-            continue;
-        }
-        let ex = explain_stages(
-            &rule.stages,
-            rule.n_slots,
-            ctx.stores,
-            &describe,
-            &init,
-            SEARCH_BUDGET,
-            8,
-        )?;
-        if ex.envs.is_empty() {
-            let (stage, failure) = ex
-                .fail
-                .unwrap_or((0, "rule body is never satisfiable".to_string()));
-            push(Some(stage), failure);
-            continue;
-        }
-        // Some valuation satisfies the body. With an invertible head the
-        // init pinned the target, so this means derivable-but-absent;
-        // otherwise the head maps elsewhere.
-        let mut sample = None;
-        let mut derivable = false;
-        for env in &ex.envs {
-            let head = ctx.head_row(rule, env)?;
-            if head == **row {
-                derivable = true;
-                break;
-            }
-            sample.get_or_insert(head);
-        }
-        if derivable {
-            push(
+        let (stage, failure) = match outcome {
+            Outcome::Blocked { stage, failure } => (stage, failure),
+            Outcome::Derives(_) => (
                 Some(rule.stages.len()),
                 "body satisfied and head matches — engine state inconsistent".to_string(),
-            );
-        } else {
-            let sample = sample.expect("non-empty envs");
-            push(
-                Some(rule.stages.len()),
-                format!(
-                    "the rule fires but its head yields {}, not the target{}",
-                    fmt_row(&ctx.compiled.decls[rel].name, &sample),
-                    if ex.truncated {
-                        " (search truncated)"
-                    } else {
-                        ""
-                    }
-                ),
-            );
-        }
+            ),
+        };
+        report.candidates.push(CandidateReport {
+            rule_index: rule.rule_index,
+            rule: (ctx.rule_text)(rule.rule_index),
+            stage,
+            failure,
+        });
     }
+    report.examined = ctx.examined.get();
+    report.truncated = ctx.truncations.get() > 0;
     Ok(report)
 }
 
 // ---------------------------------------------------------------------------
 // Validation
 
-/// Re-evaluate one recorded justification against the live stores.
-fn check_justification(
-    ctx: &QueryCtx<'_>,
-    rel: RelId,
-    row: &Row,
-    e: &JustEntry,
-) -> std::result::Result<(), String> {
-    let rule = &ctx.compiled.rules[e.plan_idx];
-    let target = fmt_row(&ctx.compiled.decls[rel].name, row);
-    if rule.head_rel != rel {
-        return Err(format!(
-            "justification of {target} cites a rule with another head"
-        ));
-    }
-    let head = ctx
-        .head_row(rule, &e.env)
-        .map_err(|err| format!("head of {target} no longer evaluates: {err}"))?;
-    if head != **row {
-        return Err(format!(
-            "environment recorded for {target} now derives {}",
-            fmt_row(&ctx.compiled.decls[rel].name, &head)
-        ));
-    }
-    let stages: &[PStage] = if rule.has_aggregate {
-        let ai = rule
-            .stages
-            .iter()
-            .position(|s| matches!(s, PStage::Aggregate { .. }))
-            .expect("aggregate rule without aggregate stage");
-        let PStage::Aggregate {
-            group_slots,
-            func,
-            arg,
-        } = &rule.stages[ai]
-        else {
-            unreachable!()
-        };
-        let key: Vec<Value> = e.env[..group_slots.len()].to_vec();
-        let groups = ctx.rule_states[e.plan_idx]
-            .stage_groups(ai)
-            .ok_or_else(|| "aggregate stage without groups".to_string())?;
-        let group = groups
-            .get(&key)
-            .filter(|g| g.support().next().is_some())
-            .ok_or_else(|| {
-                format!("aggregation group of {target} is gone — dangling provenance")
-            })?;
-        let agg = eval_aggregate(*func, arg.as_ref(), group)
-            .map_err(|err| format!("aggregate of {target} no longer evaluates: {err}"))?;
-        if agg != e.env[group_slots.len()] {
-            return Err(format!(
-                "group of {target} now aggregates to {agg}, ledger says {}",
-                e.env[group_slots.len()]
-            ));
-        }
-        // The group's bindings are themselves incrementally maintained;
-        // nothing further to re-check against the stores here.
-        return Ok(());
-    } else {
-        &rule.stages
-    };
-    for (si, stage) in stages.iter().enumerate() {
-        match stage {
-            PStage::Atom { rel: arel, neg, .. } => {
-                let decl = &ctx.compiled.decls[*arel];
-                let pattern = stage_pattern(stage, &e.env, decl.arity());
-                let (rows, _) = ctx.stores[*arel].matching_rows(&pattern, 1);
-                if *neg && !rows.is_empty() {
-                    return Err(format!(
-                        "{target}: negation {} no longer holds",
-                        fmt_pattern(&decl.name, &pattern)
-                    ));
-                }
-                if !*neg && rows.is_empty() {
-                    return Err(format!(
-                        "{target}: support {} is gone — dangling provenance",
-                        fmt_pattern(&decl.name, &pattern)
-                    ));
-                }
-            }
-            PStage::Filter { expr } => {
-                let v = eval(expr, &e.env)
-                    .map_err(|err| format!("{target}: filter no longer evaluates: {err}"))?;
-                if v != Value::Bool(true) {
-                    return Err(format!("{target}: filter at stage {si} is now false"));
-                }
-            }
-            PStage::Assign { slot, expr } => {
-                let v = eval(expr, &e.env)
-                    .map_err(|err| format!("{target}: assign no longer evaluates: {err}"))?;
-                if v != e.env[*slot] {
-                    return Err(format!(
-                        "{target}: assigned slot {slot} now computes {v}, env says {}",
-                        e.env[*slot]
-                    ));
-                }
-            }
-            PStage::FlatMap { slot, expr } => {
-                let coll = eval(expr, &e.env)
-                    .map_err(|err| format!("{target}: flatmap no longer evaluates: {err}"))?;
-                let elems = crate::chain::flatten(&coll)
-                    .map_err(|err| format!("{target}: flatmap no longer flattens: {err}"))?;
-                if !elems.contains(&e.env[*slot]) {
-                    return Err(format!(
-                        "{target}: flatmap element {} no longer in the collection",
-                        e.env[*slot]
-                    ));
-                }
-            }
-            PStage::Aggregate { .. } => unreachable!("aggregate handled above"),
-        }
-    }
-    Ok(())
-}
-
-/// Validate the whole ledger against the live stores: every recorded
-/// justification re-evaluates, counts match the stores' derivation
-/// counts, and every visible chain-derived row is justified. The
-/// provenance analogue of
+/// Check the search against the stores, row by row: every visible
+/// derived row has a derivation, and for chain-maintained relations an
+/// untruncated search finds exactly as many derivations as the store
+/// counts — the evaluator's ±w bookkeeping and the search are two
+/// independent computations of the same number. O(state × search): a
+/// test and debugging aid, like
 /// [`crate::engine::Engine::validate_arrangements`].
 pub(crate) fn validate(ctx: &QueryCtx<'_>) -> Result<()> {
-    let Some(ledger) = ctx.ledger else {
-        return Err(Error::new(
-            Phase::Eval,
-            "provenance is disabled; build the engine with ProvenanceConfig::on()".to_string(),
-        ));
-    };
-    let fail = |msg: String| Err(Error::new(Phase::Eval, msg));
-    for ((rel, row), entries) in ledger.iter() {
-        let target = fmt_row(&ctx.compiled.decls[*rel].name, row);
-        if !ctx.stores[*rel].contains(row) {
-            return fail(format!("ledger justifies {target}, which is not visible"));
-        }
-        let sum: isize = entries.iter().map(|e| e.count).sum();
-        let count = ctx.stores[*rel].derivation_count(row);
-        if sum != count {
-            return fail(format!(
-                "ledger counts for {target} sum to {sum}, store has {count} derivations"
-            ));
-        }
-        for e in entries {
-            if e.count <= 0 {
-                return fail(format!("non-positive justification count on {target}"));
-            }
-            if e.plan_idx == FACT {
-                let is_fact = ctx
-                    .compiled
-                    .facts
-                    .iter()
-                    .any(|(fr, fv)| fr == rel && fv == &**row);
-                if !is_fact {
-                    return fail(format!(
-                        "{target} cites a declared fact that does not exist"
-                    ));
-                }
-                continue;
-            }
-            if let Err(msg) = check_justification(ctx, *rel, row, e) {
-                return fail(msg);
-            }
-        }
-    }
-    // Reverse direction: every visible chain-derived row is justified.
-    let mut derived: Vec<bool> = vec![false; ctx.compiled.decls.len()];
-    for rule in &ctx.compiled.rules {
-        derived[rule.head_rel] = true;
-    }
-    for (rel, fact_row) in &ctx.compiled.facts {
-        let _ = fact_row;
-        derived[*rel] = true;
-    }
-    for (rel, is_derived) in derived.iter().enumerate() {
-        if !is_derived || ctx.is_recursive(rel) {
+    for (rel, decl) in ctx.compiled.decls.iter().enumerate() {
+        if decl.role == RelationRole::Input {
             continue;
         }
-        if ctx.compiled.decls[rel].role == RelationRole::Input {
-            continue;
-        }
+        let counted = !ctx.is_recursive(rel);
         for (row, count) in ctx.stores[rel].rows_with_counts() {
-            if count <= 0 {
+            let found = derivations(ctx, rel, row, usize::MAX)?;
+            if found.truncated {
                 continue;
             }
-            let sum: isize = ledger.entries_of(rel, row).iter().map(|e| e.count).sum();
-            if sum != count {
-                return fail(format!(
-                    "visible row {} has {count} derivation(s) but ledger records {sum}",
-                    fmt_row(&ctx.compiled.decls[rel].name, row)
-                ));
+            let n = found.found() as isize;
+            if n == 0 || (counted && n != count) {
+                return Err(inconsistent(format!(
+                    "the store holds {count} derivation(s) of {} but the search finds {n}",
+                    fmt_row(&decl.name, row)
+                )));
             }
         }
     }
     Ok(())
 }
 
-/// The `/why` exposition document: ledger shape per relation.
+/// The `/why` exposition document: visible derived rows per relation.
+/// O(#relations) — the stores already know their sizes.
 pub(crate) fn summary_json(ctx: &QueryCtx<'_>, commits: u64) -> String {
     use std::fmt::Write as _;
     let js = telemetry::metrics::json_string;
-    let mut out = String::new();
-    let enabled = ctx.ledger.is_some();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"nerpa.why.v1\",\"enabled\":{enabled},\"commits\":{commits}"
+    let derived: Vec<(&str, usize)> = ctx
+        .compiled
+        .decls
+        .iter()
+        .zip(ctx.stores)
+        .filter(|(d, s)| d.role != RelationRole::Input && !s.is_empty())
+        .map(|(d, s)| (d.name.as_str(), s.len()))
+        .collect();
+    let mut out = format!(
+        "{{\"schema\":\"nerpa.why.v1\",\"enabled\":true,\"commits\":{commits},\"rows\":{},\
+         \"search_budget\":{SEARCH_BUDGET},\"relations\":[",
+        derived.iter().map(|(_, n)| n).sum::<usize>()
     );
-    if let Some(ledger) = ctx.ledger {
-        let _ = write!(
-            out,
-            ",\"rows\":{},\"justifications\":{},\"approx_bytes\":{}",
-            ledger.total_rows(),
-            ledger.total_entries(),
-            ledger.approx_bytes()
-        );
-        let mut per_rel: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-        for ((rel, _), entries) in ledger.iter() {
-            let name = ctx.compiled.decls[*rel].name.as_str();
-            let slot = per_rel.entry(name).or_default();
-            slot.0 += 1;
-            slot.1 += entries.len();
+    for (i, (name, rows)) in derived.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push_str(",\"relations\":[");
-        for (i, (name, (rows, justs))) in per_rel.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"relation\":{},\"rows\":{rows},\"justifications\":{justs}}}",
-                js(name)
-            );
-        }
-        out.push(']');
+        let _ = write!(out, "{{\"relation\":{},\"rows\":{rows}}}", js(name));
     }
     out.push_str(
-        ",\"usage\":\"Engine::why(relation, row) / Engine::why_not(relation, row); \
-                  CLI: nerpa-why\"}",
+        "],\"usage\":\"Engine::why(relation, row) / Engine::why_not(relation, row); \
+         CLI: nerpa-why\"}",
     );
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::value::row;
-    use std::sync::Arc;
-
-    fn r(vals: &[i128]) -> Row {
-        row(vals.iter().map(|v| Value::Int(*v)).collect())
-    }
-
-    fn b(vals: &[i128]) -> Binding {
-        Arc::new(vals.iter().map(|v| Value::Int(*v)).collect())
-    }
-
-    #[test]
-    fn ledger_counts_merge_and_prune() {
-        let mut l = Ledger::default();
-        l.apply(0, 1, r(&[7]), b(&[7, 1]), 1);
-        l.apply(0, 1, r(&[7]), b(&[7, 1]), 1);
-        l.apply(0, 1, r(&[7]), b(&[7, 2]), 1);
-        assert_eq!(l.entries_of(0, &r(&[7])).len(), 2);
-        assert_eq!(l.total_entries(), 2);
-        let total: isize = l.entries_of(0, &r(&[7])).iter().map(|e| e.count).sum();
-        assert_eq!(total, 3);
-
-        l.apply(0, 1, r(&[7]), b(&[7, 1]), -2);
-        assert_eq!(l.entries_of(0, &r(&[7])).len(), 1);
-        l.apply(0, 1, r(&[7]), b(&[7, 2]), -1);
-        assert!(l.entries_of(0, &r(&[7])).is_empty());
-        assert_eq!(l.total_entries(), 0);
-        assert_eq!(l.total_rows(), 0);
-        assert_eq!(l.approx_bytes(), 0);
-    }
-
-    #[test]
-    fn touch_stamping() {
-        let mut l = Ledger::default();
-        l.stamp(2, &r(&[1]), 42, 7);
-        assert_eq!(l.last_touch(2, &r(&[1])), Some((42, 7)));
-        l.stamp(2, &r(&[1]), 43, 8);
-        assert_eq!(l.last_touch(2, &r(&[1])), Some((43, 8)));
-        l.unstamp(2, &r(&[1]));
-        assert_eq!(l.last_touch(2, &r(&[1])), None);
-    }
 }

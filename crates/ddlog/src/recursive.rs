@@ -362,107 +362,125 @@ fn walk(
     }
 }
 
-/// Outcome of an explanatory enumeration over a rule pipeline prefix
+/// Outcome of an explanatory enumeration over a rule pipeline
 /// (provenance queries): the complete environments that satisfy it,
-/// plus the deepest failing literal met while searching — the raw
-/// material of `why` (recursive relations) and `why_not`.
+/// plus the deepest failing literal met while searching — `why` renders
+/// the first, `why_not` the second.
 pub(crate) struct Explain {
     /// Snapshots of `env.vals` for every valuation that passed all
-    /// stages (capped; see `truncated`).
+    /// stages and the head check, one per derivation (up to the cap).
     pub envs: Vec<Vec<Value>>,
     /// The deepest dead-end: (stage index, human description of the
     /// first failing literal there). `None` when some valuation passed
     /// every stage or no stage was ever entered.
     pub fail: Option<(usize, String)>,
-    /// True when the row-examination budget or the env cap cut the
-    /// search short.
+    /// Rows looked at by the probes.
+    pub examined: usize,
+    /// More valuations exist than the cap admitted.
+    pub capped: bool,
+    /// The row-examination budget ran out: the search is incomplete.
     pub truncated: bool,
+}
+
+/// The head a valuation must reproduce to count, with the relation
+/// name for rendering a mismatch.
+pub(crate) struct HeadCheck<'a> {
+    pub relation: &'a str,
+    pub exprs: &'a [crate::cexpr::CExpr],
+    pub target: &'a [Value],
 }
 
 /// Search state threaded through [`explain_walk`].
 struct ExplainCtx<'a> {
     stores: &'a [RelationStore],
-    /// Relation id → (name, arity) for rendering failure descriptions.
+    /// Relation id → (name, arity) for patterns and failure texts.
     describe: &'a dyn Fn(RelId) -> (String, usize),
+    head: Option<HeadCheck<'a>>,
     budget: usize,
     env_cap: usize,
     out: Explain,
 }
 
 impl ExplainCtx<'_> {
-    /// Spend `n` rows of budget; false once exhausted.
-    fn spend(&mut self, n: usize) -> bool {
-        if self.budget < n {
-            self.budget = 0;
-            self.out.truncated = true;
-            return false;
-        }
-        self.budget -= n;
-        true
-    }
-
     fn dead_end(&mut self, stage: usize, msg: String) {
         if self.out.fail.as_ref().is_none_or(|(s, _)| stage >= *s) {
             self.out.fail = Some((stage, msg));
         }
     }
-}
 
-/// Render the constrained columns of an atom under a partial
-/// environment: `Rel(v, _, w)` with `_` for unconstrained columns.
-fn atom_pattern(
-    rel: RelId,
-    stage: &PStage,
-    env: &Env,
-    describe: &dyn Fn(RelId) -> (String, usize),
-) -> String {
-    let (name, arity) = describe(rel);
-    let mut cols: Vec<String> = vec!["_".to_string(); arity];
-    for (col, src) in crate::plan::atom_col_srcs(stage) {
-        match src {
-            crate::plan::ColSrc::Const(v) => cols[col] = v.to_string(),
-            crate::plan::ColSrc::Slot(s) if env.bound[s] => cols[col] = env.vals[s].to_string(),
-            crate::plan::ColSrc::Slot(_) => {}
-        }
+    fn stopped(&self) -> bool {
+        self.out.truncated || self.out.capped
     }
-    format!("{}({})", name, cols.join(", "))
 }
 
-/// Enumerate every valuation of `stages` consistent with `init`,
-/// recording the deepest failing literal along the way. Aggregate
-/// stages are not handled here — callers split pipelines at the
-/// aggregate and resolve the group against the chain evaluator's live
-/// state instead.
-pub(crate) fn explain_stages(
+/// The column pattern of an atom under a complete environment:
+/// constants and slot values become `Some`, wildcards stay `None`.
+pub(crate) fn atom_pattern(stage: &PStage, arity: usize, env: &[Value]) -> Vec<Option<Value>> {
+    let mut pattern = vec![None; arity];
+    for (col, src) in crate::plan::atom_col_srcs(stage) {
+        pattern[col] = Some(match src {
+            crate::plan::ColSrc::Const(v) => v,
+            crate::plan::ColSrc::Slot(s) => env[s].clone(),
+        });
+    }
+    pattern
+}
+
+/// Render a row as `Rel(v, w)`.
+pub(crate) fn fmt_row(relation: &str, row: &[Value]) -> String {
+    let vals: Vec<String> = row.iter().map(Value::to_string).collect();
+    format!("{}({})", relation, vals.join(", "))
+}
+
+/// Render a pattern as `Rel(v, _, w)`.
+pub(crate) fn fmt_pattern(relation: &str, pattern: &[Option<Value>]) -> String {
+    let cols: Vec<String> = pattern
+        .iter()
+        .map(|p| p.as_ref().map_or("_".to_string(), Value::to_string))
+        .collect();
+    format!("{}({})", relation, cols.join(", "))
+}
+
+/// Enumerate every valuation of `stages` consistent with `init` (and,
+/// when given, reproducing `head`), recording the deepest failing
+/// literal along the way. Atom probes key on every slot bound so far —
+/// `init` included — through [`RelationStore::matching_rows`], not on
+/// the pipeline's compile-time left-to-right keys, so a head-bound
+/// search is O(matches) wherever an arrangement covers the bound
+/// columns and a budgeted scan where none does. Aggregate stages are not
+/// handled here — the caller splits the pipeline at the aggregate and
+/// resolves the group against the chain evaluator's live state.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn explain_stages<'a>(
     stages: &[PStage],
     n_slots: usize,
-    stores: &[RelationStore],
-    describe: &dyn Fn(RelId) -> (String, usize),
+    stores: &'a [RelationStore],
+    describe: &'a dyn Fn(RelId) -> (String, usize),
     init: &[(usize, Value)],
+    head: Option<HeadCheck<'a>>,
     budget: usize,
     env_cap: usize,
 ) -> Result<Explain> {
     let mut ctx = ExplainCtx {
         stores,
         describe,
+        head,
         budget,
         env_cap,
         out: Explain {
             envs: Vec::new(),
             fail: None,
+            examined: 0,
+            capped: false,
             truncated: false,
         },
     };
     let mut env = Env::new(n_slots);
     let mut newly = Vec::new();
-    let mut feasible = true;
-    for (slot, v) in init {
-        if !env.bind_or_check(*slot, v, &mut newly) {
-            feasible = false;
-            break;
-        }
-    }
-    if feasible {
+    if init
+        .iter()
+        .all(|(slot, v)| env.bind_or_check(*slot, v, &mut newly))
+    {
         explain_walk(stages, 0, &mut env, &mut ctx)?;
     } else {
         ctx.out.fail = Some((
@@ -479,112 +497,92 @@ fn explain_walk(
     env: &mut Env,
     ctx: &mut ExplainCtx<'_>,
 ) -> Result<()> {
-    if ctx.out.truncated {
+    if ctx.stopped() {
         return Ok(());
     }
     if i == stages.len() {
+        if let Some(head) = &ctx.head {
+            let mut row = Vec::with_capacity(head.exprs.len());
+            for e in head.exprs {
+                row.push(eval(e, &env.vals)?);
+            }
+            if row != head.target {
+                let msg = format!(
+                    "the rule fires but its head yields {}, not the target",
+                    fmt_row(head.relation, &row)
+                );
+                ctx.dead_end(i, msg);
+                return Ok(());
+            }
+        }
         if ctx.out.envs.len() >= ctx.env_cap {
-            ctx.out.truncated = true;
+            ctx.out.capped = true;
         } else {
             ctx.out.envs.push(env.vals.clone());
         }
         return Ok(());
     }
     match &stages[i] {
-        PStage::Atom {
-            rel,
-            neg,
-            key_cols,
-            key_srcs,
-            checks,
-            binds,
-        } => {
-            let key: Key = key_srcs
-                .iter()
-                .map(|s| match s {
-                    KeySrc::Const(v) => v.clone(),
-                    KeySrc::Slot(slot) => {
-                        debug_assert!(env.bound[*slot], "unbound key slot in original order");
-                        env.vals[*slot].clone()
+        PStage::Atom { rel, neg, .. } => {
+            let (name, arity) = (ctx.describe)(*rel);
+            // Key on every column whose value is known — constants and
+            // the slots bound so far; the atom's other slots bind from
+            // each matching row (a variable repeated within the atom
+            // binds at its first column and checks at the others).
+            let mut pattern = vec![None; arity];
+            let mut free = Vec::new();
+            for (col, src) in crate::plan::atom_col_srcs(&stages[i]) {
+                match src {
+                    crate::plan::ColSrc::Const(v) => pattern[col] = Some(v),
+                    crate::plan::ColSrc::Slot(s) if env.bound[s] => {
+                        pattern[col] = Some(env.vals[s].clone())
                     }
-                })
-                .collect();
-            if *neg {
-                let witness: Option<Row> = if key_cols.is_empty() {
-                    ctx.spend(1);
-                    ctx.stores[*rel].rows().next().cloned()
-                } else {
-                    ctx.spend(1);
-                    ctx.stores[*rel].lookup(key_cols, &key).next().cloned()
-                };
-                match witness {
-                    None => explain_walk(stages, i + 1, env, ctx)?,
-                    Some(w) => {
-                        let (name, _) = (ctx.describe)(*rel);
-                        let vals: Vec<String> = w.iter().map(|v| v.to_string()).collect();
-                        ctx.dead_end(
-                            i,
-                            format!(
-                                "negation violated: {}({}) is present, but the rule requires \
-                                 `not {}`",
-                                name,
-                                vals.join(", "),
-                                atom_pattern(*rel, &stages[i], env, ctx.describe)
-                            ),
-                        );
-                    }
+                    crate::plan::ColSrc::Slot(s) => free.push((col, s)),
                 }
+            }
+            let cap = if *neg { 1 } else { usize::MAX };
+            let m = ctx.stores[*rel].matching_rows(&pattern, cap, ctx.budget);
+            // An empty probe still costs one unit, so the budget bounds
+            // the number of probes as well as the rows they return.
+            ctx.budget = ctx.budget.saturating_sub(m.examined.max(1));
+            ctx.out.examined += m.examined;
+            if m.exhausted {
+                ctx.out.truncated = true;
                 return Ok(());
             }
-            let rows: Vec<Row> = if key_cols.is_empty() {
-                ctx.stores[*rel].rows().cloned().collect()
-            } else {
-                ctx.stores[*rel].lookup(key_cols, &key).cloned().collect()
-            };
-            if !ctx.spend(rows.len().max(1)) {
-                return Ok(());
-            }
-            if rows.is_empty() {
-                ctx.dead_end(
-                    i,
-                    format!(
-                        "no row matches {}",
-                        atom_pattern(*rel, &stages[i], env, ctx.describe)
+            if *neg {
+                match m.rows.first() {
+                    None => explain_walk(stages, i + 1, env, ctx)?,
+                    Some(w) => ctx.dead_end(
+                        i,
+                        format!(
+                            "negation violated: {} is present, but the rule requires `not {}`",
+                            fmt_row(&name, w),
+                            fmt_pattern(&name, &pattern)
+                        ),
                     ),
-                );
+                }
                 return Ok(());
             }
             let mut advanced = false;
-            for row in &rows {
-                if !checks.iter().all(|(a, b)| row[*a] == row[*b]) {
-                    continue;
-                }
+            for row in &m.rows {
                 let mut newly = Vec::new();
-                let mut ok = true;
-                for (col, slot) in binds {
-                    if !env.bind_or_check(*slot, &row[*col], &mut newly) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
+                if free
+                    .iter()
+                    .all(|(col, s)| env.bind_or_check(*s, &row[*col], &mut newly))
+                {
                     advanced = true;
                     explain_walk(stages, i + 1, env, ctx)?;
                 }
                 env.unbind(&newly);
-                if ctx.out.truncated {
+                if ctx.stopped() {
                     return Ok(());
                 }
             }
             if !advanced {
                 ctx.dead_end(
                     i,
-                    format!(
-                        "{} row(s) match the join key of {} but none agrees with the \
-                         already-bound variables",
-                        rows.len(),
-                        atom_pattern(*rel, &stages[i], env, ctx.describe)
-                    ),
+                    format!("no row matches {}", fmt_pattern(&name, &pattern)),
                 );
             }
             Ok(())
@@ -629,7 +627,7 @@ fn explain_walk(
                     explain_walk(stages, i + 1, env, ctx)?;
                 }
                 env.unbind(&newly);
-                if ctx.out.truncated {
+                if ctx.stopped() {
                     return Ok(());
                 }
             }

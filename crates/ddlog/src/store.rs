@@ -31,9 +31,39 @@ pub(crate) fn value_bytes(v: &Value) -> usize {
         }
 }
 
-/// Approximate resident bytes of one stored row.
+/// Approximate resident bytes of one stored row, its [`RowEntry`]
+/// (count and last-touch stamp) included.
 fn row_bytes(r: &Row) -> usize {
-    r.iter().map(value_bytes).sum::<usize>() + std::mem::size_of::<Row>() + 16
+    r.iter().map(value_bytes).sum::<usize>()
+        + std::mem::size_of::<Row>()
+        + std::mem::size_of::<RowEntry>()
+        + 8
+}
+
+/// `(trace, commit)`: the flight-recorder trace and the engine commit
+/// that last made a row visible.
+pub type Touch = (u64, u64);
+
+/// Everything the engine keeps per stored row.
+#[derive(Debug, Clone, Copy)]
+struct RowEntry {
+    /// Derivation count; never negative, and entries at 0 are removed.
+    count: isize,
+    /// Stamped when the row (re)appears; dies with the entry.
+    touch: Touch,
+}
+
+/// The outcome of [`RelationStore::matching_rows`].
+#[derive(Debug, Default)]
+pub struct Matches {
+    /// The matching visible rows, sorted.
+    pub rows: Vec<Row>,
+    /// Rows looked at to find them (1 for a direct membership test).
+    pub examined: usize,
+    /// More rows matched than the caller's cap.
+    pub capped: bool,
+    /// The examination budget ran out before every candidate was seen.
+    pub exhausted: bool,
 }
 
 /// Storage for one relation.
@@ -41,9 +71,12 @@ fn row_bytes(r: &Row) -> usize {
 pub struct RelationStore {
     /// Relation name, for diagnostics.
     pub name: String,
-    /// Row → derivation count. Only rows with count != 0 are present;
-    /// counts are never negative.
-    derivations: HashMap<Row, isize>,
+    /// Row → derivation count and last-touch stamp. Only rows with
+    /// count != 0 are present; counts are never negative.
+    derivations: HashMap<Row, RowEntry>,
+    /// The stamp written onto rows that become visible; the engine sets
+    /// it once per commit ([`RelationStore::set_touch`]).
+    touch: Touch,
     /// Number of rows with positive derivation count.
     live_rows: usize,
     /// Registered arrangements; `by_cols` maps a key-column list to its
@@ -105,19 +138,29 @@ impl RelationStore {
 
     /// True if `row` is visible.
     pub fn contains(&self, row: &Row) -> bool {
-        self.derivations.get(row).copied().unwrap_or(0) > 0
+        self.derivation_count(row) > 0
     }
 
     /// The derivation count of `row`.
     pub fn derivation_count(&self, row: &Row) -> isize {
-        self.derivations.get(row).copied().unwrap_or(0)
+        self.derivations.get(row).map_or(0, |e| e.count)
+    }
+
+    /// The `(trace, commit)` that last made `row` visible.
+    pub fn last_touch(&self, row: &Row) -> Option<Touch> {
+        self.derivations.get(row).map(|e| e.touch)
+    }
+
+    /// Set the stamp for rows that become visible from now on.
+    pub fn set_touch(&mut self, touch: Touch) {
+        self.touch = touch;
     }
 
     /// Iterate over visible rows.
     pub fn rows(&self) -> impl Iterator<Item = &Row> {
         self.derivations
             .iter()
-            .filter(|(_, c)| **c > 0)
+            .filter(|(_, e)| e.count > 0)
             .map(|(r, _)| r)
     }
 
@@ -126,7 +169,7 @@ impl RelationStore {
     /// negative. This is the oracle's window into the store: a healthy
     /// store holds only positive counts.
     pub fn rows_with_counts(&self) -> impl Iterator<Item = (&Row, isize)> {
-        self.derivations.iter().map(|(r, c)| (r, *c))
+        self.derivations.iter().map(|(r, e)| (r, e.count))
     }
 
     /// Arm or disarm the `stale-arrangement` fault injection: when
@@ -138,15 +181,21 @@ impl RelationStore {
     /// Apply a Z-set of derivation-count changes. Returns the *set-level*
     /// delta: +1 rows that became visible, −1 rows that disappeared.
     /// Arrangements are maintained (and their maintenance cost timed
-    /// into their pending stats).
+    /// into their pending stats). A row entering the store is stamped
+    /// with the current [`RelationStore::set_touch`] value in the same
+    /// entry, so the stamp costs no lookup of its own and is retracted
+    /// with the row.
     ///
     /// Panics in debug builds if a count would go negative (an engine
     /// invariant violation).
     pub fn apply_derivation_delta(&mut self, delta: &ZSet<Row>) -> ZSet<Row> {
         let mut set_delta = ZSet::new();
         for (row, w) in delta.iter() {
-            let entry = self.derivations.entry(row.clone()).or_insert(0);
-            let old = *entry;
+            let entry = self.derivations.entry(row.clone()).or_insert(RowEntry {
+                count: 0,
+                touch: self.touch,
+            });
+            let old = entry.count;
             // Saturating, like ZSet weight arithmetic: a wrapped count
             // would flip sign and corrupt visibility decisions.
             let new = old.saturating_add(w);
@@ -155,7 +204,7 @@ impl RelationStore {
                 "derivation count for {row:?} in `{}` went negative",
                 self.name
             );
-            *entry = new;
+            entry.count = new;
             if old == 0 && new != 0 {
                 self.bytes += row_bytes(row);
             }
@@ -201,69 +250,57 @@ impl RelationStore {
     }
 
     /// Visible rows matching a column pattern (`Some(v)` = must equal
-    /// `v`, `None` = wildcard), capped at `cap` rows. Uses the widest
-    /// registered arrangement whose key columns are all constrained and
-    /// post-filters the rest; falls back to a scan when no registered
-    /// index applies. Returns the matches and whether the cap truncated
-    /// them. Used by the provenance layer to re-find the input rows an
-    /// environment bound.
-    pub fn matching_rows(&self, pattern: &[Option<Value>], cap: usize) -> (Vec<Row>, bool) {
-        let matches = |r: &Row| {
-            r.len() == pattern.len()
-                && pattern
-                    .iter()
-                    .zip(r.iter())
-                    .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
-        };
-        // Fully determined pattern: direct membership test.
+    /// `v`, `None` = wildcard): at most `cap` of them, looking at no
+    /// more than `budget` rows. A fully determined pattern is a direct
+    /// membership test; otherwise the widest registered arrangement
+    /// whose key columns are all constrained is probed and the rest
+    /// post-filtered, and only when no arrangement applies is the
+    /// relation scanned. This is how provenance queries find the rows an
+    /// environment bound, in O(matches) wherever an index covers the
+    /// constrained columns.
+    pub fn matching_rows(&self, pattern: &[Option<Value>], cap: usize, budget: usize) -> Matches {
+        let mut out = Matches::default();
         if pattern.iter().all(Option::is_some) {
             let row: Row = std::sync::Arc::new(pattern.iter().flatten().cloned().collect());
-            return if self.contains(&row) {
-                (vec![row], false)
-            } else {
-                (Vec::new(), false)
-            };
+            out.examined = 1;
+            if self.contains(&row) {
+                out.rows.push(row);
+            }
+            return out;
         }
         let best = self
             .by_cols
             .keys()
-            .filter(|cols| {
-                cols.iter()
-                    .all(|c| pattern.get(*c).is_some_and(Option::is_some))
-            })
+            .filter(|cols| cols.iter().all(|c| pattern[*c].is_some()))
             .max_by_key(|cols| cols.len());
-        let mut out = Vec::new();
-        let mut truncated = false;
-        let mut push = |r: &Row| {
-            if out.len() >= cap {
-                truncated = true;
-                return false;
+        let candidates: Box<dyn Iterator<Item = &Row>> = match best {
+            Some(cols) => {
+                let key: Key = cols.iter().map(|c| pattern[*c].clone().unwrap()).collect();
+                self.lookup(cols, &key)
             }
-            out.push(r.clone());
-            true
+            None => Box::new(self.rows()),
         };
-        match best {
-            Some(cols) if !cols.is_empty() => {
-                let key: Key = cols
-                    .iter()
-                    .map(|c| pattern[*c].clone().expect("constrained key column"))
-                    .collect();
-                for r in self.lookup(cols, &key) {
-                    if matches(r) && !push(r) {
-                        break;
-                    }
-                }
+        for r in candidates {
+            if out.examined >= budget {
+                out.exhausted = true;
+                break;
             }
-            _ => {
-                for r in self.rows() {
-                    if matches(r) && !push(r) {
-                        break;
-                    }
-                }
+            out.examined += 1;
+            if !pattern
+                .iter()
+                .zip(r.iter())
+                .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
+            {
+                continue;
             }
+            if out.rows.len() >= cap {
+                out.capped = true;
+                break;
+            }
+            out.rows.push(r.clone());
         }
-        out.sort();
-        (out, truncated)
+        out.rows.sort();
+        out
     }
 
     fn arrangement(&self, cols: &[usize]) -> &Arrangement {
@@ -364,6 +401,46 @@ mod tests {
         s.apply_derivation_delta(&ZSet::singleton(r(&[1, 10]), -1));
         assert_eq!(s.lookup(&[0], &key).count(), 1);
         s.validate_arrangements().unwrap();
+    }
+
+    #[test]
+    fn touch_stamp_lives_and_dies_with_the_row_entry() {
+        let mut s = RelationStore::new("R");
+        s.set_touch((7, 1));
+        s.apply_derivation_delta(&ZSet::singleton(r(&[1]), 1));
+        s.set_touch((8, 2));
+        // A second derivation of a visible row is not a touch.
+        s.apply_derivation_delta(&ZSet::singleton(r(&[1]), 1));
+        s.apply_derivation_delta(&ZSet::singleton(r(&[2]), 1));
+        assert_eq!(s.last_touch(&r(&[1])), Some((7, 1)));
+        assert_eq!(s.last_touch(&r(&[2])), Some((8, 2)));
+        s.apply_derivation_delta(&ZSet::singleton(r(&[1]), -2));
+        assert_eq!(s.last_touch(&r(&[1])), None);
+        assert_eq!(s.approx_bytes(), s.approx_bytes_recompute());
+    }
+
+    #[test]
+    fn matching_rows_probes_the_widest_covering_index_else_scans() {
+        let mut s = RelationStore::new("R");
+        s.register_index(&[0]);
+        let mut d = ZSet::new();
+        for i in 0..10 {
+            d.add(r(&[i % 2, i, i * i]), 1);
+        }
+        s.apply_derivation_delta(&d);
+        let int = |v| Some(Value::Int(v));
+        // Fully determined: one membership test.
+        let m = s.matching_rows(&[int(1), int(3), int(9)], 8, 100);
+        assert_eq!((m.rows.len(), m.examined), (1, 1));
+        // Column 0 is indexed: only its 5 matches are looked at.
+        let m = s.matching_rows(&[int(1), None, int(9)], 8, 100);
+        assert_eq!((m.rows, m.examined), (vec![r(&[1, 3, 9])], 5));
+        // Column 1 is not: a scan, which a small budget cuts short.
+        let m = s.matching_rows(&[None, int(3), None], 8, 100);
+        assert_eq!((m.rows.len(), m.examined, m.exhausted), (1, 10, false));
+        assert!(s.matching_rows(&[None, int(3), None], 8, 4).exhausted);
+        let m = s.matching_rows(&[int(0), None, None], 2, 100);
+        assert!(m.capped && m.rows.len() == 2);
     }
 
     #[test]

@@ -248,10 +248,7 @@ impl Harness {
             rules: snvs::assets::SNVS_RULES.to_string(),
             options: CodegenOptions { per_switch: true },
         };
-        // Provenance stays on for every oracle run: when an invariant
-        // breaks, the failure report explains the first diverging tuple
-        // from its derivation tree.
-        let mut controller = Controller::new_with(&nerpa_program, ddlog::ProvenanceConfig::on())?;
+        let mut controller = Controller::new(&nerpa_program)?;
         // Every oracle step also audits incrementality: commit work must
         // stay proportional to the input + output deltas. Generous
         // budget — DRed on MAC-learning churn legitimately over-deletes.

@@ -51,16 +51,6 @@ pub struct SnvsStack {
 impl SnvsStack {
     /// Build a stack with `num_switches` switches (usually 1).
     pub fn new(num_switches: usize) -> Result<SnvsStack, String> {
-        SnvsStack::new_with(num_switches, ddlog::ProvenanceConfig::off())
-    }
-
-    /// Build a stack with provenance tracking configured on the
-    /// controller's engine, so installed entries can be explained with
-    /// [`Controller::why_entry`] / [`Controller::why_mcast`].
-    pub fn new_with(
-        num_switches: usize,
-        prov: ddlog::ProvenanceConfig,
-    ) -> Result<SnvsStack, String> {
         let schema = ovsdb::Schema::parse(assets::SNVS_SCHEMA)?;
         let program = p4sim::parse_p4(assets::SNVS_P4).map_err(|e| e.to_string())?;
         let p4info = p4sim::P4Info::from_program(&program);
@@ -70,7 +60,7 @@ impl SnvsStack {
             rules: assets::SNVS_RULES.to_string(),
             options: CodegenOptions { per_switch: true },
         };
-        let mut controller = Controller::new_with(&nerpa_program, prov)?;
+        let mut controller = Controller::new(&nerpa_program)?;
         let db = Database::new(schema);
         let mut net = Network::new();
         let mut devices = Vec::new();

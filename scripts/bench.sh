@@ -37,10 +37,8 @@ cargo run --release -q -p bench --bin report_shard_scaling -- \
     --out BENCH_shard_scaling.json "${QUICK[@]}"
 cargo run --release -q -p bench --bin report_recorder_overhead -- \
     --out BENCH_recorder.json "${QUICK[@]}"
-cargo run --release -q -p bench --bin report_provenance_overhead -- \
-    --out BENCH_provenance.json "${QUICK[@]}"
 cargo run --release -q -p bench --bin report_overload -- \
     --out BENCH_overload.json "${QUICK[@]}"
 
 echo
-echo "bench reports written: BENCH_fig3.json BENCH_port_scaling.json BENCH_wal.json BENCH_shard_scaling.json BENCH_recorder.json BENCH_provenance.json BENCH_overload.json"
+echo "bench reports written: BENCH_fig3.json BENCH_port_scaling.json BENCH_wal.json BENCH_shard_scaling.json BENCH_recorder.json BENCH_overload.json"

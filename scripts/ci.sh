@@ -55,13 +55,14 @@ grep -q '"kind":"chaos.fault"' target/flight-ci/timeline.json
 echo "flight-recorder: OK ($dump replays the injected faults)"
 
 # Provenance: the why/why-not e2e (every installed P4 entry and mcast
-# member on a live snvs stack resolves to a base-rooted derivation
-# tree; retraction prunes the ledger), then the nerpa-why CLI against
-# its built-in demo stack — exit 0 means every entry explained and the
-# ledger validated against a from-scratch reference. (The oracle smokes
-# above already run with provenance armed: the harness enables the
-# ledger on every run and dumps the first diverging tuple's derivation
-# on failure.)
+# member on a live snvs stack — built with the default constructor,
+# nothing armed — resolves to a base-rooted derivation tree; retraction
+# takes the derivations with it; query cost at 2 000 ports is bounded
+# by counts), then the nerpa-why CLI against its built-in demo stack —
+# exit 0 means every entry explained and the search's derivation counts
+# equal the evaluator's. (The oracle smokes above answer from the same
+# search: the harness dumps the first diverging tuple's derivation on
+# failure.)
 cargo test -q --test why_e2e
 cargo run --release -q --bin nerpa-why -- demo >/dev/null
 echo "provenance: OK (nerpa-why demo explains every installed entry)"
@@ -96,10 +97,6 @@ cargo run --release -q -p bench --bin compare -- \
 # --enforce-time — it is the always-on flight recorder's overhead gate.
 cargo run --release -q -p bench --bin compare -- \
     crates/bench/baselines/BENCH_recorder.json BENCH_recorder.json
-# Same in-process wall-budget mechanism for the provenance ledger:
-# provenance-on churn commits must stay ≤ 1.15x provenance-off.
-cargo run --release -q -p bench --bin compare -- \
-    crates/bench/baselines/BENCH_provenance.json BENCH_provenance.json
 # Overload: sustained churn with one switch frozen must stay within
 # 2.5x of healthy wall (same process), fan-out with one slow monitor
 # within 3x, and the wedged subscriber costs exactly one eviction.

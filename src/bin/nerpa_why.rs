@@ -24,7 +24,7 @@
 //! Exit codes: 0 = all queried trees rooted in base facts,
 //! 1 = a query failed or a tree was incomplete, 2 = usage error.
 
-use ddlog::{ProvenanceConfig, Type, Value};
+use ddlog::{Type, Value};
 use p4sim::runtime::{FieldMatch, TableEntry};
 use snvs::{PortMode, SnvsStack};
 
@@ -110,7 +110,7 @@ fn fmt_entry(e: &TableEntry) -> String {
 /// The demo workload: one switch, access ports 1-3 on VLAN 10, port 4
 /// on VLAN 20, a trunk on port 5, and enough traffic to learn two MACs.
 fn demo_stack() -> Result<SnvsStack, String> {
-    let mut stack = SnvsStack::new_with(1, ProvenanceConfig::on())?;
+    let mut stack = SnvsStack::new(1)?;
     for port in [1u16, 2, 3] {
         stack.add_port(port, PortMode::Access(10), None)?;
     }
