@@ -12,12 +12,14 @@
 //! It also prints this repository's own size: non-blank, non-comment
 //! Rust lines per crate, `src` and `tests` separately, so a PR quotes
 //! its LOC delta from a tool (ROADMAP "least code"). Pass a checkout's
-//! root as the only argument to measure that tree instead of this one.
+//! root as the positional argument to measure that tree instead of this
+//! one; `--out BENCH_loc.json` also writes the per-crate table as JSON.
 
 use std::path::Path;
 
 use bench::print_table;
 use nerpa::codegen::{ovsdb2ddlog, p4info2ddlog, CodegenOptions};
+use serde_json::json;
 
 const HANDWRITTEN_SRC: &str = include_str!("../../../baselines/src/handwritten.rs");
 
@@ -60,9 +62,15 @@ fn crate_loc(root: &Path) -> Vec<(String, usize, usize)> {
 }
 
 fn main() {
-    let root = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
+    let mut root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string();
+    let mut out: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => out = args.next(),
+            _ => root = arg,
+        }
+    }
     let per_crate = crate_loc(Path::new(&root));
     let mut rows: Vec<Vec<String>> = per_crate
         .iter()
@@ -79,6 +87,19 @@ fn main() {
         &["crate", "src", "tests"],
         &rows,
     );
+    if let Some(path) = out {
+        let crates: Vec<serde_json::Value> = per_crate
+            .iter()
+            .map(|(name, src, tests)| json!({"crate": name, "src": src, "tests": tests}))
+            .collect();
+        let doc = json!({
+            "bench": "loc",
+            "crates": crates,
+            "total": {"src": total(|c| c.1), "tests": total(|c| c.2)},
+        });
+        std::fs::write(&path, format!("{doc:#}\n")).expect("write loc json");
+        println!("wrote {path}");
+    }
     println!();
 
     println!("E3: snvs artifact sizes (paper §4.3: 350 DDlog + 300 P4 + schema + 50 glue = ~700)");

@@ -6,8 +6,9 @@
 //! measured latency is exactly validate + WAL append (+ fsync per
 //! policy) + overlay apply. `EveryN(64)` is the default shipped policy;
 //! `Never` shows the raw append ceiling; `Always` the per-txn fsync
-//! floor. Wall time is machine-dependent — this report is informational
-//! (no checked-in baseline to gate against).
+//! floor. Wall time is machine-dependent and informational; what
+//! `compare` gates against `baselines/BENCH_wal.json` is the
+//! deterministic log bytes per committed transaction.
 
 use std::time::Instant;
 

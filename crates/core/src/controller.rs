@@ -20,7 +20,7 @@ use crate::codegen::{
     assemble_program, ovsdb2ddlog, p4info2ddlog, CodegenOptions, DigestBinding, Generated,
     TableBinding,
 };
-use crate::convert;
+use crate::convert::{self, InputOps};
 use crate::resync::{self, OvsdbSupervisor, ReconcileReport, ResyncReport};
 
 /// Anything that accepts P4Runtime writes (an in-process device or a TCP
@@ -211,17 +211,23 @@ impl TraceCtx {
         }
     }
 
-    /// Extract the trace the OVSDB server attached to a monitor update,
-    /// or mint a fresh one for untraced update objects.
-    fn from_monitor_update(updates: &Json) -> TraceCtx {
-        let embedded = updates.get(ovsdb::TRACE_KEY).and_then(|t| {
-            Some(TraceCtx {
-                id: t.get("id")?.as_u64()?,
-                commit_ns: t.get("commit_ns").and_then(Json::as_u64).unwrap_or(0),
+    /// The trace the OVSDB server embedded in a monitor update
+    /// ([`ovsdb::TableUpdates::trace`]), or a fresh one for an update
+    /// that carried none.
+    pub fn from_monitor(embedded: Option<(u64, u64)>) -> TraceCtx {
+        match embedded {
+            Some((id, commit_ns)) => TraceCtx {
+                id,
+                commit_ns,
                 source: "monitor",
-            })
-        });
-        embedded.unwrap_or_else(|| TraceCtx::minted("monitor"))
+            },
+            None => TraceCtx::minted("monitor"),
+        }
+    }
+
+    /// The trace id every event and write of this change is stamped with.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 }
 
@@ -392,6 +398,12 @@ impl Controller {
         &self.engine
     }
 
+    /// The management-plane schema this controller was compiled against
+    /// (what monitor updates are decoded with).
+    pub fn schema(&self) -> &ovsdb::Schema {
+        &self.schema
+    }
+
     /// Enable (or disable, with `None`) the engine's incrementality
     /// audit: every commit asserts total dataflow work is
     /// O(|input delta| + |output delta|) within the configured budget.
@@ -407,32 +419,40 @@ impl Controller {
         self.engine.inject_stale_arrangement(on);
     }
 
-    /// Handle committed OVSDB row changes (in-process path).
-    pub fn handle_row_changes(&mut self, changes: &[RowChange]) -> Result<TxnDelta, String> {
-        self.handle_row_changes_traced(changes, 0)
+    /// The one place typed configuration rows become engine input,
+    /// lowered against this controller's schema and relation types.
+    /// In-process commits, the shard runtime's routed slices and typed
+    /// snapshot slices all come through here; the two wire-form shims
+    /// decode through [`convert::decode_monitor_update`], which applies
+    /// the same conversion row by row.
+    fn config_ops(&self, changes: &[RowChange]) -> Result<InputOps, String> {
+        let rel_types = |name: &str| self.engine.relation_types(name);
+        convert::changes_to_ops(changes, &self.schema, &rel_types)
     }
 
-    /// Like [`Controller::handle_row_changes`], but under a trace id
-    /// the caller already minted — the sharded runtime fans one
-    /// commit's changes to several engines, and every shard's writes
-    /// must join the same trace instead of minting orphans.
-    pub fn handle_row_changes_traced(
+    /// Decode a monitor `table-updates` object straight into engine ops,
+    /// plus the trace the server embedded, if any.
+    fn decode_ops(&self, updates: &Json) -> Result<(InputOps, Option<(u64, u64)>), String> {
+        let rel_types = |name: &str| self.engine.relation_types(name);
+        convert::decode_monitor_update(updates, &self.schema, &rel_types)
+    }
+
+    /// Ingest typed row changes under a context the caller fixed — the
+    /// shard runtime fans one commit's changes to several engines, and
+    /// every shard's writes must join the same trace (and keep the same
+    /// upstream commit time) instead of minting orphans.
+    pub fn ingest_changes(
         &mut self,
         changes: &[RowChange],
-        trace: u64,
+        ctx: TraceCtx,
     ) -> Result<TxnDelta, String> {
-        let ctx = if trace != 0 {
-            TraceCtx {
-                id: trace,
-                commit_ns: 0,
-                source: "row_changes",
-            }
-        } else {
-            TraceCtx::minted("row_changes")
-        };
-        let rel_types = |name: &str| self.engine.relation_types(name);
-        let ops = convert::changes_to_ops(changes, &self.schema, &rel_types)?;
+        let ops = self.config_ops(changes)?;
         self.commit_and_push(ops, ctx)
+    }
+
+    /// Handle committed OVSDB row changes (in-process path).
+    pub fn handle_row_changes(&mut self, changes: &[RowChange]) -> Result<TxnDelta, String> {
+        self.ingest_changes(changes, TraceCtx::minted("row_changes"))
     }
 
     /// Handle a monitor `table-updates` JSON object (TCP path; also the
@@ -440,10 +460,8 @@ impl Controller {
     /// carries the trace the OVSDB server minted at commit time, that
     /// trace follows the change down to the P4Runtime writes.
     pub fn handle_monitor_update(&mut self, updates: &Json) -> Result<TxnDelta, String> {
-        let ctx = TraceCtx::from_monitor_update(updates);
-        let rel_types = |name: &str| self.engine.relation_types(name);
-        let ops = convert::monitor_update_to_ops(updates, &self.schema, &rel_types)?;
-        self.commit_and_push(ops, ctx)
+        let (ops, trace) = self.decode_ops(updates)?;
+        self.commit_and_push(ops, TraceCtx::from_monitor(trace))
     }
 
     /// Handle digests from switch `switch_id` (the feedback loop).
@@ -763,10 +781,28 @@ impl Controller {
         initial: &Json,
         monitored_tables: &[String],
     ) -> Result<ResyncReport, String> {
-        let snapshot = {
-            let rel_types = |name: &str| self.engine.relation_types(name);
-            resync::snapshot_rows(initial, &self.schema, &rel_types)?
-        };
+        let (ops, _) = self.decode_ops(initial)?;
+        self.resync_to(ops, monitored_tables)
+    }
+
+    /// [`Controller::resync_from_snapshot`] over an already-decoded
+    /// snapshot: `rows` are the snapshot's contents as inserts. The
+    /// sharded front-ends decode once and hand each shard its slice.
+    pub fn resync_from_rows(
+        &mut self,
+        rows: &[RowChange],
+        monitored_tables: &[String],
+    ) -> Result<ResyncReport, String> {
+        let ops = self.config_ops(rows)?;
+        self.resync_to(ops, monitored_tables)
+    }
+
+    fn resync_to(
+        &mut self,
+        snapshot_ops: InputOps,
+        monitored_tables: &[String],
+    ) -> Result<ResyncReport, String> {
+        let snapshot = resync::group_inserts(snapshot_ops);
         let mut tables: BTreeSet<String> = monitored_tables.iter().cloned().collect();
         tables.extend(snapshot.keys().cloned());
 

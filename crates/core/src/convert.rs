@@ -103,77 +103,34 @@ pub fn changes_to_ops(
     Ok(ops)
 }
 
-/// Reconstruct row changes from a monitor `table-updates` JSON object
-/// (the TCP path). For modifications the full old row is rebuilt by
-/// patching the reported old columns over the new row.
+/// DDlog transaction ops: `(relation, row values, is_insert)`.
+pub type InputOps = Vec<(String, Vec<Value>, bool)>;
+
+/// Decode a monitor `table-updates` JSON object (the TCP path) and
+/// translate it: [`ovsdb::decode_table_updates_into`] feeding
+/// [`changes_to_ops`] row by row, so no decoded row outlives its
+/// conversion. Also returns the `(trace id, commit_ns)` the server
+/// embedded, if any.
+pub fn decode_monitor_update(
+    updates: &Json,
+    schema: &ovsdb::Schema,
+    rel_types: &dyn Fn(&str) -> Option<Vec<Type>>,
+) -> Result<(InputOps, Option<(u64, u64)>), String> {
+    let mut ops = Vec::new();
+    let trace = ovsdb::decode_table_updates_into(updates, schema, &mut |change| {
+        ops.extend(changes_to_ops(&[change], schema, rel_types)?);
+        Ok(())
+    })?;
+    Ok((ops, trace))
+}
+
+/// The ops of [`decode_monitor_update`].
 pub fn monitor_update_to_ops(
     updates: &Json,
     schema: &ovsdb::Schema,
     rel_types: &dyn Fn(&str) -> Option<Vec<Type>>,
-) -> Result<Vec<(String, Vec<Value>, bool)>, String> {
-    let obj = updates
-        .as_object()
-        .ok_or("table-updates must be an object")?;
-    let mut ops = Vec::new();
-    for (tname, rows) in obj {
-        let Some(ts) = schema.table(tname) else {
-            continue;
-        };
-        let Some(types) = rel_types(tname) else {
-            continue;
-        };
-        let rows = rows.as_object().ok_or("row updates must be an object")?;
-        for (uuid_str, update) in rows {
-            let uuid =
-                ovsdb::Uuid::parse(uuid_str).ok_or_else(|| format!("bad row uuid {uuid_str:?}"))?;
-            let old_json = update.get("old");
-            let new_json = update.get("new");
-            let parse_row = |j: &Json| -> Result<RowData, String> {
-                let obj = j.as_object().ok_or("row must be an object")?;
-                let mut row = RowData::new();
-                for (cname, cval) in obj {
-                    if cname == "_uuid" {
-                        continue;
-                    }
-                    let Some(cs) = ts.columns.get(cname) else {
-                        continue;
-                    };
-                    let datum = ovsdb::db::datum_from_json(cval, &cs.ty, &|_| None)?;
-                    row.insert(cname.clone(), datum);
-                }
-                Ok(row)
-            };
-            match (old_json, new_json) {
-                (None, Some(new)) => {
-                    let row = parse_row(new)?;
-                    ops.push((tname.clone(), row_to_values(uuid, &row, ts, &types)?, true));
-                }
-                (Some(old), None) => {
-                    let row = parse_row(old)?;
-                    ops.push((tname.clone(), row_to_values(uuid, &row, ts, &types)?, false));
-                }
-                (Some(old_changed), Some(new)) => {
-                    let new_row = parse_row(new)?;
-                    let mut old_row = new_row.clone();
-                    for (c, d) in parse_row(old_changed)? {
-                        old_row.insert(c, d);
-                    }
-                    ops.push((
-                        tname.clone(),
-                        row_to_values(uuid, &old_row, ts, &types)?,
-                        false,
-                    ));
-                    ops.push((
-                        tname.clone(),
-                        row_to_values(uuid, &new_row, ts, &types)?,
-                        true,
-                    ));
-                }
-                (None, None) => {}
-            }
-        }
-    }
-    Ok(ops)
+) -> Result<InputOps, String> {
+    decode_monitor_update(updates, schema, rel_types).map(|(ops, _)| ops)
 }
 
 /// Convert a digest into a DDlog input tuple.

@@ -73,6 +73,18 @@ impl ReconcileReport {
 
 // ------------------------------------------------------- snapshot diff
 
+/// Group a snapshot's engine ops into per-relation row multisets. An
+/// initial snapshot only carries inserts; retractions are ignored.
+pub fn group_inserts(ops: Vec<(String, Vec<Value>, bool)>) -> BTreeMap<String, Vec<Vec<Value>>> {
+    let mut out: BTreeMap<String, Vec<Vec<Value>>> = BTreeMap::new();
+    for (rel, row, is_insert) in ops {
+        if is_insert {
+            out.entry(rel).or_default().push(row);
+        }
+    }
+    out
+}
+
 /// Parse a monitor initial-state snapshot into per-relation row
 /// multisets, using the same conversion path as live monitor updates.
 pub fn snapshot_rows(
@@ -80,17 +92,7 @@ pub fn snapshot_rows(
     schema: &ovsdb::Schema,
     rel_types: &dyn Fn(&str) -> Option<Vec<ddlog::Type>>,
 ) -> Result<BTreeMap<String, Vec<Vec<Value>>>, String> {
-    let ops = convert::monitor_update_to_ops(initial, schema, rel_types)?;
-    let mut out: BTreeMap<String, Vec<Vec<Value>>> = BTreeMap::new();
-    for (rel, row, is_insert) in ops {
-        if !is_insert {
-            // An initial snapshot only carries inserts; tolerate other
-            // shapes by ignoring retractions.
-            continue;
-        }
-        out.entry(rel).or_default().push(row);
-    }
-    Ok(out)
+    convert::monitor_update_to_ops(initial, schema, rel_types).map(group_inserts)
 }
 
 /// Multiset difference between the engine's current rows and the target

@@ -6,6 +6,7 @@
 //! oracle --seed 3 --steps 500 --chaos-crash 7  # + server crash faults
 //! oracle --seed 3 --steps 200 --bug skip-resync-deletes   # must fail
 //! oracle --seed 1..4 --steps 300 --shards 4 # sharded vs unsharded
+//! oracle --seed 1 --steps 200 --shards 4 --chaos-crash 7  # any mix
 //! oracle --seed 1 --steps 150 --chaos-stall 7  # overload/stall survival
 //! ```
 //!
@@ -13,8 +14,7 @@
 //! reproduction is printed), 2 = usage error.
 
 use oracle::{
-    run_oracle, run_overload_oracle, run_sharded_oracle, InjectedBug, OracleConfig, OracleFailure,
-    OracleReport,
+    run_oracle, run_overload_oracle, InjectedBug, OracleConfig, OracleFailure, OracleReport,
 };
 
 struct Args {
@@ -40,10 +40,10 @@ fn usage() -> ! {
          --bug   inject a known controller defect, one of:\n\
          \x20       skip-resync-deletes | drop-config-deletes |\n\
          \x20       stale-arrangement\n\
-         --shards N run the sharded harness: N shard engines over N\n\
-         \x20       switches, checked for cross-shard equivalence against\n\
-         \x20       one unsharded engine (incompatible with --chaos-crash\n\
-         \x20       and --bug)\n\
+         --shards N N shard engines over N switches (default 1, the\n\
+         \x20       unsharded controller); above 1 the run also checks\n\
+         \x20       cross-shard equivalence against one unsharded engine.\n\
+         \x20       Combines with --chaos, --chaos-crash and --bug\n\
          --chaos-stall S overload mode: stall a live switch connection\n\
          \x20       mid-churn (frozen socket, not closed) and wedge a slow\n\
          \x20       OVSDB monitor; asserts the writer watchdog fires, the\n\
@@ -75,7 +75,7 @@ fn parse_args() -> Option<Args> {
         chaos: None,
         crashes: false,
         bug: None,
-        shards: 0,
+        shards: 1,
         stall: None,
         flight_dir: None,
     };
@@ -105,14 +105,9 @@ fn parse_args() -> Option<Args> {
     if args.seeds.is_empty() {
         return None;
     }
-    // The sharded harness runs on an in-memory database (no WAL to
-    // crash) and checks a different battery than the bug-demo runs.
-    if args.shards > 0 && (args.crashes || args.bug.is_some()) {
-        return None;
-    }
     // The overload run drives its own harness (real TCP control + OVSDB
     // connections, chaos stall proxy) and its own pass/fail criteria.
-    if args.stall.is_some() && (args.chaos.is_some() || args.bug.is_some() || args.shards > 0) {
+    if args.stall.is_some() && (args.chaos.is_some() || args.bug.is_some() || args.shards > 1) {
         return None;
     }
     Some(args)
@@ -133,14 +128,14 @@ fn replay_command(cfg: &OracleConfig) -> String {
     if let Some(b) = cfg.bug {
         cmd.push_str(&format!(" --bug {}", b.name()));
     }
-    if cfg.shards > 0 {
+    if cfg.shards > 1 {
         cmd.push_str(&format!(" --shards {}", cfg.shards));
     }
     cmd
 }
 
 fn report_ok(seed: u64, cfg: &OracleConfig, report: &OracleReport) {
-    let shard_note = if cfg.shards > 0 {
+    let shard_note = if cfg.shards > 1 {
         format!(" [{} shards]", cfg.shards)
     } else {
         String::new()
@@ -242,12 +237,7 @@ fn main() {
             bug: args.bug,
             shards: args.shards,
         };
-        let outcome = if cfg.shards > 0 {
-            run_sharded_oracle(&cfg)
-        } else {
-            run_oracle(&cfg)
-        };
-        match outcome {
+        match run_oracle(&cfg) {
             Ok(report) => report_ok(*seed, &cfg, &report),
             Err(fail) => {
                 failed = true;

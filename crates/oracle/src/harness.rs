@@ -1,32 +1,40 @@
-//! The lockstep differential harness.
+//! The lockstep differential harness — one harness at every shard count.
 //!
-//! Two controllers consume the same workload:
+//! The stack under test is a [`ShardSet`] of N ≥ 1 controllers over N
+//! switches, fed from one [`ovsdb::Database`]. N = 1 *is* the unsharded
+//! controller (one engine, one switch, the router sends everything to
+//! shard 0). It is checked, per switch, against:
 //!
-//! * the **incremental** side is the real pipeline — an
-//!   [`ovsdb::Database`], a [`nerpa::Controller`] holding the snvs DDlog
-//!   program, and a [`p4sim::service::SwitchDevice`];
-//! * the **baseline** side is [`baselines::FullRecompute`] reconciling
-//!   its own `SwitchDevice` from a plain-Rust model of the management
-//!   state.
+//! * the **baseline** — a [`baselines::FullRecompute`] reconciling its
+//!   own `SwitchDevice` from the plain-Rust [`Model`] — and the pure
+//!   specification the baseline computes from;
+//! * for N > 1, the **unsharded reference** — one [`Controller`] holding
+//!   all N switches in a single engine — whose relations must equal the
+//!   union of the shard engines' (sharding is unobservable).
 //!
 //! After every step (while the management link is up) the harness
-//! asserts the two data planes are identical and that the cross-plane
+//! asserts the data planes are identical and that the cross-plane
 //! invariants hold: engine inputs mirror the database, every installed
 //! entry is traceable to an output-relation tuple, no Z-set weight is
 //! non-positive, and the database's uniqueness indexes are intact.
+//! Faults (link outages, switch restarts targeted at a single shard's
+//! switch, durable-server crashes), injected bugs, the work audit and
+//! the failure explanations (work profile, why-dump) are available at
+//! every N — the modes are configuration, not files.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use baselines::{FullRecompute, LearnedMac, Mode, PortConfig};
+use baselines::FullRecompute;
 use nerpa::codegen::CodegenOptions;
 use nerpa::controller::{Controller, NerpaProgram};
-use nerpa::resync;
+use nerpa::{convert, resync};
 use ovsdb::db::RowChange;
-use p4sim::runtime::{Digest, FieldMatch, TableEntry, Update, WriteOp};
+use p4sim::runtime::{FieldMatch, TableEntry, Update, WriteOp};
 use p4sim::service::SwitchDevice;
 use p4sim::Switch;
-use serde_json::json;
+use shard::{PartitionSpec, Router, ShardSet};
 
+use crate::model::{diff_entries, installed, Feed, Groups, Model, MONITORED};
 use crate::workload::{FaultKind, FaultPlan, WorkloadOp};
 
 /// A deliberately-introduced controller defect, used to demonstrate
@@ -83,11 +91,10 @@ pub struct OracleConfig {
     pub crashes: bool,
     /// Deliberate controller defect to inject.
     pub bug: Option<InjectedBug>,
-    /// When non-zero, run the sharded harness instead
-    /// ([`crate::sharded::run_sharded_oracle`]): a `ShardSet` of this
-    /// many engines over as many switches, checked for cross-shard
-    /// equivalence against one unsharded controller and the
-    /// full-recompute spec at every step.
+    /// Shard count N (0 is read as 1): a `ShardSet` of N engines over N
+    /// switches. 1 is the unsharded controller; above 1 the run adds
+    /// one unsharded reference engine over all N switches and checks
+    /// cross-shard equivalence against it at every step.
     pub shards: usize,
 }
 
@@ -100,7 +107,7 @@ impl OracleConfig {
             chaos: None,
             crashes: false,
             bug: None,
-            shards: 0,
+            shards: 1,
         }
     }
 }
@@ -179,8 +186,6 @@ pub struct OracleFailure {
     pub dump_path: Option<std::path::PathBuf>,
 }
 
-const MONITORED: [&str; 2] = ["Port", "Switch"];
-
 /// A scratch durability directory for a crash-capable run, removed when
 /// the harness is dropped (including on panic or early return).
 struct DurableDir(std::path::PathBuf);
@@ -214,16 +219,22 @@ fn oracle_durability() -> ovsdb::DurabilityConfig {
 
 struct Harness {
     db: ovsdb::Database,
-    controller: Controller,
-    device: SwitchDevice,
+    /// The stack under test: N shard controllers driven in lockstep.
+    shards: ShardSet,
+    /// Switch `i`'s device (owned by shard `i % N`).
+    devices: Vec<SwitchDevice>,
+    /// N > 1 only: the unsharded reference engine and its N devices.
+    reference: Option<(Controller, Vec<SwitchDevice>)>,
+    /// Per switch: the full-recompute baseline and the device it
+    /// reconciles.
+    baselines: Vec<(FullRecompute, SwitchDevice)>,
     program: p4sim::ast::Program,
-    baseline: FullRecompute,
-    base_device: SwitchDevice,
-    ports: Vec<PortConfig>,
-    macs: Vec<LearnedMac>,
-    live_macs: BTreeSet<(u16, u64, u16)>,
+    model: Model,
     connected: bool,
     outage_remaining: usize,
+    /// Rotates which switch (and therefore which single shard) each
+    /// switch-restart fault targets.
+    restarts: usize,
     bug: Option<InjectedBug>,
     /// Scratch durability directory (crash-capable runs only).
     durable: Option<DurableDir>,
@@ -239,7 +250,8 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(bug: Option<InjectedBug>, durable: bool) -> Result<Harness, String> {
+    fn new(cfg: &OracleConfig, durable: bool) -> Result<Harness, String> {
+        let n = cfg.shards.max(1);
         let schema = ovsdb::Schema::parse(snvs::assets::SNVS_SCHEMA)?;
         let program = p4sim::parse_p4(snvs::assets::SNVS_P4).map_err(|e| e.to_string())?;
         let nerpa_program = NerpaProgram {
@@ -248,19 +260,40 @@ impl Harness {
             rules: snvs::assets::SNVS_RULES.to_string(),
             options: CodegenOptions { per_switch: true },
         };
-        let mut controller = Controller::new(&nerpa_program)?;
-        // Every oracle step also audits incrementality: commit work must
-        // stay proportional to the input + output deltas. Generous
-        // budget — DRed on MAC-learning churn legitimately over-deletes.
-        controller.set_work_audit(Some(ddlog::AuditConfig {
-            ratio: 64,
-            slack: 4096,
-        }));
-        if bug == Some(InjectedBug::StaleArrangement) {
-            controller.inject_stale_arrangement(true);
+        let new_devices = || -> Vec<SwitchDevice> {
+            (0..n)
+                .map(|_| SwitchDevice::new(Switch::new(program.clone())))
+                .collect()
+        };
+        let mut shards = ShardSet::new(&nerpa_program, Router::new(PartitionSpec::snvs(), n))?;
+        for shard in 0..n {
+            let controller = shards.controller_mut(shard);
+            // Every oracle step also audits incrementality: commit work
+            // must stay proportional to the input + output deltas.
+            // Generous budget — DRed on MAC-learning churn legitimately
+            // over-deletes.
+            controller.set_work_audit(Some(ddlog::AuditConfig {
+                ratio: 64,
+                slack: 4096,
+            }));
+            if cfg.bug == Some(InjectedBug::StaleArrangement) {
+                controller.inject_stale_arrangement(true);
+            }
         }
-        let device = SwitchDevice::new(Switch::new(program.clone()));
-        controller.add_switch(Box::new(device.clone()));
+        let devices = new_devices();
+        for (sw, device) in devices.iter().enumerate() {
+            shards.add_switch(sw, Box::new(device.clone()));
+        }
+        let reference = if n > 1 {
+            let mut controller = Controller::new(&nerpa_program)?;
+            let flat_devices = new_devices();
+            for (sw, device) in flat_devices.iter().enumerate() {
+                controller.add_switch_with_id(sw, Box::new(device.clone()));
+            }
+            Some((controller, flat_devices))
+        } else {
+            None
+        };
         let (db, durable) = if durable {
             let dir = DurableDir::new();
             let (db, _) = ovsdb::Database::open(&dir.0, schema, oracle_durability())
@@ -269,20 +302,22 @@ impl Harness {
         } else {
             (ovsdb::Database::new(schema), None)
         };
-        let base_device = SwitchDevice::new(Switch::new(program.clone()));
+        let baselines = new_devices()
+            .into_iter()
+            .map(|device| (FullRecompute::new(), device))
+            .collect();
         let mut harness = Harness {
             db,
-            controller,
-            device,
+            shards,
+            devices,
+            reference,
+            baselines,
             program,
-            baseline: FullRecompute::new(),
-            base_device,
-            ports: Vec::new(),
-            macs: Vec::new(),
-            live_macs: BTreeSet::new(),
+            model: Model::new(n),
             connected: true,
             outage_remaining: 0,
-            bug,
+            restarts: 0,
+            bug: cfg.bug,
             durable,
             pre_last_commit: String::new(),
             post_last_commit: String::new(),
@@ -290,11 +325,18 @@ impl Harness {
         };
         harness.pre_last_commit = harness.db.monitor_snapshot(&MONITORED)?.to_string();
         harness.post_last_commit = harness.pre_last_commit.clone();
-        let changes = harness.commit(json!([
-            {"op": "insert", "table": "Switch", "row": {"idx": 0}}
-        ]))?;
-        harness.controller.handle_row_changes(&changes)?;
+        harness.transact(harness.model.switch_rows())?;
         Ok(harness)
+    }
+
+    /// Failure-message prefix naming one of several switches or shards
+    /// ("switch 2: ") — empty at N = 1, where there is only one.
+    fn at(&self, what: &str, index: usize) -> String {
+        if self.devices.len() > 1 {
+            format!("{what} {index}: ")
+        } else {
+            String::new()
+        }
     }
 
     /// Run one transaction against the database, maintaining the
@@ -313,146 +355,53 @@ impl Harness {
         Ok(changes)
     }
 
-    /// Feed committed row changes to the controller, through the
-    /// injected bug filter if one is armed.
-    fn deliver(&mut self, changes: &[RowChange]) -> Result<(), String> {
+    /// Commit a transaction and feed its row changes to the controllers
+    /// — the shards through the injected bug filter if one is armed.
+    fn transact(&mut self, ops: serde_json::Value) -> Result<(), String> {
+        let changes = self.commit(ops)?;
         if !self.connected {
             return Ok(()); // the monitor link is down: updates are lost
         }
+        if let Some((reference, _)) = &mut self.reference {
+            reference.handle_row_changes(&changes)?;
+        }
         if self.bug == Some(InjectedBug::DropConfigDeletes) {
-            let kept: Vec<RowChange> = changes
-                .iter()
-                .filter(|c| c.new.is_some())
-                .cloned()
-                .collect();
-            self.controller.handle_row_changes(&kept)?;
+            let kept: Vec<RowChange> = changes.into_iter().filter(|c| c.new.is_some()).collect();
+            self.shards.handle_row_changes(&kept)
         } else {
-            self.controller.handle_row_changes(changes)?;
-        }
-        Ok(())
-    }
-
-    fn port_row_json(cfg: &PortConfig) -> serde_json::Value {
-        let mirror: Vec<u16> = cfg.mirror.into_iter().collect();
-        match &cfg.mode {
-            Mode::Access(v) => json!({
-                "id": cfg.id,
-                "vlan_mode": "access",
-                "tag": v,
-                "trunks": ["set", []],
-                "mirror_dst": ["set", mirror],
-            }),
-            Mode::Trunk(vs) => json!({
-                "id": cfg.id,
-                "vlan_mode": "trunk",
-                "trunks": ["set", vs],
-                "mirror_dst": ["set", mirror],
-            }),
+            self.shards.handle_row_changes(&changes)
         }
     }
 
-    /// Upsert a port in the database and the plain model.
-    fn upsert_port(&mut self, cfg: PortConfig) -> Result<(), String> {
-        let row = Self::port_row_json(&cfg);
-        let changes = self.commit(json!([
-            {"op": "delete", "table": "Port", "where": [["id", "==", cfg.id]]},
-            {"op": "insert", "table": "Port", "row": row},
-        ]))?;
-        self.deliver(&changes)?;
-        self.ports.retain(|p| p.id != cfg.id);
-        self.ports.push(cfg);
-        Ok(())
-    }
-
-    fn remove_port(&mut self, id: u16) -> Result<(), String> {
-        let changes = self.commit(json!([
-            {"op": "delete", "table": "Port", "where": [["id", "==", id]]},
-        ]))?;
-        self.deliver(&changes)?;
-        self.ports.retain(|p| p.id != id);
-        Ok(())
-    }
-
-    fn digest(port: u16, mac: u64, vlan: u16) -> Digest {
-        Digest {
-            name: "mac_learn_t".into(),
-            fields: vec![
-                ("port".into(), port as u128),
-                ("mac".into(), mac as u128),
-                ("vlan".into(), vlan as u128),
-            ],
-        }
-    }
-
-    fn apply(&mut self, op: &WorkloadOp) -> Result<(), String> {
-        match op {
-            WorkloadOp::AddAccess { port, vlan } => {
-                self.upsert_port(PortConfig::access(*port, *vlan))?;
-            }
-            WorkloadOp::AddTrunk { port, vlans } => {
-                self.upsert_port(PortConfig::trunk(*port, vlans.clone()))?;
-            }
-            WorkloadOp::FlipMode { port } => {
-                let Some(cur) = self.ports.iter().find(|p| p.id == *port).cloned() else {
-                    return Ok(());
-                };
-                let mut next = match &cur.mode {
-                    Mode::Access(v) => PortConfig::trunk(cur.id, vec![*v]),
-                    Mode::Trunk(vs) => {
-                        PortConfig::access(cur.id, vs.first().copied().unwrap_or(10))
+    /// One workload step: lower the op through the model, feed the
+    /// controllers (reference first), and let every baseline recompute
+    /// its whole desired state and push the diff to its own switch.
+    fn step(&mut self, op: &WorkloadOp) -> Result<(), String> {
+        match self.model.apply(op) {
+            None => return Ok(()),
+            Some(Feed::Transact(ops)) => self.transact(ops)?,
+            Some(Feed::Digest { sw, digest, learn }) => {
+                let digests = std::slice::from_ref(&digest);
+                if let Some((reference, _)) = &mut self.reference {
+                    if learn {
+                        reference.handle_digests(sw, digests)?;
+                    } else {
+                        reference.retract_digests(sw, digests)?;
                     }
-                };
-                next.mirror = cur.mirror;
-                self.upsert_port(next)?;
-            }
-            WorkloadOp::SetMirror { port, dst } => {
-                let Some(mut cur) = self.ports.iter().find(|p| p.id == *port).cloned() else {
-                    return Ok(());
-                };
-                cur.mirror = Some(*dst);
-                self.upsert_port(cur)?;
-            }
-            WorkloadOp::ClearMirror { port } => {
-                let Some(mut cur) = self.ports.iter().find(|p| p.id == *port).cloned() else {
-                    return Ok(());
-                };
-                cur.mirror = None;
-                self.upsert_port(cur)?;
-            }
-            WorkloadOp::RemovePort { port } => {
-                self.remove_port(*port)?;
-            }
-            WorkloadOp::Learn { port, mac, vlan } => {
-                if !self.live_macs.insert((*port, *mac, *vlan)) {
-                    return Ok(()); // already learned: the switch dedups
                 }
-                self.controller
-                    .handle_digests(0, &[Self::digest(*port, *mac, *vlan)])?;
-                self.macs.push(LearnedMac {
-                    port: *port,
-                    mac: *mac,
-                    vlan: *vlan,
-                });
-            }
-            WorkloadOp::Age { pick } => {
-                if self.live_macs.is_empty() {
-                    return Ok(());
+                if learn {
+                    self.shards.handle_digests(sw, digests)?;
+                } else {
+                    self.shards.retract_digests(sw, digests)?;
                 }
-                let idx = (*pick as usize) % self.live_macs.len();
-                let (port, mac, vlan) = *self.live_macs.iter().nth(idx).expect("non-empty");
-                self.live_macs.remove(&(port, mac, vlan));
-                self.controller
-                    .retract_digests(0, &[Self::digest(port, mac, vlan)])?;
-                self.macs
-                    .retain(|m| (m.port, m.mac, m.vlan) != (port, mac, vlan));
             }
         }
-        // The baseline recomputes its whole desired state on every
-        // change and pushes the diff to its own switch.
-        let (updates, mcast) = self.baseline.reconcile(&self.ports, &self.macs);
-        self.base_device.write(&updates)?;
-        for (group, members) in mcast {
-            self.base_device.set_mcast_group(group, members);
+        for (sw, (baseline, device)) in self.baselines.iter_mut().enumerate() {
+            let (updates, mcast) = baseline.reconcile(&self.model.ports, &self.model.macs(sw));
+            device.write(&updates)?;
+            for (group, members) in mcast {
+                device.set_mcast_group(group, members);
+            }
         }
         Ok(())
     }
@@ -472,33 +421,46 @@ impl Harness {
                 report.outages += 1;
             }
             FaultKind::SwitchRestart => {
+                // Target exactly one switch — and therefore exactly one
+                // shard. Every other shard's engine and device must be
+                // untouched, which the step's invariants enforce.
+                let sw = self.restarts % self.devices.len();
+                self.restarts += 1;
                 telemetry::record_event_note(
                     telemetry::Plane::Chaos,
                     "chaos.fault",
                     0,
-                    &[("switch", 0)],
+                    &[("switch", sw as u64)],
                     "switch-restart",
                 );
                 // The switch comes back with leftover stale state the
                 // controller never installed; reconciliation must purge
                 // it and re-push the desired tables.
-                let fresh = SwitchDevice::new(Switch::new(self.program.clone()));
-                fresh.write(&[Update {
-                    op: WriteOp::Insert,
-                    entry: TableEntry {
-                        table: "InVlan".into(),
-                        matches: vec![
-                            FieldMatch::Exact { value: 999 },
-                            FieldMatch::Exact { value: 0 },
-                        ],
-                        priority: 0,
-                        action: "set_port_vlan".into(),
-                        params: vec![77],
-                    },
-                }])?;
-                self.controller.replace_switch(0, Box::new(fresh.clone()))?;
-                self.controller.reconcile_switch(0)?;
-                self.device = fresh;
+                let program = &self.program;
+                let restart = |controller: &mut Controller| -> Result<SwitchDevice, String> {
+                    let fresh = SwitchDevice::new(Switch::new(program.clone()));
+                    fresh.write(&[Update {
+                        op: WriteOp::Insert,
+                        entry: TableEntry {
+                            table: "InVlan".into(),
+                            matches: vec![
+                                FieldMatch::Exact { value: 999 },
+                                FieldMatch::Exact { value: 0 },
+                            ],
+                            priority: 0,
+                            action: "set_port_vlan".into(),
+                            params: vec![77],
+                        },
+                    }])?;
+                    controller.replace_switch(sw, Box::new(fresh.clone()))?;
+                    controller.reconcile_switch(sw)?;
+                    Ok(fresh)
+                };
+                let owner = self.shards.shard_of_switch(sw);
+                self.devices[sw] = restart(self.shards.controller_mut(owner))?;
+                if let Some((reference, flat_devices)) = &mut self.reference {
+                    flat_devices[sw] = restart(reference)?;
+                }
                 report.switch_restarts += 1;
             }
             FaultKind::CrashServer { torn_tail_bytes } => {
@@ -626,104 +588,124 @@ impl Harness {
 
     fn reconnect(&mut self) -> Result<(), String> {
         let initial = self.db.monitor_snapshot(&MONITORED)?;
+        let tables: Vec<String> = MONITORED.iter().map(|t| t.to_string()).collect();
+        if let Some((reference, _)) = &mut self.reference {
+            reference.resync_from_snapshot(&initial, &tables)?;
+        }
         if self.bug == Some(InjectedBug::SkipResyncDeletes) {
-            // The buggy resync: diff against the snapshot but only push
-            // the missed inserts, never the missed deletes.
-            let snapshot = {
-                let engine = self.controller.engine();
+            // The buggy resync: each shard diffs against its slice of
+            // the snapshot but only pushes the missed inserts, never the
+            // missed deletes.
+            let rows = ovsdb::decode_table_updates(&initial, self.db.schema())?.changes;
+            let slices = self.shards.router().split_row_changes(&rows);
+            for (shard, slice) in slices.into_iter().enumerate() {
+                let controller = self.shards.controller_mut(shard);
+                let engine = controller.engine();
                 let rel_types = |name: &str| engine.relation_types(name);
-                resync::snapshot_rows(&initial, self.db.schema(), &rel_types)?
-            };
-            let mut ops = Vec::new();
-            for t in MONITORED {
-                let target = snapshot.get(t).cloned().unwrap_or_default();
-                let current = self
-                    .controller
-                    .engine()
-                    .dump(t)
-                    .map_err(|e| e.to_string())?;
-                let (inserts, _deletes) = resync::diff_rows(&current, &target);
-                for row in inserts {
-                    ops.push((t.to_string(), row, true));
+                let snapshot = resync::group_inserts(convert::changes_to_ops(
+                    &slice,
+                    self.db.schema(),
+                    &rel_types,
+                )?);
+                let mut ops = Vec::new();
+                for t in MONITORED {
+                    let target = snapshot.get(t).cloned().unwrap_or_default();
+                    let current = engine.dump(t).map_err(|e| e.to_string())?;
+                    let (inserts, _deletes) = resync::diff_rows(&current, &target);
+                    for row in inserts {
+                        ops.push((t.to_string(), row, true));
+                    }
                 }
+                controller.apply_input_ops(ops)?;
             }
-            self.controller.apply_input_ops(ops)?;
         } else {
-            let tables: Vec<String> = MONITORED.iter().map(|t| t.to_string()).collect();
-            self.controller.resync_from_snapshot(&initial, &tables)?;
+            self.shards.resync_from_snapshot(&initial, &tables)?;
         }
         self.connected = true;
         Ok(())
     }
 
-    fn installed(device: &SwitchDevice) -> BTreeSet<TableEntry> {
-        device
-            .read_all_tables()
-            .into_iter()
-            .flat_map(|(_, entries)| entries)
-            .collect()
-    }
-
     /// The full invariant battery. Only meaningful while the management
     /// link is up (during an outage the two sides legitimately diverge).
     fn check_invariants(&self) -> Result<(), String> {
-        // (1) Installed data-plane state identical across the two
-        // controllers, on-device and as tracked by the baseline.
-        let inc = Self::installed(&self.device);
-        let base = Self::installed(&self.base_device);
-        if inc != base {
-            return Err(diff_entries("device tables differ", &inc, &base));
-        }
-        let base_tracked = self.baseline.installed_snapshot();
-        if base != base_tracked {
-            return Err(diff_entries(
-                "baseline device diverged from its own bookkeeping",
-                &base,
-                &base_tracked,
-            ));
-        }
-        // (2) Both match the pure-function specification.
-        let (spec_entries, spec_groups) = FullRecompute::desired_state(&self.ports, &self.macs);
-        let spec: BTreeSet<TableEntry> = spec_entries.into_iter().collect();
-        if inc != spec {
-            return Err(diff_entries(
-                "installed state differs from spec",
-                &inc,
-                &spec,
-            ));
-        }
-        // (3) Every installed entry is traceable to an output-relation
-        // tuple: the device holds exactly the controller's desired set.
-        let desired = self.controller.desired_entries(0)?;
-        if inc != desired {
-            return Err(diff_entries(
-                "device tables differ from engine output relations",
-                &inc,
-                &desired,
-            ));
-        }
-        // (4) Multicast groups agree everywhere.
-        let inc_groups = self.device.mcast_snapshot();
-        let ctl_groups = self.controller.mcast_snapshot(0);
-        let base_groups = self.baseline.mcast_snapshot();
-        let spec_groups: BTreeMap<u16, BTreeSet<u16>> = spec_groups
-            .into_iter()
-            .filter(|(_, m)| !m.is_empty())
-            .collect();
-        for (label, got) in [
-            ("controller replication state", &ctl_groups),
-            ("baseline groups", &base_groups),
-            ("spec groups", &spec_groups),
-        ] {
-            if &inc_groups != got {
-                return Err(format!(
-                    "multicast groups: device {inc_groups:?} != {label} {got:?}"
+        for (sw, device) in self.devices.iter().enumerate() {
+            let at = self.at("switch", sw);
+            let owner = &self.shards.controllers()[self.shards.shard_of_switch(sw)];
+            // (1) Installed data-plane state identical to the baseline's,
+            // on-device and as tracked by the baseline.
+            let inc = installed(device);
+            let (baseline, base_device) = &self.baselines[sw];
+            let base = installed(base_device);
+            if inc != base {
+                return Err(diff_entries(
+                    &format!("{at}device tables differ"),
+                    &inc,
+                    &base,
                 ));
             }
+            let base_tracked = baseline.installed_snapshot();
+            if base != base_tracked {
+                return Err(diff_entries(
+                    &format!("{at}baseline device diverged from its own bookkeeping"),
+                    &base,
+                    &base_tracked,
+                ));
+            }
+            // (2) Every installed entry is traceable to an
+            // output-relation tuple: the device holds exactly its
+            // controller's desired set.
+            let desired = owner.desired_entries(sw)?;
+            if inc != desired {
+                return Err(diff_entries(
+                    &format!("{at}device tables differ from engine output relations"),
+                    &inc,
+                    &desired,
+                ));
+            }
+            // (3) Multicast groups agree everywhere.
+            let groups = device.mcast_snapshot();
+            let mut views: Vec<(&str, Groups)> = vec![
+                ("controller replication state", owner.mcast_snapshot(sw)),
+                ("baseline groups", baseline.mcast_snapshot()),
+            ];
+            // (N > 1) The unsharded reference programs this switch
+            // identically, from its own desired set.
+            if let Some((reference, flat_devices)) = &self.reference {
+                let flat = installed(&flat_devices[sw]);
+                if inc != flat {
+                    return Err(diff_entries(
+                        &format!("{at}sharded device != unsharded device"),
+                        &inc,
+                        &flat,
+                    ));
+                }
+                let flat_desired = reference.desired_entries(sw)?;
+                if flat != flat_desired {
+                    return Err(diff_entries(
+                        &format!("{at}unsharded engine's desired set differs from device"),
+                        &flat,
+                        &flat_desired,
+                    ));
+                }
+                views.push(("unsharded replication state", reference.mcast_snapshot(sw)));
+            }
+            for (label, got) in &views {
+                if &groups != got {
+                    return Err(format!(
+                        "{at}multicast groups: device {groups:?} != {label} {got:?}"
+                    ));
+                }
+            }
+            // (4) The device matches the pure-function specification,
+            // tables and multicast groups.
+            self.model.check_device(sw, device, &at)?;
         }
-        // (5) Engine input relations mirror the database exactly.
+        // (5) The unsharded engine's input relations mirror the database
+        // exactly — at N = 1 that engine is the single shard.
+        let shard_ctls = self.shards.controllers();
+        let flat = self.reference.as_ref().map_or(&shard_ctls[0], |(c, _)| c);
         let initial = self.db.monitor_snapshot(&MONITORED)?;
-        let engine = self.controller.engine();
+        let engine = flat.engine();
         let rel_types = |name: &str| engine.relation_types(name);
         let snapshot = resync::snapshot_rows(&initial, self.db.schema(), &rel_types)?;
         for t in MONITORED {
@@ -737,18 +719,43 @@ impl Harness {
                 ));
             }
         }
-        // (6) No non-positive Z-set weights anywhere in the engine.
         let names: Vec<String> = engine
             .relation_names()
             .iter()
             .map(|s| s.to_string())
             .collect();
-        for rel in names {
-            for (row, w) in engine.dump_weights(&rel).map_err(|e| e.to_string())? {
-                if w <= 0 {
+        // (N > 1) Union of shard engines == unsharded engine, relation
+        // by relation — inputs (partitioned and broadcast alike) and
+        // every derived table.
+        if self.reference.is_some() {
+            for rel in &names {
+                let union = self.shards.union_dump(rel)?;
+                let flat: BTreeSet<Vec<ddlog::Value>> = engine
+                    .dump(rel)
+                    .map_err(|e| e.to_string())?
+                    .into_iter()
+                    .collect();
+                if union != flat {
+                    let extra: Vec<_> = union.difference(&flat).collect();
+                    let missing: Vec<_> = flat.difference(&union).collect();
                     return Err(format!(
-                        "relation {rel}: row {row:?} has non-positive weight {w}"
+                        "relation {rel}: shard union diverges from unsharded engine: \
+                         extra {extra:?}, missing {missing:?}"
                     ));
+                }
+            }
+        }
+        // (6) No non-positive Z-set weights anywhere in a shard engine.
+        for (shard, controller) in shard_ctls.iter().enumerate() {
+            let at = self.at("shard", shard);
+            for rel in &names {
+                let weights = controller.engine().dump_weights(rel);
+                for (row, w) in weights.map_err(|e| e.to_string())? {
+                    if w <= 0 {
+                        return Err(format!(
+                            "{at}relation {rel}: row {row:?} has non-positive weight {w}"
+                        ));
+                    }
                 }
             }
         }
@@ -770,140 +777,155 @@ impl Harness {
         }
         Ok(())
     }
+
+    /// Render the work profile of each shard engine's most recent
+    /// commit: totals plus the hottest operators, for failure reports.
+    fn profile_snapshot(&self) -> Option<String> {
+        let shard_ctls = self.shards.controllers();
+        let mut out = String::new();
+        for (shard, controller) in shard_ctls.iter().enumerate() {
+            let engine = controller.engine();
+            let Some(profile) = engine.last_profile() else {
+                continue;
+            };
+            out.push_str(&format!(
+                "{}last commit: {} input tuples, {} tuples processed, {} ns\n",
+                self.at("shard", shard),
+                profile.input_tuples,
+                profile.total_tuples(),
+                profile.total_wall_ns
+            ));
+            for id in profile.hottest(5) {
+                let meta = &engine.op_catalog().ops[id];
+                let s = &profile.stats[id];
+                out.push_str(&format!(
+                    "  [{id:3}] {:9} {:24} in={} out={} peak={}\n",
+                    meta.kind.name(),
+                    meta.detail,
+                    s.tuples_in,
+                    s.tuples_out,
+                    s.peak
+                ));
+            }
+        }
+        (!out.is_empty()).then_some(out)
+    }
+
+    /// Explain the first diverging tuple through the provenance engine
+    /// of the shard that owns its switch: a stale installed entry gets
+    /// its `why` tree (which base fact still supports it); a missing one
+    /// gets a `why_not` report (which literal blocks the derivation).
+    /// `None` when every data plane matches the spec (the failure was
+    /// some other invariant).
+    fn why_snapshot(&self) -> Option<String> {
+        // (heading of the explanation, what to say when there is none)
+        const STALE: (&str, &str) = (
+            "why the engine still derives it",
+            "not resolvable through the engine",
+        );
+        const MISSING: (&str, &str) = ("why the engine does not derive it", "why_not unavailable");
+        let explain =
+            |what: String, (how, unavailable): (&str, &str), tree: Result<String, String>| {
+                let tree = match tree {
+                    Ok(tree) => format!("{how}:\n{tree}"),
+                    Err(e) => format!("({unavailable}: {e})\n"),
+                };
+                format!("first diverging tuple: {what}\n{tree}")
+            };
+        for (sw, device) in self.devices.iter().enumerate() {
+            let at = self.at("switch", sw);
+            let owner = &self.shards.controllers()[self.shards.shard_of_switch(sw)];
+            let inc = installed(device);
+            let (spec, spec_groups) = self.model.spec(sw);
+            if let Some(extra) = inc.difference(&spec).next() {
+                let tree = owner.why_entry(sw, extra).map(|t| t.render_text());
+                return Some(explain(
+                    format!("{at}stale installed entry {extra:?}"),
+                    STALE,
+                    tree,
+                ));
+            }
+            if let Some(missing) = spec.difference(&inc).next() {
+                let report = owner.why_not_entry(sw, missing).map(|r| r.render_text());
+                return Some(explain(
+                    format!("{at}missing entry {missing:?}"),
+                    MISSING,
+                    report,
+                ));
+            }
+            // Table entries agree; check multicast membership.
+            let inc_groups = device.mcast_snapshot();
+            let absent = |from: &Groups, group: &u16, port: &u16| {
+                !from.get(group).is_some_and(|ports| ports.contains(port))
+            };
+            let members = |groups: &Groups| -> Vec<(u16, u16)> {
+                let pairs = groups.iter();
+                pairs
+                    .flat_map(|(g, ports)| ports.iter().map(|p| (*g, *p)))
+                    .collect()
+            };
+            if let Some((group, port)) = members(&inc_groups)
+                .into_iter()
+                .find(|(g, p)| absent(&spec_groups, g, p))
+            {
+                let tree = owner.why_mcast(sw, group, port).map(|t| t.render_text());
+                return Some(explain(
+                    format!("{at}stale mcast member (group {group}, port {port})"),
+                    STALE,
+                    tree,
+                ));
+            }
+            if let Some((group, port)) = members(&spec_groups)
+                .into_iter()
+                .find(|(g, p)| absent(&inc_groups, g, p))
+            {
+                let row = vec![
+                    ddlog::Value::bit(16, group as u128),
+                    ddlog::Value::bit(16, port as u128),
+                ];
+                let report = owner.engine().why_not("MulticastGroup", row);
+                return Some(explain(
+                    format!("{at}missing mcast member (group {group}, port {port})"),
+                    MISSING,
+                    report.map(|r| r.render_text()).map_err(|e| e.to_string()),
+                ));
+            }
+        }
+        None
+    }
+
+    /// A failed step with its explanations attached: the shard engines'
+    /// work profiles, and — when `diverged` (an invariant broke, not an
+    /// operation) — the why-dump of the first diverging tuple.
+    fn failure(
+        &self,
+        step: usize,
+        op: Option<&WorkloadOp>,
+        reason: String,
+        diverged: bool,
+    ) -> StepFailure {
+        StepFailure {
+            step,
+            op: op.cloned(),
+            reason,
+            work_profile: self.profile_snapshot(),
+            why_dump: if diverged { self.why_snapshot() } else { None },
+        }
+    }
 }
 
-fn diff_entries(label: &str, a: &BTreeSet<TableEntry>, b: &BTreeSet<TableEntry>) -> String {
-    let only_a: Vec<&TableEntry> = a.difference(b).collect();
-    let only_b: Vec<&TableEntry> = b.difference(a).collect();
-    format!("{label}: extra {only_a:?}, missing {only_b:?}")
-}
-
-/// Run an explicit op sequence under `cfg` (faults and bugs taken from
-/// `cfg`; `cfg.seed`/`cfg.steps` are ignored in favor of `ops`). This is
-/// the deterministic core [`run_oracle`] and the shrinker share.
+/// Run an explicit op sequence under `cfg` (shard count, faults and bugs
+/// taken from `cfg`; `cfg.seed`/`cfg.steps` are ignored in favor of
+/// `ops`). This is the deterministic core [`run_oracle`] and the
+/// shrinker share.
 pub fn run_workload(ops: &[WorkloadOp], cfg: &OracleConfig) -> Result<OracleReport, StepFailure> {
     run_workload_inner(ops, cfg).map(|(report, _)| report)
-}
-
-/// Render the work profile of the harness engine's most recent commit:
-/// totals plus the hottest operators, for failure reports.
-fn profile_snapshot(harness: &Harness) -> Option<String> {
-    let engine = harness.controller.engine();
-    let profile = engine.last_profile()?;
-    let catalog = engine.op_catalog();
-    let mut out = format!(
-        "last commit: {} input tuples, {} tuples processed, {} ns\n",
-        profile.input_tuples,
-        profile.total_tuples(),
-        profile.total_wall_ns
-    );
-    for id in profile.hottest(5) {
-        let meta = &catalog.ops[id];
-        let s = &profile.stats[id];
-        out.push_str(&format!(
-            "  [{id:3}] {:9} {:24} in={} out={} peak={}\n",
-            meta.kind.name(),
-            meta.detail,
-            s.tuples_in,
-            s.tuples_out,
-            s.peak
-        ));
-    }
-    Some(out)
-}
-
-/// Explain the first diverging tuple through the provenance engine:
-/// a stale installed entry gets its `why` tree (which base fact still
-/// supports it); a missing one gets a `why_not` report (which literal
-/// blocks the derivation). `None` when the data plane matches the spec
-/// (the failure was some other invariant).
-fn why_snapshot(harness: &Harness) -> Option<String> {
-    let inc = Harness::installed(&harness.device);
-    let (spec_entries, spec_groups) = FullRecompute::desired_state(&harness.ports, &harness.macs);
-    let spec: BTreeSet<TableEntry> = spec_entries.into_iter().collect();
-    if let Some(extra) = inc.difference(&spec).next() {
-        let mut out = format!("first diverging tuple: stale installed entry {extra:?}\n");
-        match harness.controller.why_entry(0, extra) {
-            Ok(tree) => {
-                out.push_str("why the engine still derives it:\n");
-                out.push_str(&tree.render_text());
-            }
-            Err(e) => out.push_str(&format!("(not resolvable through the engine: {e})\n")),
-        }
-        return Some(out);
-    }
-    if let Some(missing) = spec.difference(&inc).next() {
-        let mut out = format!("first diverging tuple: missing entry {missing:?}\n");
-        match harness.controller.why_not_entry(0, missing) {
-            Ok(report) => {
-                out.push_str("why the engine does not derive it:\n");
-                out.push_str(&report.render_text());
-            }
-            Err(e) => out.push_str(&format!("(why_not unavailable: {e})\n")),
-        }
-        return Some(out);
-    }
-    // Table entries agree; check multicast membership against the spec.
-    let inc_groups = harness.device.mcast_snapshot();
-    let spec_groups: BTreeMap<u16, BTreeSet<u16>> = spec_groups
-        .into_iter()
-        .filter(|(_, m)| !m.is_empty())
-        .collect();
-    for (group, ports) in &inc_groups {
-        let expected = spec_groups.get(group);
-        if let Some(port) = ports
-            .iter()
-            .find(|p| !expected.is_some_and(|e| e.contains(p)))
-        {
-            let mut out =
-                format!("first diverging tuple: stale mcast member (group {group}, port {port})\n");
-            match harness.controller.why_mcast(0, *group, *port) {
-                Ok(tree) => {
-                    out.push_str("why the engine still derives it:\n");
-                    out.push_str(&tree.render_text());
-                }
-                Err(e) => out.push_str(&format!("(not resolvable through the engine: {e})\n")),
-            }
-            return Some(out);
-        }
-    }
-    for (group, ports) in &spec_groups {
-        let installed = inc_groups.get(group);
-        if let Some(port) = ports
-            .iter()
-            .find(|p| !installed.is_some_and(|i| i.contains(p)))
-        {
-            let mut out = format!(
-                "first diverging tuple: missing mcast member (group {group}, port {port})\n"
-            );
-            let row = vec![
-                ddlog::Value::bit(16, *group as u128),
-                ddlog::Value::bit(16, *port as u128),
-            ];
-            match harness.controller.engine().why_not("MulticastGroup", row) {
-                Ok(report) => {
-                    out.push_str("why the engine does not derive it:\n");
-                    out.push_str(&report.render_text());
-                }
-                Err(e) => out.push_str(&format!("(why_not unavailable: {e})\n")),
-            }
-            return Some(out);
-        }
-    }
-    None
 }
 
 fn run_workload_inner(
     ops: &[WorkloadOp],
     cfg: &OracleConfig,
 ) -> Result<(OracleReport, Harness), StepFailure> {
-    let setup_err = |reason: String| StepFailure {
-        step: 0,
-        op: None,
-        reason,
-        work_profile: None,
-        why_dump: None,
-    };
     let plan = match cfg.chaos {
         Some(chaos_seed) if cfg.crashes => {
             FaultPlan::from_chaos_seed_with_crashes(chaos_seed, ops.len())
@@ -911,7 +933,13 @@ fn run_workload_inner(
         Some(chaos_seed) => FaultPlan::from_chaos_seed(chaos_seed, ops.len()),
         None => FaultPlan::default(),
     };
-    let mut harness = Harness::new(cfg.bug, plan.has_crashes()).map_err(setup_err)?;
+    let mut harness = Harness::new(cfg, plan.has_crashes()).map_err(|reason| StepFailure {
+        step: 0,
+        op: None,
+        reason,
+        work_profile: None,
+        why_dump: None,
+    })?;
     let mut report = OracleReport::default();
     let mut next_fault = 0usize;
 
@@ -919,95 +947,66 @@ fn run_workload_inner(
         while next_fault < plan.events.len() && plan.events[next_fault].at_step == step {
             let kind = plan.events[next_fault].kind;
             next_fault += 1;
-            if let Err(reason) = harness.inject_fault(kind, &mut report) {
-                return Err(StepFailure {
-                    step,
-                    op: None,
-                    reason,
-                    work_profile: profile_snapshot(&harness),
-                    why_dump: None,
-                });
-            }
+            harness
+                .inject_fault(kind, &mut report)
+                .map_err(|reason| harness.failure(step, None, reason, false))?;
         }
-        if let Err(reason) = harness.apply(op) {
-            return Err(StepFailure {
-                step,
-                op: Some(op.clone()),
-                reason,
-                work_profile: profile_snapshot(&harness),
-                why_dump: None,
-            });
-        }
+        harness
+            .step(op)
+            .map_err(|reason| harness.failure(step, Some(op), reason, false))?;
         if !harness.connected {
             harness.outage_remaining -= 1;
             if harness.outage_remaining == 0 {
-                if let Err(reason) = harness.reconnect() {
-                    return Err(StepFailure {
-                        step,
-                        op: Some(op.clone()),
-                        reason: format!("resync failed: {reason}"),
-                        work_profile: profile_snapshot(&harness),
-                        why_dump: None,
-                    });
-                }
+                harness.reconnect().map_err(|reason| {
+                    harness.failure(step, Some(op), format!("resync failed: {reason}"), false)
+                })?;
             }
         }
         if harness.connected {
-            if let Err(reason) = harness.check_invariants() {
-                return Err(StepFailure {
-                    step,
-                    op: Some(op.clone()),
-                    reason,
-                    work_profile: profile_snapshot(&harness),
-                    why_dump: why_snapshot(&harness),
-                });
-            }
+            harness
+                .check_invariants()
+                .map_err(|reason| harness.failure(step, Some(op), reason, true))?;
         }
         report.steps += 1;
     }
 
     // A run may end mid-outage; converge before the final verdict.
     if !harness.connected {
-        if let Err(reason) = harness.reconnect() {
-            return Err(StepFailure {
-                step: ops.len(),
-                op: None,
-                reason: format!("final resync failed: {reason}"),
-                work_profile: profile_snapshot(&harness),
-                why_dump: None,
-            });
-        }
-        if let Err(reason) = harness.check_invariants() {
-            return Err(StepFailure {
-                step: ops.len(),
-                op: None,
-                reason,
-                work_profile: profile_snapshot(&harness),
-                why_dump: why_snapshot(&harness),
-            });
-        }
+        harness.reconnect().map_err(|reason| {
+            harness.failure(
+                ops.len(),
+                None,
+                format!("final resync failed: {reason}"),
+                false,
+            )
+        })?;
+        harness
+            .check_invariants()
+            .map_err(|reason| harness.failure(ops.len(), None, reason, true))?;
     }
 
-    report.final_entries = Harness::installed(&harness.device).len();
-    report.final_groups = harness.device.mcast_snapshot().len();
-    report.transactions = harness.controller.metrics.transactions.get();
+    report.final_entries = harness.devices.iter().map(|d| installed(d).len()).sum();
+    report.final_groups = harness
+        .devices
+        .iter()
+        .map(|d| d.mcast_snapshot().len())
+        .sum();
+    report.transactions = harness.shards.transactions();
     Ok((report, harness))
 }
 
-/// The converged data-plane state: installed table entries plus
-/// multicast group membership.
-pub type FinalState = (BTreeSet<TableEntry>, BTreeMap<u16, BTreeSet<u16>>);
+/// The converged data-plane state, per switch: installed table entries
+/// plus multicast group membership.
+pub type FinalState = Vec<(BTreeSet<TableEntry>, BTreeMap<u16, BTreeSet<u16>>)>;
 
-/// The converged data-plane state after a full run (tables + groups) —
-/// used to assert that a faulty run ends exactly where the fault-free
-/// run with the same workload seed ends.
+/// The converged data-plane state after a full run (tables + groups of
+/// every switch) — used to assert that a faulty run ends exactly where
+/// the fault-free run with the same workload seed ends.
 pub fn final_state(cfg: &OracleConfig) -> Result<FinalState, StepFailure> {
     let ops = crate::workload::generate_workload(cfg.seed, cfg.steps);
     let (_, harness) = run_workload_inner(&ops, cfg)?;
-    Ok((
-        Harness::installed(&harness.device),
-        harness.device.mcast_snapshot(),
-    ))
+    let state = harness.devices.iter();
+    Ok(state.map(|d| (installed(d), d.mcast_snapshot())).collect())
 }
 
 /// Snapshot the flight recorder to a `.nfr` dump: into the armed

@@ -6,7 +6,9 @@
 //! [`baselines::FullRecompute`] specification — each writing to its own
 //! simulated switch, and asserts after every step that the installed
 //! data-plane state is identical and that a battery of cross-plane
-//! invariants holds.
+//! invariants holds. The incremental side is a `ShardSet` of N ≥ 1
+//! engines over N switches ([`OracleConfig::shards`]): one harness,
+//! every fault and bug mode at every N.
 //!
 //! Workloads interleave typed management-plane transactions (port
 //! add/remove, access/trunk mode flips, VLAN and mirror changes) with
@@ -22,8 +24,8 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+mod model;
 pub mod overload;
-pub mod sharded;
 pub mod shrink;
 pub mod workload;
 
@@ -31,5 +33,4 @@ pub use harness::{
     run_oracle, run_workload, InjectedBug, OracleConfig, OracleFailure, OracleReport, StepFailure,
 };
 pub use overload::{run_overload_oracle, OverloadReport};
-pub use sharded::{run_sharded_oracle, run_sharded_workload};
 pub use workload::{generate_workload, FaultEvent, FaultKind, FaultPlan, WorkloadOp};

@@ -24,22 +24,21 @@
 //!
 //! [`chaos` Stall]: chaos::FaultKind::Stall
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use baselines::{FullRecompute, LearnedMac, Mode, PortConfig};
+use baselines::PortConfig;
 use chaos::{FaultKind as ChaosFault, FaultProxy, FaultSchedule, Framing};
 use nerpa::codegen::CodegenOptions;
 use nerpa::controller::NerpaProgram;
-use p4sim::runtime::{Digest, TableEntry};
 use p4sim::service::{ControlClient, ControlService, SwitchDevice};
 use p4sim::Switch;
 use serde_json::json;
 use shard::{OverloadPolicy, PartitionSpec, Router, ShardRuntime};
 
-use crate::workload::{generate_workload, WorkloadOp};
+use crate::model::{installed, Feed, Model, MONITORED};
+use crate::workload::generate_workload;
 
-const MONITORED: [&str; 2] = ["Port", "Switch"];
 const SWITCHES: usize = 2;
 
 /// What a green `--chaos-stall` run proves, with the numbers to show it.
@@ -69,9 +68,7 @@ struct StallHarness {
     runtime: ShardRuntime,
     devices: Vec<SwitchDevice>,
     policy: OverloadPolicy,
-    ports: Vec<PortConfig>,
-    macs_by_switch: BTreeMap<usize, Vec<LearnedMac>>,
-    live_macs: BTreeSet<(usize, u16, u64, u16)>,
+    model: Model,
     sheds: u64,
 }
 
@@ -113,196 +110,56 @@ impl StallHarness {
             runtime,
             devices,
             policy,
-            ports: Vec::new(),
-            macs_by_switch: BTreeMap::new(),
-            live_macs: BTreeSet::new(),
+            model: Model::new(SWITCHES),
             sheds: 0,
         };
-        let sw_rows: Vec<serde_json::Value> = (0..SWITCHES)
-            .map(|i| json!({"op": "insert", "table": "Switch", "row": {"idx": i}}))
-            .collect();
-        harness.commit_and_deliver(json!(sw_rows))?;
+        let rows = Feed::Transact(harness.model.switch_rows());
+        harness.feed(rows)?;
         Ok(harness)
     }
 
-    /// Commit to the database (must succeed) and offer the changes to
-    /// the runtime. An overloaded or degraded runtime may shed the
-    /// delivery — that is the fault under test, healed by resync, so it
-    /// is counted rather than fatal.
-    fn commit_and_deliver(&mut self, ops: serde_json::Value) -> Result<(), String> {
-        let before = self.db.commit_index();
-        let (results, changes) = self.db.transact(&ops);
-        if self.db.commit_index() == before {
-            return Err(format!("overload oracle transaction aborted: {results}"));
-        }
-        if self.runtime.handle_row_changes(&changes).is_err() {
-            self.sheds += 1;
-        }
-        Ok(())
-    }
-
-    fn digest(port: u16, mac: u64, vlan: u16) -> Digest {
-        Digest {
-            name: "mac_learn_t".into(),
-            fields: vec![
-                ("port".into(), port as u128),
-                ("mac".into(), mac as u128),
-                ("vlan".into(), vlan as u128),
-            ],
-        }
-    }
-
-    fn port_row_json(cfg: &PortConfig) -> serde_json::Value {
-        let mirror: Vec<u16> = cfg.mirror.into_iter().collect();
-        match &cfg.mode {
-            Mode::Access(v) => json!({
-                "id": cfg.id,
-                "vlan_mode": "access",
-                "tag": v,
-                "trunks": ["set", []],
-                "mirror_dst": ["set", mirror],
-            }),
-            Mode::Trunk(vs) => json!({
-                "id": cfg.id,
-                "vlan_mode": "trunk",
-                "trunks": ["set", vs],
-                "mirror_dst": ["set", mirror],
-            }),
-        }
-    }
-
-    fn upsert_port(&mut self, cfg: PortConfig) -> Result<(), String> {
-        let row = Self::port_row_json(&cfg);
-        self.commit_and_deliver(json!([
-            {"op": "delete", "table": "Port", "where": [["id", "==", cfg.id]]},
-            {"op": "insert", "table": "Port", "row": row},
-        ]))?;
-        self.ports.retain(|p| p.id != cfg.id);
-        self.ports.push(cfg);
-        Ok(())
-    }
-
-    fn apply(&mut self, op: &WorkloadOp) -> Result<(), String> {
-        match op {
-            WorkloadOp::AddAccess { port, vlan } => {
-                self.upsert_port(PortConfig::access(*port, *vlan))?;
-            }
-            WorkloadOp::AddTrunk { port, vlans } => {
-                self.upsert_port(PortConfig::trunk(*port, vlans.clone()))?;
-            }
-            WorkloadOp::FlipMode { port } => {
-                let Some(cur) = self.ports.iter().find(|p| p.id == *port).cloned() else {
-                    return Ok(());
-                };
-                let mut next = match &cur.mode {
-                    Mode::Access(v) => PortConfig::trunk(cur.id, vec![*v]),
-                    Mode::Trunk(vs) => {
-                        PortConfig::access(cur.id, vs.first().copied().unwrap_or(10))
-                    }
-                };
-                next.mirror = cur.mirror;
-                self.upsert_port(next)?;
-            }
-            WorkloadOp::SetMirror { port, dst } => {
-                let Some(mut cur) = self.ports.iter().find(|p| p.id == *port).cloned() else {
-                    return Ok(());
-                };
-                cur.mirror = Some(*dst);
-                self.upsert_port(cur)?;
-            }
-            WorkloadOp::ClearMirror { port } => {
-                let Some(mut cur) = self.ports.iter().find(|p| p.id == *port).cloned() else {
-                    return Ok(());
-                };
-                cur.mirror = None;
-                self.upsert_port(cur)?;
-            }
-            WorkloadOp::RemovePort { port } => {
-                self.commit_and_deliver(json!([
-                    {"op": "delete", "table": "Port", "where": [["id", "==", port]]},
-                ]))?;
-                self.ports.retain(|p| p.id != *port);
-            }
-            WorkloadOp::Learn { port, mac, vlan } => {
-                let sw = (*mac as usize) % SWITCHES;
-                if self.live_macs.contains(&(sw, *port, *mac, *vlan)) {
-                    return Ok(());
+    /// Offer the runtime what one workload op lowered to. A database
+    /// commit must succeed, but an overloaded or degraded runtime may
+    /// shed its delivery — that is the fault under test, healed by
+    /// resync, so it is counted rather than fatal. Digests are not in
+    /// the database, so a shed digest is genuinely lost: the model takes
+    /// it back and convergence is held to exactly what was accepted.
+    fn feed(&mut self, feed: Feed) -> Result<(), String> {
+        match feed {
+            Feed::Transact(ops) => {
+                let before = self.db.commit_index();
+                let (results, changes) = self.db.transact(&ops);
+                if self.db.commit_index() == before {
+                    return Err(format!("overload oracle transaction aborted: {results}"));
                 }
-                let d = Self::digest(*port, *mac, *vlan);
-                // Digests are not in the database, so a shed digest is
-                // genuinely lost — track only what the runtime accepted
-                // and hold convergence to exactly that.
-                match self.runtime.handle_digests(sw, vec![d]) {
-                    Ok(()) => {
-                        self.live_macs.insert((sw, *port, *mac, *vlan));
-                        self.macs_by_switch.entry(sw).or_default().push(LearnedMac {
-                            port: *port,
-                            mac: *mac,
-                            vlan: *vlan,
-                        });
-                    }
-                    Err(_) => self.sheds += 1,
+                if self.runtime.handle_row_changes(&changes).is_err() {
+                    self.sheds += 1;
                 }
             }
-            WorkloadOp::Age { pick } => {
-                if self.live_macs.is_empty() {
-                    return Ok(());
-                }
-                let idx = (*pick as usize) % self.live_macs.len();
-                let (sw, port, mac, vlan) = *self.live_macs.iter().nth(idx).expect("non-empty");
-                let d = Self::digest(port, mac, vlan);
-                match self.runtime.retract_digests(sw, vec![d]) {
-                    Ok(()) => {
-                        self.live_macs.remove(&(sw, port, mac, vlan));
-                        if let Some(macs) = self.macs_by_switch.get_mut(&sw) {
-                            macs.retain(|m| (m.port, m.mac, m.vlan) != (port, mac, vlan));
-                        }
-                    }
-                    Err(_) => self.sheds += 1,
+            Feed::Digest { sw, digest, learn } => {
+                let batch = vec![digest.clone()];
+                let offered = if learn {
+                    self.runtime.handle_digests(sw, batch)
+                } else {
+                    self.runtime.retract_digests(sw, batch)
+                };
+                if offered.is_err() {
+                    self.model.set_learned(sw, &digest, !learn);
+                    self.sheds += 1;
                 }
             }
         }
         Ok(())
-    }
-
-    fn installed(device: &SwitchDevice) -> BTreeSet<TableEntry> {
-        device
-            .read_all_tables()
-            .into_iter()
-            .flat_map(|(_, entries)| entries)
-            .collect()
     }
 
     /// Post-recovery battery: both devices hold exactly the fault-free
     /// state and every queue stayed inside its cap.
     fn check_converged(&self) -> Result<usize, String> {
-        let empty = Vec::new();
         let mut total = 0usize;
-        for sw in 0..SWITCHES {
-            let installed = Self::installed(&self.devices[sw]);
-            let macs = self.macs_by_switch.get(&sw).unwrap_or(&empty);
-            let (spec_entries, spec_groups) = FullRecompute::desired_state(&self.ports, macs);
-            let spec: BTreeSet<TableEntry> = spec_entries.into_iter().collect();
-            if installed != spec {
-                let extra: Vec<&TableEntry> = installed.difference(&spec).collect();
-                let missing: Vec<&TableEntry> = spec.difference(&installed).collect();
-                return Err(format!(
-                    "switch {sw}: did not converge to fault-free state: \
-                     extra {extra:?}, missing {missing:?}"
-                ));
-            }
-            let spec_groups: BTreeMap<u16, BTreeSet<u16>> = spec_groups
-                .into_iter()
-                .filter(|(_, m)| !m.is_empty())
-                .collect();
-            let dev_groups = self.devices[sw].mcast_snapshot();
-            if dev_groups != spec_groups {
-                return Err(format!(
-                    "switch {sw}: multicast groups diverged: device {dev_groups:?} != \
-                     spec {spec_groups:?}"
-                ));
-            }
-            total += installed.len();
+        for (sw, device) in self.devices.iter().enumerate() {
+            self.model
+                .check_device(sw, device, &format!("switch {sw}: "))?;
+            total += installed(device).len();
         }
         for shard in 0..SWITCHES {
             let (in_hwm, wr_hwm) = self.runtime.queue_highwater(shard);
@@ -378,7 +235,9 @@ fn run_stall_phase(
 
     let ops = generate_workload(seed, steps);
     for op in &ops {
-        harness.apply(op)?;
+        if let Some(feed) = harness.model.apply(op) {
+            harness.feed(feed)?;
+        }
         report.steps += 1;
     }
     // Make sure the stall actually triggered (short workloads may not
@@ -386,10 +245,9 @@ fn run_stall_phase(
     let mut filler = 0u64;
     while proxy.stats().stalls == 0 && filler < 1000 {
         filler += 1;
-        harness.upsert_port(PortConfig::access(
-            40 + (filler % 4) as u16,
-            10 + (filler % 3) as u16,
-        ))?;
+        let port = PortConfig::access(40 + (filler % 4) as u16, 10 + (filler % 3) as u16);
+        let feed = harness.model.upsert_port(port);
+        harness.feed(feed)?;
         std::thread::sleep(Duration::from_millis(2));
     }
     if proxy.stats().stalls == 0 {
@@ -412,7 +270,10 @@ fn run_stall_phase(
     // wedged shard's own engine) keep committing.
     let c1 = harness.runtime.commits(shard1);
     for i in 0..20u16 {
-        harness.upsert_port(PortConfig::access(50 + (i % 4), 20 + (i % 5)))?;
+        let feed = harness
+            .model
+            .upsert_port(PortConfig::access(50 + (i % 4), 20 + (i % 5)));
+        harness.feed(feed)?;
     }
     harness.runtime.flush();
     let gained = harness.runtime.commits(shard1).saturating_sub(c1);

@@ -88,6 +88,40 @@ fn crash_run_converges_to_fault_free_state() {
 }
 
 #[test]
+fn sharded_crash_sweep_checks_crash_equivalence_and_converges() {
+    // The same crash-enabled chaos at 4 shards: the durable server is
+    // killed and its WAL torn under a ShardSet, every shard resyncs from
+    // the recovered snapshot, and the run must still end — on every one
+    // of the 4 switches — exactly where the fault-free sharded run ends.
+    for seed in [1u64, 5] {
+        let sharded = OracleConfig {
+            shards: 4,
+            ..OracleConfig::new(seed, 300)
+        };
+        let crashed = OracleConfig {
+            chaos: Some(13),
+            crashes: true,
+            ..sharded
+        };
+        let report = run_oracle(&crashed).unwrap_or_else(|f| {
+            panic!(
+                "seed {seed} failed at {} (shrunk: {:?})",
+                f.failure, f.shrunk
+            )
+        });
+        assert!(report.crashes > 0, "crash plan must crash the server");
+        assert!(report.torn_tails > 0, "crash plan must tear a WAL tail");
+        let fault_free = oracle::harness::final_state(&sharded).expect("fault-free run green");
+        let recovered = oracle::harness::final_state(&crashed).expect("crash run green");
+        assert_eq!(fault_free.len(), 4, "one final state per switch");
+        assert_eq!(
+            fault_free, recovered,
+            "seed {seed}: converged state differs"
+        );
+    }
+}
+
+#[test]
 fn faulty_run_converges_to_fault_free_state() {
     for seed in [1u64, 5, 9] {
         let fault_free = oracle::harness::final_state(&OracleConfig::new(seed, 300))
@@ -144,6 +178,34 @@ fn injected_stale_arrangement_bug_is_caught_and_shrunk() {
         run_workload(&failure.shrunk, &cfg).is_err(),
         "shrunk sequence must still fail"
     );
+}
+
+#[test]
+fn sharded_stale_arrangement_bug_is_caught_shrunk_and_explained() {
+    // The same engine-level fault armed in all 4 shard engines: the one
+    // harness gives the sharded run everything the unsharded run has —
+    // ddmin, the shard engines' work profiles, and the why-dump of the
+    // first diverging tuple from the shard that owns its switch.
+    let cfg = OracleConfig {
+        bug: Some(InjectedBug::StaleArrangement),
+        shards: 4,
+        ..OracleConfig::new(1, 200)
+    };
+    let failure = run_oracle(&cfg).expect_err("stale arrangements must be caught at 4 shards");
+    assert!(
+        failure.shrunk.len() < failure.original_len,
+        "ddmin must shrink {} ops (got {})",
+        failure.original_len,
+        failure.shrunk.len()
+    );
+    assert!(
+        run_workload(&failure.shrunk, &cfg).is_err(),
+        "shrunk sequence must still fail"
+    );
+    let profile = failure.failure.work_profile.as_deref().unwrap_or("");
+    assert!(profile.contains("tuples processed"), "profile:\n{profile}");
+    let why = failure.failure.why_dump.as_deref().unwrap_or("");
+    assert!(why.contains("first diverging tuple"), "why dump:\n{why}");
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! ("OVSDB ... can stream a database's ongoing series of changes, grouped
 //! into transactions, to a subscriber", §4.1 of the paper).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -654,8 +655,10 @@ impl<'a> Txn<'a> {
     /// Evaluate a `where` clause, returning matching row uuids.
     fn eval_where(&self, ts: &TableSchema, where_json: &Json) -> Result<Vec<Uuid>, String> {
         let conds = where_json.as_array().ok_or("\"where\" must be an array")?;
-        // Validate condition shape and column names up front so an empty
-        // table still reports bad conditions.
+        // Validate every condition's shape, then parse every argument,
+        // once and before the scan — so an empty table still reports bad
+        // conditions and the scan itself only compares datums.
+        let mut shapes = Vec::with_capacity(conds.len());
         for cond in conds {
             let c = cond
                 .as_array()
@@ -664,9 +667,11 @@ impl<'a> Txn<'a> {
                 return Err("condition must have 3 elements".to_string());
             }
             let col = c[0].as_str().ok_or("condition column must be a string")?;
-            if col != "_uuid" && !ts.columns.contains_key(col) {
-                return Err(format!("no column {col:?}"));
-            }
+            let cty = match ts.columns.get(col) {
+                _ if col == "_uuid" => ColumnType::scalar(crate::datum::AtomType::Uuid),
+                Some(cs) => cs.ty.clone(),
+                None => return Err(format!("no column {col:?}")),
+            };
             let func = c[1].as_str().ok_or("condition function must be a string")?;
             if !matches!(
                 func,
@@ -674,34 +679,23 @@ impl<'a> Txn<'a> {
             ) {
                 return Err(format!("unknown condition function {func:?}"));
             }
+            shapes.push((col, func, cty, &c[2]));
         }
+        let named = |n: &str| self.named.get(n).copied();
+        let parsed = shapes
+            .into_iter()
+            .map(|(col, func, cty, arg)| Ok((col, func, datum_from_json(arg, &cty, &named)?)))
+            .collect::<Result<Vec<(&str, &str, Datum)>, String>>()?;
         let mut out = Vec::new();
         'rows: for uuid in self.all_uuids(&ts.name) {
             let row = self.get(&ts.name, uuid).expect("visible row");
-            for cond in conds {
-                let c = cond
-                    .as_array()
-                    .ok_or("condition must be [column, function, value]")?;
-                if c.len() != 3 {
-                    return Err("condition must have 3 elements".to_string());
-                }
-                let col = c[0].as_str().ok_or("condition column must be a string")?;
-                let func = c[1].as_str().ok_or("condition function must be a string")?;
-                let (datum, cty);
-                if col == "_uuid" {
-                    datum = Datum::scalar(Atom::Uuid(uuid));
-                    cty = ColumnType::scalar(crate::datum::AtomType::Uuid);
-                } else {
-                    let cs = ts
-                        .columns
-                        .get(col)
-                        .ok_or_else(|| format!("no column {col:?}"))?;
-                    datum = row.get(col).cloned().unwrap_or_else(Datum::empty);
-                    cty = cs.ty.clone();
-                }
-                let named = |n: &str| self.named.get(n).copied();
-                let arg = datum_from_json(&c[2], &cty, &named)?;
-                if !eval_condition(&datum, func, &arg)? {
+            for (col, func, arg) in &parsed {
+                let datum = match row.get(*col) {
+                    _ if *col == "_uuid" => Cow::Owned(Datum::scalar(Atom::Uuid(uuid))),
+                    Some(d) => Cow::Borrowed(d),
+                    None => Cow::Owned(Datum::empty()),
+                };
+                if !eval_condition(&datum, func, arg)? {
                     continue 'rows;
                 }
             }

@@ -27,7 +27,10 @@ pub mod wal;
 
 pub use datum::{Atom, AtomType, Datum, Uuid};
 pub use db::{Database, RecoveryReport, RowChange, RowData};
-pub use monitor::{Monitor, MonitorSelect, MonitorTable};
+pub use monitor::{
+    decode_table_updates, decode_table_updates_into, Monitor, MonitorSelect, MonitorTable,
+    TableUpdates,
+};
 pub use schema::{ColumnSchema, ColumnType, Schema, TableSchema};
 pub use server::{Client, MonitorOverload, Server, TRACE_KEY};
 pub use wal::{DurabilityConfig, FsyncPolicy, WalError};

@@ -6,10 +6,14 @@
 //! management plane into the incremental control plane.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde_json::{json, Map, Value as Json};
 
-use crate::db::{Database, RowChange};
+use crate::datum::Uuid;
+use crate::db::{datum_from_json, Database, RowChange, RowData};
+use crate::schema::Schema;
+use crate::server::TRACE_KEY;
 
 /// Which change kinds a monitored table reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +183,109 @@ impl Monitor {
     }
 }
 
-fn project(row: &crate::db::RowData, columns: Option<&[String]>) -> Json {
+/// A decoded `table-updates` object: the typed row changes plus the
+/// causal trace the server embedded under [`TRACE_KEY`], if any.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TableUpdates {
+    /// One change per reported row, rows holding the reported columns.
+    pub changes: Vec<RowChange>,
+    /// `(trace id, commit_ns)` minted at commit time.
+    pub trace: Option<(u64, u64)>,
+}
+
+/// Decode a `table-updates` object into a [`TableUpdates`] — the
+/// collecting form of [`decode_table_updates_into`], for consumers that
+/// need the whole change set at once (a router splitting it).
+pub fn decode_table_updates(updates: &Json, schema: &Schema) -> Result<TableUpdates, String> {
+    let mut changes = Vec::new();
+    let trace = decode_table_updates_into(updates, schema, &mut |change| {
+        changes.push(change);
+        Ok(())
+    })?;
+    Ok(TableUpdates { changes, trace })
+}
+
+/// Decode a `table-updates` object — a monitor's initial snapshot or an
+/// update notification's payload — into typed row changes, handed to
+/// `sink` one at a time (a 20 000-row snapshot is never held as typed
+/// rows all at once unless the sink keeps them); returns the embedded
+/// trace. The inverse of [`Monitor::initial_state`] /
+/// [`Monitor::format_changes`], and the only reader of that wire
+/// format. A modify reports only its changed columns under `old`; the
+/// full old row is rebuilt here by patching them over `new`. Tables
+/// unknown to `schema` are skipped (a peer may monitor more than this
+/// consumer models); anything malformed inside a known table is an
+/// error naming it.
+pub fn decode_table_updates_into(
+    updates: &Json,
+    schema: &Schema,
+    sink: &mut dyn FnMut(RowChange) -> Result<(), String>,
+) -> Result<Option<(u64, u64)>, String> {
+    let tables = updates
+        .as_object()
+        .ok_or("table-updates must be an object")?;
+    let mut trace = None;
+    for (tname, rows) in tables {
+        if tname == TRACE_KEY {
+            let id = rows.get("id").and_then(Json::as_u64);
+            let id =
+                id.ok_or_else(|| format!("{TRACE_KEY} must be an object with an integer id"))?;
+            let commit_ns = rows.get("commit_ns").and_then(Json::as_u64).unwrap_or(0);
+            trace = Some((id, commit_ns));
+            continue;
+        }
+        let Some(ts) = schema.table(tname) else {
+            continue;
+        };
+        let rows = rows
+            .as_object()
+            .ok_or_else(|| format!("{tname}: row updates must be an object"))?;
+        let parse_row = |half: Option<&Json>| -> Result<Option<RowData>, String> {
+            let Some(json) = half else { return Ok(None) };
+            let obj = json
+                .as_object()
+                .ok_or_else(|| format!("{tname}: row must be an object"))?;
+            let mut row = RowData::new();
+            for (cname, cval) in obj {
+                // `_uuid` and columns this schema does not know are not
+                // part of the typed row.
+                if let Some(cs) = ts.columns.get(cname) {
+                    let datum = datum_from_json(cval, &cs.ty, &|_| None)
+                        .map_err(|e| format!("{tname}.{cname}: {e}"))?;
+                    row.insert(cname.clone(), datum);
+                }
+            }
+            Ok(Some(row))
+        };
+        for (uuid_str, update) in rows {
+            let uuid = Uuid::parse(uuid_str)
+                .ok_or_else(|| format!("{tname}: bad row uuid {uuid_str:?}"))?;
+            let new = parse_row(update.get("new"))?;
+            let old = match (parse_row(update.get("old"))?, &new) {
+                (Some(changed), Some(new)) => {
+                    let mut full = new.clone();
+                    full.extend(changed);
+                    Some(full)
+                }
+                (None, None) => {
+                    return Err(format!(
+                        "{tname}: row update {uuid_str} has neither old nor new"
+                    ))
+                }
+                (old, _) => old,
+            };
+            sink(RowChange {
+                table: tname.clone(),
+                uuid,
+                old: old.map(Arc::new),
+                new: new.map(Arc::new),
+            })?;
+        }
+    }
+    Ok(trace)
+}
+
+fn project(row: &RowData, columns: Option<&[String]>) -> Json {
     let mut obj = Map::new();
     for (c, d) in row {
         if columns

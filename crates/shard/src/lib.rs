@@ -14,7 +14,7 @@
 //! Layers:
 //!
 //! * [`partition`] — the pure routing function (row keys → shard) plus
-//!   monitor-update and row-change splitters;
+//!   the one row-change splitter;
 //! * [`set::ShardSet`] — N controllers driven synchronously in
 //!   lockstep; the deterministic core the differential oracle checks
 //!   for cross-shard equivalence;

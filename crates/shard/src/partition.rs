@@ -1,9 +1,9 @@
 //! Deterministic row→shard partitioning.
 //!
 //! The router is a pure function of row keys: given a table name and a
-//! row (in either of the two wire shapes the stack uses — monitor
-//! `table-updates` JSON or in-process [`RowChange`] values), it decides
-//! which shard owns the row. Rows keyed by a switch column go to
+//! typed row ([`RowChange`] values — monitor JSON is decoded once, at
+//! the socket, by [`ovsdb::decode_table_updates`]), it decides which
+//! shard owns the row. Rows keyed by a switch column go to
 //! `switch % shards`; rows keyed by a VLAN column (programs with no
 //! switch identity on the row) go to `vlan % shards`; global-config
 //! rows are broadcast to every shard. Nothing about the assignment
@@ -14,8 +14,7 @@
 use std::collections::BTreeMap;
 
 use ovsdb::db::{RowChange, RowData};
-use ovsdb::{Atom, TRACE_KEY};
-use serde_json::{json, Value as Json};
+use ovsdb::Atom;
 
 /// Where one row lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,22 +118,10 @@ impl Router {
         key.rem_euclid(self.shards as i64) as usize
     }
 
-    /// Route a monitor-JSON row object. A keyed table whose key column
-    /// is absent or non-integer broadcasts (total assignment: every row
-    /// lands somewhere, and over-delivery is harmless — see
+    /// Route one row. A keyed table whose key column is absent or
+    /// non-integer broadcasts (total assignment: every row lands
+    /// somewhere, and over-delivery is harmless — see
     /// [`PartitionSpec::snvs`]).
-    pub fn route_json_row(&self, table: &str, row: &Json) -> Assignment {
-        match self.spec.rule(table).key_column() {
-            None => Assignment::All,
-            Some(col) => match json_col_int(row, col) {
-                Some(k) => Assignment::One(self.key_to_shard(k)),
-                None => Assignment::All,
-            },
-        }
-    }
-
-    /// Route an in-process [`RowData`] row (same totality contract as
-    /// [`Router::route_json_row`]).
     pub fn route_row_data(&self, table: &str, row: &RowData) -> Assignment {
         match self.spec.rule(table).key_column() {
             None => Assignment::All,
@@ -145,92 +132,8 @@ impl Router {
         }
     }
 
-    /// Split one monitor `table-updates` object into per-shard slices.
-    /// Returns one entry per shard; `None` means no rows routed there.
-    /// The embedded trace object ([`ovsdb::TRACE_KEY`]) is copied into
-    /// every non-empty slice so the commit's trace id follows each
-    /// shard's queue. A modification whose key column moved the row
-    /// across shards splits into a delete on the old owner and an
-    /// insert on the new one.
-    pub fn split_monitor_update(&self, updates: &Json) -> Vec<Option<Json>> {
-        let mut slices: Vec<BTreeMap<String, Json>> = vec![BTreeMap::new(); self.shards];
-        let mut put = |shard: usize, table: &str, uuid: &str, body: Json| {
-            let slot = slices[shard]
-                .entry(table.to_string())
-                .or_insert_with(|| json!({}));
-            if let Some(obj) = slot.as_object_mut() {
-                obj.insert(uuid.to_string(), body);
-            }
-        };
-        let Some(tables) = updates.as_object() else {
-            return vec![None; self.shards];
-        };
-        for (table, rows) in tables {
-            if table == TRACE_KEY {
-                continue;
-            }
-            let Some(rows) = rows.as_object() else {
-                continue;
-            };
-            for (uuid, body) in rows {
-                let old = body.get("old").filter(|o| !o.is_null());
-                let new = body.get("new").filter(|n| !n.is_null());
-                match (old, new) {
-                    (Some(old), Some(new)) => {
-                        // Monitor `modify` semantics: `old` carries only
-                        // the changed columns; the full old row is `new`
-                        // patched with them.
-                        let old_full = patch_row(new, old);
-                        let old_dst = self.route_json_row(table, &old_full);
-                        let new_dst = self.route_json_row(table, new);
-                        if old_dst == new_dst {
-                            for shard in self.fan_out(new_dst) {
-                                put(shard, table, uuid, body.clone());
-                            }
-                        } else {
-                            for shard in self.fan_out(old_dst) {
-                                put(shard, table, uuid, json!({ "old": old_full }));
-                            }
-                            for shard in self.fan_out(new_dst) {
-                                put(shard, table, uuid, json!({ "new": new }));
-                            }
-                        }
-                    }
-                    (Some(old), None) => {
-                        for shard in self.fan_out(self.route_json_row(table, old)) {
-                            put(shard, table, uuid, body.clone());
-                        }
-                    }
-                    (None, Some(new)) => {
-                        for shard in self.fan_out(self.route_json_row(table, new)) {
-                            put(shard, table, uuid, body.clone());
-                        }
-                    }
-                    (None, None) => {}
-                }
-            }
-        }
-        let trace = tables.get(TRACE_KEY);
-        slices
-            .into_iter()
-            .map(|tables| {
-                if tables.is_empty() {
-                    return None;
-                }
-                let mut out = json!({});
-                let obj = out.as_object_mut().expect("fresh object");
-                for (t, rows) in tables {
-                    obj.insert(t, rows);
-                }
-                if let Some(trace) = trace {
-                    obj.insert(TRACE_KEY.to_string(), trace.clone());
-                }
-                Some(out)
-            })
-            .collect()
-    }
-
-    /// Split committed row changes (the in-process path) into per-shard
+    /// Split row changes — committed in-process or decoded from a
+    /// monitor update or snapshot — into per-shard
     /// batches, preserving order within each shard. A change whose key
     /// moved across shards splits into a bare deletion on the old owner
     /// and a bare insertion on the new one.
@@ -279,51 +182,38 @@ impl Router {
     }
 }
 
-/// Rebuild a full old row from monitor `modify` halves: `new` patched
-/// with the changed columns in `old`.
-fn patch_row(new: &Json, old: &Json) -> Json {
-    let mut full = new.clone();
-    if let (Some(dst), Some(src)) = (full.as_object_mut(), old.as_object()) {
-        for (col, val) in src {
-            dst.insert(col.clone(), val.clone());
-        }
-    }
-    full
-}
-
-/// Extract an integer key from a monitor-JSON row column: either a bare
-/// number or the OVSDB scalar-set encoding `["set", [n]]`.
-fn json_col_int(row: &Json, col: &str) -> Option<i64> {
-    let v = row.get(col)?;
-    if let Some(i) = v.as_i64() {
-        return Some(i);
-    }
-    let arr = v.as_array()?;
-    if arr.len() == 2 && arr[0].as_str() == Some("set") {
-        let inner = arr[1].as_array()?;
-        if inner.len() == 1 {
-            return inner[0].as_i64();
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovsdb::{Datum, Uuid};
+    use std::sync::Arc;
 
     fn router(shards: usize) -> Router {
         Router::new(PartitionSpec::snvs(), shards)
+    }
+
+    fn row(cols: &[(&str, i64)]) -> RowData {
+        cols.iter()
+            .map(|(c, v)| (c.to_string(), Datum::scalar(Atom::Integer(*v))))
+            .collect()
+    }
+
+    fn change(table: &str, uuid: u128, old: Option<RowData>, new: Option<RowData>) -> RowChange {
+        RowChange {
+            table: table.to_string(),
+            uuid: Uuid(uuid),
+            old: old.map(Arc::new),
+            new: new.map(Arc::new),
+        }
     }
 
     #[test]
     fn switch_rows_partition_by_idx() {
         let r = router(4);
         for idx in 0..16 {
-            let row = json!({ "idx": idx });
             assert_eq!(
-                r.route_json_row("Switch", &row),
-                Assignment::One(idx % 4),
+                r.route_row_data("Switch", &row(&[("idx", idx)])),
+                Assignment::One(idx as usize % 4),
                 "idx {idx}"
             );
         }
@@ -332,28 +222,16 @@ mod tests {
     #[test]
     fn port_rows_broadcast() {
         let r = router(4);
-        let row = json!({ "id": 7, "vlan_mode": "access", "tag": 42 });
-        assert_eq!(r.route_json_row("Port", &row), Assignment::All);
+        let port = row(&[("id", 7), ("tag", 42)]);
+        assert_eq!(r.route_row_data("Port", &port), Assignment::All);
     }
 
     #[test]
     fn unknown_table_and_missing_key_broadcast() {
         let r = router(4);
-        assert_eq!(
-            r.route_json_row("Mystery", &json!({"x": 1})),
-            Assignment::All
-        );
-        assert_eq!(
-            r.route_json_row("Switch", &json!({"x": 1})),
-            Assignment::All
-        );
-    }
-
-    #[test]
-    fn scalar_set_encoding_routes() {
-        let r = router(3);
-        let row = json!({ "idx": ["set", [5]] });
-        assert_eq!(r.route_json_row("Switch", &row), Assignment::One(2));
+        let x = row(&[("x", 1)]);
+        assert_eq!(r.route_row_data("Mystery", &x), Assignment::All);
+        assert_eq!(r.route_row_data("Switch", &x), Assignment::All);
     }
 
     #[test]
@@ -362,64 +240,47 @@ mod tests {
             .with_rule("Segment", RouteRule::ByVlan("vlan".to_string()));
         let r = Router::new(spec, 4);
         assert_eq!(
-            r.route_json_row("Segment", &json!({"vlan": 10})),
+            r.route_row_data("Segment", &row(&[("vlan", 10)])),
             Assignment::One(2)
         );
     }
 
     #[test]
-    fn split_preserves_trace_and_routes_rows() {
+    fn split_routes_keyed_rows_to_one_shard_and_broadcasts_the_rest() {
         let r = router(2);
-        let updates = json!({
-            "Switch": {
-                "u1": { "new": { "idx": 0 } },
-                "u2": { "new": { "idx": 1 } },
-            },
-            "Port": { "u3": { "new": { "id": 9, "tag": 1 } } },
-            ovsdb::TRACE_KEY: { "id": 77, "commit_ns": 5 },
-        });
-        let slices = r.split_monitor_update(&updates);
-        assert_eq!(slices.len(), 2);
-        for (shard, slice) in slices.iter().enumerate() {
-            let slice = slice.as_ref().expect("both shards get rows");
-            assert_eq!(slice[ovsdb::TRACE_KEY]["id"], json!(77), "shard {shard}");
-            assert!(slice["Port"].get("u3").is_some(), "Port broadcasts");
-            let switches = slice["Switch"].as_object().unwrap();
-            assert_eq!(switches.len(), 1);
-        }
-        assert!(slices[0].as_ref().unwrap()["Switch"].get("u1").is_some());
-        assert!(slices[1].as_ref().unwrap()["Switch"].get("u2").is_some());
+        let changes = [
+            change("Switch", 1, None, Some(row(&[("idx", 0)]))),
+            change("Switch", 2, None, Some(row(&[("idx", 1)]))),
+            change("Port", 3, None, Some(row(&[("id", 9), ("tag", 1)]))),
+        ];
+        let slices = r.split_row_changes(&changes);
+        assert_eq!(slices[0], [changes[0].clone(), changes[2].clone()]);
+        assert_eq!(slices[1], [changes[1].clone(), changes[2].clone()]);
     }
 
     #[test]
     fn modify_that_moves_key_splits_into_delete_and_insert() {
         let r = router(2);
-        // Monitor modify: old carries only the changed column (idx 0→1).
-        let updates = json!({
-            "Switch": { "u1": { "old": { "idx": 0 }, "new": { "idx": 1 } } },
-        });
-        let slices = r.split_monitor_update(&updates);
-        let s0 = slices[0].as_ref().expect("old owner notified");
-        let s1 = slices[1].as_ref().expect("new owner notified");
-        let d0 = &s0["Switch"]["u1"];
-        assert!(
-            d0.get("new").is_none(),
-            "old owner sees a pure delete: {d0}"
+        let (old, new) = (row(&[("idx", 0)]), row(&[("idx", 1)]));
+        let slices =
+            r.split_row_changes(&[change("Switch", 1, Some(old.clone()), Some(new.clone()))]);
+        assert_eq!(
+            slices[0],
+            [change("Switch", 1, Some(old), None)],
+            "old owner sees a pure delete"
         );
-        assert_eq!(d0["old"]["idx"], json!(0));
-        let d1 = &s1["Switch"]["u1"];
-        assert!(
-            d1.get("old").is_none(),
-            "new owner sees a pure insert: {d1}"
+        assert_eq!(
+            slices[1],
+            [change("Switch", 1, None, Some(new))],
+            "new owner sees a pure insert"
         );
-        assert_eq!(d1["new"]["idx"], json!(1));
     }
 
     #[test]
     fn single_shard_router_sends_everything_to_shard_zero() {
         let r = router(1);
         assert_eq!(
-            r.route_json_row("Switch", &json!({"idx": 9})),
+            r.route_row_data("Switch", &row(&[("idx", 9)])),
             Assignment::One(0)
         );
         assert_eq!(r.route_switch(9), 0);

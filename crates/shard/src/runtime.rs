@@ -4,8 +4,8 @@
 //! Two thread layers per shard:
 //!
 //! * a **worker** owns the shard's [`Controller`] (its DDlog engine)
-//!   and drains the shard's input queue — monitor-update slices, row
-//!   changes, digests, resync and reconcile requests. Commits run here.
+//!   and drains the shard's input queue — typed row changes, digests,
+//!   resync and reconcile requests. Commits run here.
 //! * a **writer** owns the shard's real data planes ([`DataPlane`]
 //!   boxes, typically TCP control clients) and drains the shard's write
 //!   queue. Device pushes run here.
@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, SendTimeoutError, Sender};
-use nerpa::controller::{Controller, DataPlane, NerpaProgram};
+use nerpa::controller::{Controller, DataPlane, NerpaProgram, TraceCtx};
 use ovsdb::db::RowChange;
 use p4sim::runtime::{Digest, TableEntry, Update};
 use serde_json::{json, Value as Json};
@@ -54,20 +54,26 @@ use crate::partition::Router;
 
 /// One unit of work for a shard worker.
 enum ShardInput {
-    /// A pre-split monitor `table-updates` slice (trace id embedded).
-    Monitor(Json),
-    /// Pre-split committed row changes (the in-process path). The
-    /// trace id was minted once by the runtime so every shard's writes
-    /// join the same trace.
-    Changes { changes: Vec<RowChange>, trace: u64 },
+    /// This shard's slice of one commit's row changes — committed
+    /// in-process or decoded from a monitor update, one encoding either
+    /// way. The context (trace id and upstream commit time) was fixed
+    /// once by the runtime so every shard's writes join the same trace.
+    Changes {
+        changes: Vec<RowChange>,
+        ctx: TraceCtx,
+    },
     /// Digests (or retractions) from one owned switch.
     Digests {
         switch_id: usize,
         digests: Vec<Digest>,
         insert: bool,
     },
-    /// Resync this shard's engine from its slice of a monitor snapshot.
-    Resync { slice: Json, tables: Vec<String> },
+    /// Resync this shard's engine from its slice of a decoded monitor
+    /// snapshot (rows as inserts).
+    Resync {
+        rows: Vec<RowChange>,
+        tables: Vec<String>,
+    },
     /// Reconcile this shard's switches (tolerant: per-switch errors are
     /// recorded, not fatal).
     Reconcile,
@@ -320,6 +326,8 @@ impl DataPlane for AsyncSwitch {
 /// shuts every thread down (after draining the queues).
 pub struct ShardRuntime {
     router: Router,
+    /// What monitor updates are decoded with, once, before the fan-out.
+    schema: ovsdb::Schema,
     policy: OverloadPolicy,
     inputs: Vec<Sender<ShardInput>>,
     writer_shared: Vec<Arc<WriterShared>>,
@@ -425,6 +433,7 @@ impl ShardRuntime {
 
         let runtime = ShardRuntime {
             router,
+            schema: program.schema.clone(),
             policy,
             inputs,
             writer_shared,
@@ -452,33 +461,30 @@ impl ShardRuntime {
         self.router.route_switch(switch_id)
     }
 
-    /// Fan one monitor `table-updates` object out to the shard queues.
+    /// Decode one monitor `table-updates` object and fan its row changes
+    /// out to the shard queues under the trace the server embedded.
     /// Returns once every slice is enqueued (commits and pushes happen
     /// on the shard threads); a full or dead shard queue surfaces as an
-    /// error naming the shard. The embedded trace id rides along in
-    /// each slice.
+    /// error naming the shard.
     pub fn handle_monitor_update(&self, updates: &Json) -> Result<(), String> {
-        for (shard, slice) in self
-            .router
-            .split_monitor_update(updates)
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(slice) = slice {
-                self.enqueue(shard, ShardInput::Monitor(slice))?;
-            }
-        }
-        Ok(())
+        let decoded = ovsdb::decode_table_updates(updates, &self.schema)?;
+        self.fan_out(&decoded.changes, TraceCtx::from_monitor(decoded.trace))
     }
 
-    /// Fan committed row changes out to the shard queues. One trace id
-    /// is minted for the whole commit and carried onto every shard's
-    /// slice — and from there onto every device write — so the flight
-    /// recorder can stitch the fan-out back into a single timeline.
-    /// Returns that trace id.
+    /// Fan committed row changes (the in-process path) out to the shard
+    /// queues under a freshly minted trace; returns that trace id.
     pub fn handle_row_changes(&self, changes: &[RowChange]) -> Result<u64, String> {
-        let trace = telemetry::next_trace_id();
-        telemetry::global().convergence_begin(trace);
+        let ctx = TraceCtx::minted("row_changes");
+        self.fan_out(changes, ctx)?;
+        Ok(ctx.id())
+    }
+
+    /// Split one commit's changes through the router and enqueue each
+    /// shard's slice. The one context is carried onto every slice — and
+    /// from there onto every device write — so the flight recorder can
+    /// stitch the fan-out back into a single timeline.
+    fn fan_out(&self, changes: &[RowChange], ctx: TraceCtx) -> Result<(), String> {
+        telemetry::global().convergence_begin(ctx.id());
         for (shard, slice) in self
             .router
             .split_row_changes(changes)
@@ -489,19 +495,19 @@ impl ShardRuntime {
                 telemetry::record_event(
                     telemetry::Plane::Control,
                     "shard.route",
-                    trace,
+                    ctx.id(),
                     &[("shard", shard as u64), ("rows", slice.len() as u64)],
                 );
                 self.enqueue(
                     shard,
                     ShardInput::Changes {
                         changes: slice,
-                        trace,
+                        ctx,
                     },
                 )?;
             }
         }
-        Ok(trace)
+        Ok(())
     }
 
     /// Queue digests from switch `switch_id` onto its owning shard.
@@ -530,20 +536,20 @@ impl ShardRuntime {
         )
     }
 
-    /// Resync every shard from a monitor snapshot (each shard diffs its
-    /// slice against its own engine inputs; empty slices still resync
-    /// so stale rows are retracted).
+    /// Resync every shard from a monitor snapshot: decoded once, then
+    /// each shard diffs its slice against its own engine inputs (empty
+    /// slices still resync so stale rows are retracted).
     pub fn resync_from_snapshot(
         &self,
         initial: &Json,
         monitored_tables: &[String],
     ) -> Result<(), String> {
-        let slices = self.router.split_monitor_update(initial);
-        for (shard, slice) in slices.into_iter().enumerate() {
+        let rows = ovsdb::decode_table_updates(initial, &self.schema)?.changes;
+        for (shard, rows) in self.router.split_row_changes(&rows).into_iter().enumerate() {
             self.enqueue(
                 shard,
                 ShardInput::Resync {
-                    slice: slice.unwrap_or_else(|| json!({})),
+                    rows,
                     tables: monitored_tables.to_vec(),
                 },
             )?;
@@ -811,13 +817,12 @@ fn worker_loop(
         }
         let commits = matches!(
             input,
-            ShardInput::Monitor(_) | ShardInput::Changes { .. } | ShardInput::Digests { .. }
+            ShardInput::Changes { .. } | ShardInput::Digests { .. }
         );
         let result = match input {
-            ShardInput::Monitor(slice) => controller.handle_monitor_update(&slice).map(|_| ()),
-            ShardInput::Changes { changes, trace } => controller
-                .handle_row_changes_traced(&changes, trace)
-                .map(|_| ()),
+            ShardInput::Changes { changes, ctx } => {
+                controller.ingest_changes(&changes, ctx).map(|_| ())
+            }
             ShardInput::Digests {
                 switch_id,
                 digests,
@@ -830,9 +835,9 @@ fn worker_loop(
                 };
                 r.map(|_| ())
             }
-            ShardInput::Resync { slice, tables } => {
+            ShardInput::Resync { rows, tables } => {
                 stat.set_resync_state("resyncing");
-                let r = controller.resync_from_snapshot(&slice, &tables);
+                let r = controller.resync_from_rows(&rows, &tables);
                 match &r {
                     Ok(report) => stat.set_resync_state(format!(
                         "resynced +{} -{}",

@@ -13,7 +13,7 @@ use ddlog::Value;
 use nerpa::controller::{Controller, DataPlane, NerpaProgram};
 use ovsdb::db::RowChange;
 use p4sim::runtime::Digest;
-use serde_json::{json, Value as Json};
+use serde_json::Value as Json;
 
 use crate::partition::Router;
 
@@ -67,22 +67,6 @@ impl ShardSet {
         shard
     }
 
-    /// Feed one monitor `table-updates` object: split it through the
-    /// router and let each shard commit its slice.
-    pub fn handle_monitor_update(&mut self, updates: &Json) -> Result<(), String> {
-        for (shard, slice) in self
-            .router
-            .split_monitor_update(updates)
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(slice) = slice {
-                self.shards[shard].handle_monitor_update(&slice)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Feed committed row changes (the in-process path).
     pub fn handle_row_changes(&mut self, changes: &[RowChange]) -> Result<(), String> {
         for (shard, slice) in self
@@ -112,19 +96,19 @@ impl ShardSet {
         Ok(())
     }
 
-    /// Resync every shard from a monitor snapshot: each shard diffs its
-    /// slice of the snapshot against its own engine inputs. Shards with
-    /// an empty slice still resync (against the empty snapshot) so rows
-    /// deleted while disconnected are retracted everywhere.
+    /// Resync every shard from a monitor snapshot: decoded once, split
+    /// through the router, and each shard diffs its slice against its
+    /// own engine inputs. Shards with an empty slice still resync
+    /// (against the empty snapshot) so rows deleted while disconnected
+    /// are retracted everywhere.
     pub fn resync_from_snapshot(
         &mut self,
         initial: &Json,
         monitored_tables: &[String],
     ) -> Result<(), String> {
-        let slices = self.router.split_monitor_update(initial);
-        for (shard, slice) in slices.into_iter().enumerate() {
-            let slice = slice.unwrap_or_else(|| json!({}));
-            self.shards[shard].resync_from_snapshot(&slice, monitored_tables)?;
+        let rows = ovsdb::decode_table_updates(initial, self.shards[0].schema())?.changes;
+        for (shard, slice) in self.router.split_row_changes(&rows).into_iter().enumerate() {
+            self.shards[shard].resync_from_rows(&slice, monitored_tables)?;
         }
         Ok(())
     }

@@ -2,7 +2,9 @@
 //! row lands on at least one shard, never on a nonexistent one),
 //! deterministic across replays, and stable under permutation and
 //! re-batching of the input stream — a row's destination depends only
-//! on its own keys, never on arrival order or batch boundaries.
+//! on its own keys, never on arrival order or batch boundaries. A
+//! modify that moves a row's routing key lands as a bare delete on the
+//! old owner and a bare insert on the new one.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -10,7 +12,6 @@ use std::sync::Arc;
 use ovsdb::db::{RowChange, RowData};
 use ovsdb::{Atom, Datum, Uuid};
 use proptest::prelude::*;
-use serde_json::json;
 use shard::{Assignment, PartitionSpec, Router};
 
 /// A generated row: which table, its integer key (meaningful for
@@ -78,17 +79,6 @@ proptest! {
                 Assignment::One(s) => prop_assert!(s < shards, "{table} key {key} -> shard {s}"),
                 Assignment::All => {}
             }
-            let jrow = match *kind % 3 {
-                0 => json!({"idx": key}),
-                1 => json!({"id": key, "tag": 1}),
-                _ => json!({"x": key}),
-            };
-            // Both wire shapes agree on the destination.
-            prop_assert_eq!(
-                router.route_json_row(table, &jrow),
-                router.route_row_data(table, &row_data(*kind, *key)),
-                "JSON and RowData routing diverge for {} key {}", table, key
-            );
         }
     }
 
@@ -136,42 +126,38 @@ proptest! {
         prop_assert_eq!(&rebatched, &baseline);
     }
 
-    /// Monitor-JSON splitting conserves rows: every input row appears
-    /// in at least one slice, and `Switch` rows in exactly one.
+    /// A modify whose routing key moves to another shard is seen by the
+    /// old owner as a bare delete and by the new owner as a bare insert,
+    /// and by nobody else; a modify that stays put arrives whole.
     #[test]
-    fn monitor_split_conserves_rows(
-        rows in proptest::collection::vec((0u8..3, -64i64..64), 1..30),
+    fn key_moving_modify_splits_into_delete_and_insert(
+        from in -64i64..64,
+        to in -64i64..64,
         shards in 1usize..9,
     ) {
         let router = Router::new(PartitionSpec::snvs(), shards);
-        let mut tables = json!({});
-        for (i, (kind, key)) in rows.iter().enumerate() {
-            let table = table_name(*kind);
-            let jrow = match *kind % 3 {
-                0 => json!({"idx": key}),
-                1 => json!({"id": key, "tag": 1}),
-                _ => json!({"x": key}),
+        let modify = RowChange {
+            table: "Switch".to_string(),
+            uuid: Uuid(7),
+            old: Some(row_data(0, from)),
+            new: Some(row_data(0, to)),
+        };
+        let slices = router.split_row_changes(std::slice::from_ref(&modify));
+        let (old_owner, new_owner) = (
+            from.rem_euclid(shards as i64) as usize,
+            to.rem_euclid(shards as i64) as usize,
+        );
+        for (shard, slice) in slices.iter().enumerate() {
+            let expect: Vec<RowChange> = if old_owner == new_owner {
+                if shard == old_owner { vec![modify.clone()] } else { vec![] }
+            } else if shard == old_owner {
+                vec![RowChange { new: None, ..modify.clone() }]
+            } else if shard == new_owner {
+                vec![RowChange { old: None, ..modify.clone() }]
+            } else {
+                vec![]
             };
-            let obj = tables.as_object_mut().unwrap();
-            let slot = obj.entry(table.to_string()).or_insert_with(|| json!({}));
-            slot.as_object_mut()
-                .unwrap()
-                .insert(format!("u{i}"), json!({"new": jrow}));
-        }
-        let slices = router.split_monitor_update(&tables);
-        prop_assert_eq!(slices.len(), shards);
-        for (i, (kind, _)) in rows.iter().enumerate() {
-            let table = table_name(*kind);
-            let uuid = format!("u{i}");
-            let copies = slices
-                .iter()
-                .flatten()
-                .filter(|s| s.get(table).and_then(|t| t.get(&uuid)).is_some())
-                .count();
-            prop_assert!(copies >= 1, "row {uuid} of {table} lost in the split");
-            if table == "Switch" {
-                prop_assert_eq!(copies, 1, "Switch row {} replicated", uuid);
-            }
+            prop_assert_eq!(slice, &expect, "shard {}", shard);
         }
     }
 }

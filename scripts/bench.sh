@@ -4,7 +4,7 @@
 # repo root. Pass --quick for the CI smoke variant (same entry names,
 # fewer commits/ports, ~seconds instead of minutes).
 #
-#   scripts/bench.sh             # full runs -> BENCH_fig3.json, BENCH_port_scaling.json
+#   scripts/bench.sh             # full runs -> BENCH_fig3.json, BENCH_port_scaling.json, ...
 #   scripts/bench.sh --quick     # CI smoke
 #
 # Gate a change against the checked-in baselines with:
@@ -39,6 +39,8 @@ cargo run --release -q -p bench --bin report_recorder_overhead -- \
     --out BENCH_recorder.json "${QUICK[@]}"
 cargo run --release -q -p bench --bin report_overload -- \
     --out BENCH_overload.json "${QUICK[@]}"
+# Size is a tracked number too: per-crate src/tests LOC of this checkout.
+cargo run --release -q -p bench --bin report_loc -- --out BENCH_loc.json >/dev/null
 
 echo
-echo "bench reports written: BENCH_fig3.json BENCH_port_scaling.json BENCH_wal.json BENCH_shard_scaling.json BENCH_recorder.json BENCH_overload.json"
+echo "bench reports written: BENCH_fig3.json BENCH_port_scaling.json BENCH_wal.json BENCH_shard_scaling.json BENCH_recorder.json BENCH_overload.json BENCH_loc.json"

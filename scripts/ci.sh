@@ -32,11 +32,13 @@ cargo run --release -q -p oracle --bin oracle -- --seed 1..8 --steps 200 --chaos
 # Sharded control plane: the sockets e2e (kill one shard's switch, the
 # others keep committing), then the cross-shard equivalence oracle —
 # union of 4 shard engines vs one unsharded engine vs the
-# full-recompute spec, fault-free and with chaos faults targeted at a
-# single shard.
+# full-recompute spec, fault-free, with chaos faults targeted at a
+# single shard, and with durable-server crashes on top (the one harness
+# runs every fault mode at every shard count).
 cargo test -q --test shard_e2e
 cargo run --release -q -p oracle --bin oracle -- --seed 1..8 --steps 200 --shards 4
 cargo run --release -q -p oracle --bin oracle -- --seed 1..8 --steps 200 --chaos 7 --shards 4
+cargo run --release -q -p oracle --bin oracle -- --seed 1..8 --steps 200 --chaos-crash 7 --shards 4
 
 # Flight recorder: the black-box e2e (an oracle failure must ship a
 # causally ordered .nfr dump; convergence lag is recorded under chaos
@@ -102,6 +104,10 @@ cargo run --release -q -p bench --bin compare -- \
 # within 3x, and the wedged subscriber costs exactly one eviction.
 cargo run --release -q -p bench --bin compare -- \
     crates/bench/baselines/BENCH_overload.json BENCH_overload.json
+# WAL: log bytes per committed transaction are deterministic and gated;
+# the per-policy wall times stay informational.
+cargo run --release -q -p bench --bin compare -- \
+    crates/bench/baselines/BENCH_wal.json BENCH_wal.json
 
 # Bench-cliff: the churn-scaling wall-time gate. Runs the reachability
 # churn pair (n=200 / n=2000) with the work audit armed and fails if
@@ -111,3 +117,12 @@ cargo run --release -q -p bench --bin compare -- \
 # proportional to total state (the pre-arrangement cliff was ~10x).
 cargo run --release -q -p bench --bin report_fig3 -- \
     --cliff --out BENCH_fig3_cliff.json
+
+# stackbench smoke, as a *correctness* stage: the standalone benchmark
+# package is outside the workspace, so nothing above builds it — an API
+# break in the crates it calls would otherwise be found by whoever
+# benchmarks next. Half a second per workload; run.sh exits non-zero
+# unless every workload reports `correct: true` and `failed == 0`.
+# Timings are ignored here.
+stackbench/run.sh --smoke >/dev/null
+echo "stackbench: OK (every workload correct, nothing failed)"
