@@ -18,9 +18,28 @@
 
 use std::time::Instant;
 
-use baselines::ofgen::{growth_series, NetModel};
+use baselines::ofgen::{all_features, growth_series, FlowProgram, NetModel};
 use bench::{print_table, BenchEntry, RobotronScale};
 use ddlog::{AuditConfig, Value};
+
+/// Time to regenerate the whole OpenFlow program from the first `k`
+/// features (the fragment controller's compile burden): the best of a
+/// few runs, in microseconds.
+fn emit_us(net: &NetModel, k: usize) -> u64 {
+    let features = all_features();
+    (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            let mut prog = FlowProgram::default();
+            for f in &features[..k] {
+                f.emit(net, &mut prog);
+            }
+            std::hint::black_box(prog.flows.len());
+            t.elapsed().as_micros() as u64
+        })
+        .min()
+        .unwrap_or(0)
+}
 
 struct ChurnMeasure {
     median_ns: u64,
@@ -165,7 +184,8 @@ fn main() {
 
     println!("E1 / Fig. 3: fragment growth vs unified rules");
     for n in [64u16, 256] {
-        let series = growth_series(&NetModel::sized(n));
+        let net = NetModel::sized(n);
+        let series = growth_series(&net);
         let rows: Vec<Vec<String>> = series
             .iter()
             .map(|p| {
@@ -174,12 +194,19 @@ fn main() {
                     p.fragments.to_string(),
                     p.sites.to_string(),
                     p.ddlog_rules.to_string(),
+                    emit_us(&net, p.features).to_string(),
                 ]
             })
             .collect();
         print_table(
             &format!("feature growth over a {n}-port network"),
-            &["features", "of_fragments", "fragment_sites", "ddlog_rules"],
+            &[
+                "features",
+                "of_fragments",
+                "fragment_sites",
+                "ddlog_rules",
+                "regen_us",
+            ],
             &rows,
         );
     }

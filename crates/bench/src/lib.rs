@@ -1,11 +1,12 @@
 //! Shared workload generators and reporting helpers for the experiment
 //! harness. Each experiment (E1–E8, see DESIGN.md) has a report binary
-//! in `src/bin/` and, where timing matters, a Criterion bench in
-//! `benches/`.
+//! in `src/bin/`.
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+pub use telemetry::dump_metrics_snapshot;
 
 /// The paper's introductory reachability-labeling program (§1).
 pub const REACHABILITY_PROGRAM: &str = "
@@ -238,22 +239,6 @@ pub fn read_bench_json(path: &str) -> Result<(String, Vec<BenchEntry>), String> 
         .collect::<Option<Vec<_>>>()
         .ok_or_else(|| format!("{path}: malformed entry"))?;
     Ok((bench, entries))
-}
-
-/// Dump the process-wide telemetry registry when `NERPA_METRICS` is set
-/// (`json` for JSON, anything else for Prometheus text). Every report
-/// binary calls this last, so an experiment run can attach the raw
-/// counters and histograms behind its table.
-pub fn dump_metrics_snapshot() {
-    let Ok(mode) = std::env::var("NERPA_METRICS") else {
-        return;
-    };
-    let registry = &telemetry::global().registry;
-    if mode == "json" {
-        println!("\n{}", registry.render_json());
-    } else {
-        print!("\n{}", registry.render_text());
-    }
 }
 
 /// Format a duration in milliseconds with 3 decimals.

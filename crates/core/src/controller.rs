@@ -14,7 +14,6 @@ use ovsdb::db::RowChange;
 use p4sim::runtime::{Digest, TableEntry, Update, WriteOp};
 use p4sim::service::SwitchDevice;
 use serde_json::Value as Json;
-use telemetry::{Span, SpanTree};
 
 use crate::codegen::{
     assemble_program, ovsdb2ddlog, p4info2ddlog, CodegenOptions, DigestBinding, Generated,
@@ -40,16 +39,29 @@ pub trait DataPlane: Send {
     /// Configure a multicast group (empty ports = remove).
     fn set_mcast_group(&self, group: u16, ports: Vec<u16>) -> Result<(), String>;
 
+    /// Configure a multicast group as part of the change `trace`. Data
+    /// planes that cannot attribute group programming fall back to
+    /// [`DataPlane::set_mcast_group`].
+    fn set_mcast_group_traced(
+        &self,
+        group: u16,
+        ports: Vec<u16>,
+        trace: u64,
+    ) -> Result<(), String> {
+        let _ = trace;
+        self.set_mcast_group(group, ports)
+    }
+
     /// Read back the switch's full table state, for reconciliation after
     /// a restart. Data planes without read-back support return `Err`.
     fn read_all_tables(&self) -> Result<Vec<(String, Vec<TableEntry>)>, String> {
         Err("data plane does not support table read-back".to_string())
     }
 
-    /// Whether a returned `write_updates*` means the device settled the
-    /// write. Asynchronous handles that merely enqueue (the shard
-    /// runtime's writer queues) return `false`; their writer records
-    /// convergence when the device acknowledges.
+    /// Whether a returned traced call means the device settled it.
+    /// Asynchronous handles that merely enqueue (the shard runtime's
+    /// writer queues) return `false`; their writer records convergence
+    /// when the device acknowledges the traced call.
     fn settles_inline(&self) -> bool {
         true
     }
@@ -191,13 +203,11 @@ impl Metrics {
 }
 
 /// The causal context of one change flowing through the stack: the
-/// trace id plus what is known about the upstream commit.
+/// trace id every event of the change is stamped with, and where the
+/// change entered.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceCtx {
     id: u64,
-    /// Management-plane commit duration, when the change arrived via a
-    /// monitor update carrying [`ovsdb::TRACE_KEY`]; 0 otherwise.
-    commit_ns: u64,
     source: &'static str,
 }
 
@@ -206,19 +216,18 @@ impl TraceCtx {
     pub fn minted(source: &'static str) -> TraceCtx {
         TraceCtx {
             id: telemetry::next_trace_id(),
-            commit_ns: 0,
             source,
         }
     }
 
     /// The trace the OVSDB server embedded in a monitor update
     /// ([`ovsdb::TableUpdates::trace`]), or a fresh one for an update
-    /// that carried none.
+    /// that carried none. The commit's duration is not kept: the
+    /// server's `ovsdb.commit` event already records it.
     pub fn from_monitor(embedded: Option<(u64, u64)>) -> TraceCtx {
         match embedded {
-            Some((id, commit_ns)) => TraceCtx {
+            Some((id, _commit_ns)) => TraceCtx {
                 id,
-                commit_ns,
                 source: "monitor",
             },
             None => TraceCtx::minted("monitor"),
@@ -231,36 +240,20 @@ impl TraceCtx {
     }
 }
 
-/// The output of [`Controller::commit_to_plan`]: per-switch write
-/// batches (deletes before inserts, switch-id order), multicast group
-/// snapshots to replay, and the commit's partially-assembled span tree.
-/// Everything the push half of the commit→convert→write cycle needs,
-/// detached from the engine so writes can be pipelined behind commits.
+/// What a commit asks of one switch, in call order: multicast group
+/// snapshots to program, then the table batch (deletes before inserts).
+type SwitchPush = (Vec<(u16, Vec<u16>)>, Vec<Update>);
+
+/// The output of [`Controller::commit_to_plan`]: the calls each touched
+/// switch gets, in switch-id order. Everything the push half of the
+/// commit→convert→write cycle needs, detached from the engine so writes
+/// can be pipelined behind commits.
 pub struct PushPlan {
     ctx: TraceCtx,
     /// When the commit began — push latency is measured from here so
     /// the e2e series still covers change-observed → write-acked.
     start: Instant,
-    writes: Vec<(usize, Vec<Update>)>,
-    mcast_pushes: Vec<(usize, u16, Vec<u16>)>,
-    root: Span,
-}
-
-impl PushPlan {
-    /// The trace id that produced this plan (follows the writes down).
-    pub fn trace_id(&self) -> u64 {
-        self.ctx.id
-    }
-
-    /// The per-switch write batches, in ascending switch-id order.
-    pub fn writes(&self) -> &[(usize, Vec<Update>)] {
-        &self.writes
-    }
-
-    /// Total table-entry updates across all batches.
-    pub fn update_count(&self) -> usize {
-        self.writes.iter().map(|(_, u)| u.len()).sum()
-    }
+    switches: BTreeMap<usize, SwitchPush>,
 }
 
 /// Build-time description of a Nerpa program: the three plane artifacts.
@@ -563,11 +556,7 @@ impl Controller {
         // the OVSDB ack, which `begin` keeps as the earlier anchor).
         self.engine.set_commit_trace(ctx.id);
         telemetry::global().convergence_begin(ctx.id);
-        let (delta, profile) = self
-            .engine
-            .commit_profiled(txn)
-            .map_err(|e| e.to_string())?;
-        let apply_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let delta = self.engine.commit(txn).map_err(|e| e.to_string())?;
         self.metrics.transactions.inc();
         // Refresh the /dataflow snapshot only while an introspection
         // endpoint actually holds the other end.
@@ -583,10 +572,12 @@ impl Controller {
         // BTreeMap so switches are always written in id order — a fixed
         // push order keeps partial-failure states reproducible.
         let mut per_switch: BTreeMap<usize, (Vec<Update>, Vec<Update>)> = BTreeMap::new();
-        let mut mcast_pushes = Vec::new();
+        let mut switches: BTreeMap<usize, SwitchPush> = BTreeMap::new();
         for (rel, rows) in &delta.changes {
             if rel == "MulticastGroup" {
-                mcast_pushes = self.apply_mcast_delta(rows)?;
+                for (s, group, ports) in self.apply_mcast_delta(rows)? {
+                    switches.entry(s).or_default().0.push((group, ports));
+                }
                 continue;
             }
             let Some(binding) = self.tables.get(rel) else {
@@ -609,41 +600,11 @@ impl Controller {
                 }
             }
         }
-        let writes = per_switch
-            .into_iter()
-            .map(|(t, (mut dels, ins))| {
-                dels.extend(ins);
-                (t, dels)
-            })
-            .collect();
+        for (t, (mut dels, ins)) in per_switch {
+            dels.extend(ins);
+            switches.entry(t).or_default().1 = dels;
+        }
 
-        // Assemble the span tree's commit half: management-plane commit
-        // (if known) and the control-plane apply. Write spans are
-        // appended when the plan is pushed.
-        let mut root = Span::new("stack.change", "stack")
-            .timed(0, (ctx.commit_ns + apply_ns).max(1))
-            .attr_text("source", ctx.source)
-            .attr_u64("input_ops", input_ops as u64)
-            .attr_u64("delta_rows", delta.len() as u64);
-        if ctx.commit_ns > 0 {
-            root.children
-                .push(Span::new("ovsdb.commit", "management").timed(0, ctx.commit_ns));
-        }
-        let mut apply_span = Span::new("ddlog.apply", "control")
-            .timed(ctx.commit_ns, apply_ns.max(1))
-            .attr_u64("input_ops", input_ops as u64)
-            .attr_u64("output_changes", delta.len() as u64)
-            .attr_u64("work_tuples", profile.total_tuples());
-        if let Some(&hot) = profile.hottest(1).first() {
-            let meta = &self.engine.op_catalog().ops[hot];
-            apply_span = apply_span
-                .attr_text(
-                    "hottest_op",
-                    format!("[{hot}] {} {}", meta.kind.name(), meta.detail),
-                )
-                .attr_u64("hottest_op_tuples", profile.stats[hot].tuples());
-        }
-        root.children.push(apply_span);
         telemetry::log_debug!(
             "controller",
             "trace {}: {} ops -> {} changes ({} source)",
@@ -656,59 +617,44 @@ impl Controller {
         let plan = PushPlan {
             ctx,
             start,
-            writes,
-            mcast_pushes,
-            root,
+            switches,
         };
         Ok((delta, Some(plan)))
     }
 
-    /// The push half of the cycle: write a plan's batches to the
-    /// registered data planes (in switch-id order), replay its touched
-    /// multicast groups, and close out the commit's span tree and
-    /// latency metrics. Registered planes may be asynchronous handles
-    /// that enqueue instead of blocking — that is the shard runtime's
-    /// write pipeline.
+    /// The push half of the cycle: program each switch the plan touches
+    /// (in switch-id order) — its multicast groups, then its table
+    /// batch — and record the commit's latency. Only a switch's last
+    /// device call carries the trace, so each switch settles the change
+    /// exactly once, after everything the change asked of it: here for
+    /// planes that settle inline, on acknowledgement for asynchronous
+    /// handles (the shard runtime's write pipeline).
     pub fn push_plan(&self, plan: PushPlan) -> Result<(), String> {
         let PushPlan {
             ctx,
             start,
-            writes,
-            mcast_pushes,
-            mut root,
+            switches,
         } = plan;
-        for (t, updates) in &writes {
-            let Some(dp) = self.switches.get(t) else {
+        for (t, (groups, updates)) in switches {
+            let Some(dp) = self.switches.get(&t) else {
                 return Err(format!("push plan routed to unregistered switch {t}"));
             };
-            self.metrics.entries_pushed.add(updates.len() as u64);
-            let write_start_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             let write_start = Instant::now();
-            dp.write_updates_traced(updates, ctx.id)?;
+            let calls = groups.len() + usize::from(!updates.is_empty());
+            for (i, (group, ports)) in groups.into_iter().enumerate() {
+                let trace = if i + 1 == calls { ctx.id } else { 0 };
+                dp.set_mcast_group_traced(group, ports, trace)?;
+            }
+            if !updates.is_empty() {
+                self.metrics.entries_pushed.add(updates.len() as u64);
+                dp.write_updates_traced(&updates, ctx.id)?;
+            }
             if dp.settles_inline() {
-                telemetry::global().convergence_settled(ctx.id, None);
-            }
-            let write_ns = write_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            root.children.push(
-                Span::new("p4.write", "data")
-                    .timed(ctx.commit_ns + write_start_ns, write_ns.max(1))
-                    .attr_u64("switch", *t as u64)
-                    .attr_u64("updates", updates.len() as u64),
-            );
-        }
-        for (s, group, ports) in mcast_pushes {
-            if let Some(dp) = self.switches.get(&s) {
-                dp.set_mcast_group(group, ports)?;
+                let write_ns = write_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                telemetry::global().convergence_settled(ctx.id, t, None, updates.len(), write_ns);
             }
         }
-        let total = start.elapsed();
-        self.metrics.latency.record_duration(total);
-        let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
-        root.dur_ns = (ctx.commit_ns + total_ns).max(1);
-        telemetry::global().tracer.record(SpanTree {
-            trace: ctx.id,
-            root,
-        });
+        self.metrics.latency.record_duration(start.elapsed());
         Ok(())
     }
 

@@ -9,7 +9,7 @@
 //! created at plan time (before any data arrives), deduplicated by their
 //! key columns across operators, and their maintenance cost is accounted
 //! as [`crate::profile::OpKind::Arrange`] operators so the
-//! incrementality audit and `nerpa-prof` see the work.
+//! incrementality audit and `nerpa prof` see the work.
 
 use std::collections::{HashMap, HashSet};
 

@@ -191,6 +191,9 @@ pub struct Engine {
     catalog: OpCatalog,
     /// Per-operator telemetry counter handles, parallel to the catalog.
     series: Vec<OpSeries>,
+    /// `ddlog_relation_changes_total` handles, looked up the first time
+    /// each output relation changes.
+    relation_changes: HashMap<String, telemetry::Counter>,
     /// Cumulative work across all commits (and initial fact propagation).
     cumulative: WorkProfile,
     /// Profile of the most recent commit (even one that failed the audit).
@@ -299,6 +302,7 @@ impl Engine {
             commits: 0,
             catalog,
             series,
+            relation_changes: HashMap::new(),
             cumulative,
             last_profile: None,
             audit: None,
@@ -460,7 +464,11 @@ impl Engine {
         let delta = out?;
         metrics.output_changes.add(delta.len() as u64);
         for (rel, rows) in &delta.changes {
-            relation_changes_counter(rel).add(rows.len() as u64);
+            if !self.relation_changes.contains_key(rel) {
+                self.relation_changes
+                    .insert(rel.clone(), relation_changes_counter(rel));
+            }
+            self.relation_changes[rel].add(rows.len() as u64);
         }
         metrics
             .zset_rows
@@ -647,7 +655,7 @@ impl Engine {
     }
 
     /// The declared `(column name, type)` pairs of a relation; lets
-    /// callers (e.g. the `nerpa-why` CLI) parse textual row literals.
+    /// callers (e.g. the `nerpa why` CLI) parse textual row literals.
     pub fn relation_schema(&self, relation: &str) -> Result<Vec<(String, crate::types::Type)>> {
         let rel = self.rel_id(relation)?;
         Ok(self.compiled.decls[rel].columns.clone())

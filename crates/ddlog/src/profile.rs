@@ -115,7 +115,7 @@ impl OpCatalog {
     /// plan indices it executes (the engine's execution schedule).
     pub fn build(compiled: &CompiledProgram, strata: &[(bool, Vec<usize>)]) -> OpCatalog {
         let rel_name = |rel: RelId| compiled.decls[rel].name.as_str();
-        // Arrangement keys by declared column *name*, so `nerpa-prof
+        // Arrangement keys by declared column *name*, so `nerpa prof
         // --explain` reads `Port by (id)` rather than `Port by [1]`.
         let key_names = |rel: RelId, cols: &[usize]| -> String {
             cols.iter()

@@ -982,7 +982,7 @@ pub(crate) fn summary_json(ctx: &QueryCtx<'_>, commits: u64) -> String {
     }
     out.push_str(
         "],\"usage\":\"Engine::why(relation, row) / Engine::why_not(relation, row); \
-         CLI: nerpa-why\"}",
+         CLI: nerpa why\"}",
     );
     out
 }

@@ -53,7 +53,7 @@ fn usage() -> ! {
          \x20       --chaos/--chaos-crash/--bug/--shards)\n\
          --flight-dir D arm the flight recorder: failure dumps land in D,\n\
          \x20       and every chaos run writes a run-end `.nfr` there\n\
-         \x20       (inspect with `nerpa-flight show`)"
+         \x20       (inspect with `nerpa flight show`)"
     );
     std::process::exit(2);
 }
@@ -189,7 +189,7 @@ fn report_failure(seed: u64, cfg: &OracleConfig, fail: &OracleFailure) {
     }
     if let Some(path) = &fail.dump_path {
         println!("  flight recorder dump: {}", path.display());
-        println!("  inspect: nerpa-flight show {}", path.display());
+        println!("  inspect: nerpa flight show {}", path.display());
     }
 }
 
@@ -251,7 +251,7 @@ fn main() {
         print!("\n{}", telemetry::global().registry.render_text());
     }
     // An armed chaos run ships its black box even when green: the
-    // run-end dump is what CI parses back with `nerpa-flight`.
+    // run-end dump is what CI parses back with `nerpa flight`.
     if args.chaos.is_some() {
         if let Some(dir) = telemetry::global().recorder.armed_dir() {
             match telemetry::global()

@@ -182,7 +182,7 @@ pub struct OracleFailure {
     pub failing_trace: Option<String>,
     /// Flight-recorder dump (`.nfr`) snapshotted at the moment the
     /// invariant broke — the black box attached to the counterexample.
-    /// Inspect with `nerpa-flight show`.
+    /// Inspect with `nerpa flight show`.
     pub dump_path: Option<std::path::PathBuf>,
 }
 
@@ -1017,7 +1017,7 @@ pub(crate) fn dump_flight_recorder(reason: &str) -> Option<std::path::PathBuf> {
     let recorder = &telemetry::global().recorder;
     let dir = recorder
         .armed_dir()
-        .unwrap_or_else(|| std::env::temp_dir().join("nerpa-flight"));
+        .unwrap_or_else(|| std::env::temp_dir().join("nerpa-dumps"));
     recorder.dump_into(&dir, "oracle-failure", reason).ok()
 }
 
@@ -1031,9 +1031,10 @@ pub fn run_oracle(cfg: &OracleConfig) -> Result<OracleReport, Box<OracleFailure>
         Err(failure) => {
             // Snapshot observability state now: the ddmin re-runs below
             // replay the workload many times and overwrite both the
-            // published series, the trace ring, and the flight rings.
+            // published series and the flight rings the trace derives
+            // from.
             let metrics_snapshot = telemetry::global().registry.render_text();
-            let failing_trace = telemetry::global().tracer.last().map(|t| t.render_text());
+            let failing_trace = telemetry::global().traces().pop().map(|t| t.render_text());
             let dump_path = dump_flight_recorder(&failure.reason);
             let shrunk =
                 crate::shrink::ddmin(&ops, |candidate| run_workload(candidate, cfg).is_err());

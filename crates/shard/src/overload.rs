@@ -12,12 +12,14 @@
 //! * **writer jobs** describe *desired state* — only the latest
 //!   matters — so the write queue **coalesces**: a new `Write` for a
 //!   switch that already has one queued merges into it (updates
-//!   append, trace ids accumulate), and a new `Mcast` for a
-//!   `(switch, group)` that already has one queued replaces its port
-//!   list. Barrier jobs (`ReadAll`, `Replace`, `Flush`) close every
-//!   open coalesce point so reads stay ordered after the writes that
-//!   precede them. Under a flood targeting one switch the queue
-//!   therefore holds O(switches + groups) jobs, not O(commits).
+//!   append), and a new `Mcast` for a `(switch, group)` that already
+//!   has one queued replaces its port list. A merged job's trace ids
+//!   ride on the switch's *latest* queued job, so a trace still settles
+//!   only after every call queued for it on that switch. Barrier jobs
+//!   (`ReadAll`, `Replace`, `Flush`) close every open coalesce point so
+//!   reads stay ordered after the writes that precede them. Under a
+//!   flood targeting one switch the queue therefore holds
+//!   O(switches + groups) jobs, not O(commits).
 //!
 //! The queue also carries the writer **generation**: the watchdog bumps
 //! it to supersede a writer thread stuck in a device push. A superseded
@@ -67,17 +69,17 @@ impl Default for OverloadPolicy {
     }
 }
 
-/// One unit of work for a shard writer.
+/// One unit of work for a shard writer. The `traces` of a `Write` or
+/// `Mcast` are the changes whose last call on the switch this job is;
+/// all of them settle when the device acknowledges it.
 pub enum WriteJob {
-    /// Push table-entry updates to one switch. `traces` holds every
-    /// trace id coalesced into this batch; all of them settle when the
-    /// device acknowledges.
+    /// Push table-entry updates to one switch.
     Write {
         /// Global switch id.
         switch_id: usize,
         /// The update batch (appended to by coalescing).
         updates: Vec<Update>,
-        /// Trace ids riding on this batch.
+        /// Trace ids settled by this job.
         traces: Vec<u64>,
     },
     /// Program a multicast group (last write wins per group).
@@ -88,6 +90,8 @@ pub enum WriteJob {
         group: u16,
         /// Desired member ports.
         ports: Vec<u16>,
+        /// Trace ids settled by this job.
+        traces: Vec<u64>,
     },
     /// Read back every table (barrier: ordered after queued writes).
     ReadAll {
@@ -140,6 +144,13 @@ impl WriteJob {
             WriteJob::ReadAll { .. } | WriteJob::Replace { .. } | WriteJob::Flush(_)
         )
     }
+
+    fn traces_mut(&mut self) -> Option<&mut Vec<u64>> {
+        match self {
+            WriteJob::Write { traces, .. } | WriteJob::Mcast { traces, .. } => Some(traces),
+            _ => None,
+        }
+    }
 }
 
 /// How a [`WriteQueue::push`] landed.
@@ -181,6 +192,9 @@ struct QueueState {
     open_write: BTreeMap<usize, u64>,
     /// Open `Mcast` job per `(switch, group)` → absolute sequence.
     open_mcast: BTreeMap<(usize, u16), u64>,
+    /// Latest queued `Write`/`Mcast` job per switch → absolute
+    /// sequence: where a coalesced job's traces ride.
+    last_job: BTreeMap<usize, u64>,
     /// The current writer generation; pops from older generations
     /// return [`Popped::Superseded`].
     generation: u64,
@@ -193,6 +207,17 @@ impl QueueState {
             return None;
         }
         self.jobs.get_mut((seq - self.base) as usize)
+    }
+
+    /// A merged job's payload moved earlier in the queue; its traces
+    /// must not settle before the calls queued for the switch since, so
+    /// they ride on the switch's latest queued job (the merge target
+    /// itself when nothing was queued after it).
+    fn ride(&mut self, switch_id: usize, traces: &[u64]) {
+        let latest = self.last_job[&switch_id];
+        if let Some(ride) = self.job_mut(latest).and_then(WriteJob::traces_mut) {
+            ride.extend_from_slice(traces);
+        }
     }
 }
 
@@ -224,6 +249,7 @@ impl WriteQueue {
                     base: 0,
                     open_write: BTreeMap::new(),
                     open_mcast: BTreeMap::new(),
+                    last_job: BTreeMap::new(),
                     generation: 0,
                     closed: false,
                 }),
@@ -254,12 +280,11 @@ impl WriteQueue {
                 if let Some(&seq) = st.open_write.get(switch_id) {
                     if let Some(WriteJob::Write {
                         updates: open_updates,
-                        traces: open_traces,
                         ..
                     }) = st.job_mut(seq)
                     {
                         open_updates.extend(updates.iter().cloned());
-                        open_traces.extend(traces.iter().copied());
+                        st.ride(*switch_id, traces);
                         return Ok(Pushed::Coalesced);
                     }
                 }
@@ -268,6 +293,7 @@ impl WriteQueue {
                 switch_id,
                 group,
                 ports,
+                traces,
             } => {
                 if let Some(&seq) = st.open_mcast.get(&(*switch_id, *group)) {
                     if let Some(WriteJob::Mcast {
@@ -275,6 +301,7 @@ impl WriteQueue {
                     }) = st.job_mut(seq)
                     {
                         *open_ports = ports.clone();
+                        st.ride(*switch_id, traces);
                         return Ok(Pushed::Coalesced);
                     }
                 }
@@ -313,11 +340,13 @@ impl WriteQueue {
             match &job {
                 WriteJob::Write { switch_id, .. } => {
                     st.open_write.insert(*switch_id, seq);
+                    st.last_job.insert(*switch_id, seq);
                 }
                 WriteJob::Mcast {
                     switch_id, group, ..
                 } => {
                     st.open_mcast.insert((*switch_id, *group), seq);
+                    st.last_job.insert(*switch_id, seq);
                 }
                 _ => unreachable!("non-barrier jobs are Write or Mcast"),
             }
@@ -464,29 +493,22 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
+    fn mcast(switch: usize, group: u16, ports: Vec<u16>) -> WriteJob {
+        WriteJob::Mcast {
+            switch_id: switch,
+            group,
+            ports,
+            traces: Vec::new(),
+        }
+    }
+
     #[test]
     fn barriers_close_coalesce_points_and_mcast_is_last_wins() {
         let q = WriteQueue::new(8);
         q.push(write(1, 1, 0), None).unwrap();
-        q.push(
-            WriteJob::Mcast {
-                switch_id: 1,
-                group: 7,
-                ports: vec![1, 2],
-            },
-            None,
-        )
-        .unwrap();
+        q.push(mcast(1, 7, vec![1, 2]), None).unwrap();
         assert_eq!(
-            q.push(
-                WriteJob::Mcast {
-                    switch_id: 1,
-                    group: 7,
-                    ports: vec![3],
-                },
-                None,
-            )
-            .ok(),
+            q.push(mcast(1, 7, vec![3]), None).ok(),
             Some(Pushed::Coalesced)
         );
         let (tx, _rx) = crossbeam_channel::bounded(1);
@@ -494,15 +516,7 @@ mod tests {
         // After the barrier both kinds queue fresh jobs.
         assert_eq!(q.push(write(1, 2, 0), None).ok(), Some(Pushed::Queued));
         assert_eq!(
-            q.push(
-                WriteJob::Mcast {
-                    switch_id: 1,
-                    group: 7,
-                    ports: vec![4],
-                },
-                None,
-            )
-            .ok(),
+            q.push(mcast(1, 7, vec![4]), None).ok(),
             Some(Pushed::Queued)
         );
         assert_eq!(q.len(), 5);

@@ -293,21 +293,31 @@ impl DataPlane for AsyncSwitch {
         self.push(WriteJob::Write {
             switch_id: self.switch_id,
             updates: updates.to_vec(),
-            traces: if trace != 0 { vec![trace] } else { Vec::new() },
+            traces: (trace != 0).then_some(trace).into_iter().collect(),
         })
     }
 
     fn set_mcast_group(&self, group: u16, ports: Vec<u16>) -> Result<(), String> {
+        self.set_mcast_group_traced(group, ports, 0)
+    }
+
+    fn set_mcast_group_traced(
+        &self,
+        group: u16,
+        ports: Vec<u16>,
+        trace: u64,
+    ) -> Result<(), String> {
         self.push(WriteJob::Mcast {
             switch_id: self.switch_id,
             group,
             ports,
+            traces: (trace != 0).then_some(trace).into_iter().collect(),
         })
     }
 
     fn settles_inline(&self) -> bool {
         // Enqueueing is not settling: the shard's writer records
-        // convergence when the device acknowledges the push.
+        // convergence when the device acknowledges the traced call.
         false
     }
 
@@ -319,6 +329,19 @@ impl DataPlane for AsyncSwitch {
         })?;
         rx.recv().map_err(|_| "shard writer gone".to_string())?
     }
+}
+
+/// Device push latency as seen by shard writers (one series for every
+/// shard, looked up once).
+fn push_us() -> &'static telemetry::Histogram {
+    static H: std::sync::OnceLock<telemetry::Histogram> = std::sync::OnceLock::new();
+    H.get_or_init(|| {
+        telemetry::global().registry.histogram(
+            "nerpa_shard_push_us",
+            "Device push latency as seen by shard writers, microseconds",
+            &telemetry::LATENCY_BOUNDS_US,
+        )
+    })
 }
 
 /// The running sharded control plane: N workers, N supervised writers,
@@ -1057,6 +1080,14 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
     let begin_call = |switch_id: usize| {
         *shared.inflight.lock().unwrap() = Some((switch_id, Instant::now(), my_gen));
     };
+    // The device acknowledged a job: every trace whose last call on this
+    // switch it carries has settled there.
+    let settle = |traces: &[u64], switch_id: usize, updates: usize, started: Instant| {
+        let write_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        for &t in traces {
+            telemetry::global().convergence_settled(t, switch_id, Some(shard), updates, write_ns);
+        }
+    };
 
     loop {
         let job = match shared.queue.pop(my_gen) {
@@ -1105,12 +1136,7 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                         stat.write_batches.inc();
                         stat.entries_written.add(updates.len() as u64);
                         mark_clean(switch_id);
-                        // The device acknowledged: every coalesced
-                        // trace has converged as far as this switch is
-                        // concerned.
-                        for t in traces {
-                            telemetry::global().convergence_settled(t, Some(shard));
-                        }
+                        settle(&traces, switch_id, updates.len(), started);
                     }
                     Err(e) => {
                         telemetry::record_event_note(
@@ -1123,19 +1149,13 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                         mark_dirty(switch_id, &e);
                     }
                 }
-                telemetry::global()
-                    .registry
-                    .histogram(
-                        "nerpa_shard_push_us",
-                        "Device push latency as seen by shard writers, microseconds",
-                        &telemetry::LATENCY_BOUNDS_US,
-                    )
-                    .record_duration(started.elapsed());
+                push_us().record_duration(started.elapsed());
             }
             WriteJob::Mcast {
                 switch_id,
                 group,
                 ports,
+                traces,
             } => {
                 let dp = match take_dp(switch_id) {
                     Ok(dp) => dp,
@@ -1145,12 +1165,14 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                     }
                 };
                 begin_call(switch_id);
+                let started = Instant::now();
                 let r = dp.set_mcast_group(group, ports);
                 if !put_dp(switch_id, dp) {
                     return;
                 }
-                if let Err(e) = r {
-                    mark_dirty(switch_id, &e);
+                match r {
+                    Ok(()) => settle(&traces, switch_id, 0, started),
+                    Err(e) => mark_dirty(switch_id, &e),
                 }
             }
             WriteJob::ReadAll { switch_id, reply } => {

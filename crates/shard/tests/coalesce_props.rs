@@ -11,7 +11,7 @@ use std::time::Duration;
 use p4sim::runtime::{FieldMatch, TableEntry, Update, WriteOp};
 use p4sim::{parse_p4, Switch, SwitchDevice};
 use proptest::prelude::*;
-use shard::overload::{Popped, PushError, WriteJob, WriteQueue};
+use shard::overload::{Popped, PushError, Pushed, WriteJob, WriteQueue};
 
 const SWITCHES: usize = 2;
 
@@ -44,6 +44,7 @@ fn apply(job: WriteJob, devices: &[SwitchDevice]) {
             switch_id,
             group,
             ports,
+            ..
         } => devices[switch_id].set_mcast_group(group, ports),
         WriteJob::Flush(tx) => {
             let _ = tx.send(());
@@ -136,7 +137,7 @@ proptest! {
                         .map(|i| 1 + (key_pick >> (4 + i)) % 9)
                         .collect();
                     raw[sw].set_mcast_group(group, ports.clone());
-                    WriteJob::Mcast { switch_id: sw, group, ports }
+                    WriteJob::Mcast { switch_id: sw, group, ports, traces: vec![] }
                 }
                 // Barrier: closes every open coalesce point.
                 _ => {
@@ -183,4 +184,44 @@ proptest! {
             );
         }
     }
+}
+
+/// A change programs a switch's groups first and its table batch last,
+/// and only that last call carries the trace. When the batch's payload
+/// merges into a write queued ahead of the groups, the trace must still
+/// settle after them: it rides on the switch's latest queued job.
+#[test]
+fn merged_traces_ride_on_the_switch_latest_job() {
+    let write = |key: u64, trace: u64| WriteJob::Write {
+        switch_id: 1,
+        updates: vec![mac_update(WriteOp::Insert, 10, key, 1)],
+        traces: vec![trace],
+    };
+    let mcast = |ports: Vec<u16>, traces: Vec<u64>| WriteJob::Mcast {
+        switch_id: 1,
+        group: 7,
+        ports,
+        traces,
+    };
+    let q = WriteQueue::new(8);
+    q.push(write(1, 100), None).unwrap();
+    q.push(mcast(vec![1], vec![]), None).unwrap();
+    assert_eq!(q.push(write(2, 101), None).ok(), Some(Pushed::Coalesced));
+    // A group-only change merging into the queued group job keeps its
+    // trace there (nothing was queued for the switch after it).
+    assert_eq!(
+        q.push(mcast(vec![2], vec![102]), None).ok(),
+        Some(Pushed::Coalesced)
+    );
+    let Popped::Job(WriteJob::Write {
+        updates, traces, ..
+    }) = q.pop(0)
+    else {
+        panic!("expected the merged write");
+    };
+    assert_eq!((updates.len(), traces), (2, vec![100]));
+    let Popped::Job(WriteJob::Mcast { ports, traces, .. }) = q.pop(0) else {
+        panic!("expected the group job");
+    };
+    assert_eq!((ports, traces), (vec![2], vec![101, 102]));
 }

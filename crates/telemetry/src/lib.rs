@@ -1,16 +1,18 @@
 //! Cross-plane observability substrate for the full-stack SDN.
 //!
-//! Three pieces, all std-only:
+//! All std-only:
 //!
 //! - a **metrics registry** ([`Registry`]) of named atomic counters,
 //!   gauges, and fixed-bucket histograms with Prometheus-style text and
 //!   JSON exposition;
-//! - **causal trace spans** ([`SpanTree`], [`Tracer`]): a trace id
-//!   minted when a management-plane transaction commits is threaded
-//!   through monitor delivery, engine apply, delta emission, and
-//!   P4Runtime writes, yielding per-plane timing trees;
+//! - the **flight recorder** ([`FlightRecorder`]): per-plane rings of
+//!   structured events, each stamped with the causal trace id minted
+//!   when a management-plane transaction commits. Events are the one
+//!   record of a change's path: per-plane timing trees ([`SpanTree`]) and
+//!   convergence lag are derived from them on demand;
 //! - a **live introspection endpoint** ([`IntrospectionServer`])
-//!   serving `/metrics`, `/traces`, and `/health` over HTTP.
+//!   serving `/metrics`, `/traces`, `/convergence`, `/flight`, and
+//!   `/health` over HTTP.
 //!
 //! Plus a leveled [`log`] gated by `NERPA_LOG` whose disabled sites
 //! cost one relaxed atomic load.
@@ -30,13 +32,14 @@ pub use metrics::{
     format_labels, validate_exposition, Counter, Gauge, Histogram, MetricKind, Registry,
     LATENCY_BOUNDS_US, SIZE_BOUNDS,
 };
+use recorder::ConvergenceTracker;
 pub use recorder::{
-    ConvergenceTracker, Event, FlightRecorder, Plane, CONVERGENCE_BOUNDS_NS, NFR_VERSION,
+    Event, FlightRecorder, Plane, CONVERGENCE_BOUNDS_NS, MAX_EVENT_FIELDS, NFR_VERSION,
 };
 pub use server::{http_get, IntrospectionServer};
-pub use trace::{next_trace_id, AttrValue, Span, SpanTree, Tracer};
+pub use trace::{next_trace_id, EventView, Span, SpanTree};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A pluggable introspection page: content type plus a render callback
@@ -46,19 +49,24 @@ struct Page {
     render: Box<dyn Fn() -> String + Send + Sync>,
 }
 
-/// The bundle served by one introspection endpoint: a registry, a trace
-/// ring buffer, a health board, and the flight recorder.
+/// The event every convergence view reads: one switch's device calls
+/// for a trace, all acknowledged.
+const SETTLED: &str = "convergence.settled";
+
+/// Span trees served on `/traces`: the most recent traces.
+const TRACES_SHOWN: usize = 256;
+
+/// The bundle served by one introspection endpoint: a registry, a
+/// health board, and the flight recorder every trace view derives from.
 pub struct Telemetry {
     /// Named metric families.
     pub registry: Registry,
-    /// Recent trace span trees.
-    pub tracer: Tracer,
     /// Connection health board.
     pub health: Health,
     /// The flight recorder: per-plane event rings and `.nfr` dumps.
     pub recorder: FlightRecorder,
-    /// Commit-to-data-plane convergence lag tracking.
-    pub convergence: ConvergenceTracker,
+    /// Each open trace's convergence clock.
+    convergence: ConvergenceTracker,
     /// Extra endpoint pages registered by components (e.g. `/dataflow`).
     pages: Mutex<BTreeMap<String, Page>>,
 }
@@ -76,7 +84,6 @@ impl Telemetry {
         let recorder = FlightRecorder::new(&registry);
         Telemetry {
             registry,
-            tracer: Tracer::default(),
             health: Health::default(),
             recorder,
             convergence: ConvergenceTracker::default(),
@@ -90,22 +97,109 @@ impl Telemetry {
         self.convergence.begin(trace, self.recorder.now_ns());
     }
 
-    /// A switch write carrying `trace` settled: record its convergence
-    /// lag into `nerpa_convergence_lag_ns` (global, plus the shard's
-    /// series when `shard` is known) and into the flight recorder, so
-    /// `nerpa-flight show --trace` can report the lag from a dump.
-    pub fn convergence_settled(&self, trace: u64, shard: Option<usize>) {
-        let lag = self
-            .convergence
-            .settled(&self.registry, trace, shard, self.recorder.now_ns());
-        if let Some(lag_ns) = lag {
-            self.recorder.record(
-                Plane::Data,
-                "convergence.settled",
-                trace,
-                &[("lag_ns", lag_ns)],
-            );
+    /// Switch `switch` acknowledged its last device call for `trace`
+    /// (`updates` table entries, `write_ns` spent in the device calls):
+    /// record the lag from the trace's begin anchor into
+    /// `nerpa_convergence_lag_ns` (global, plus the shard's series) and
+    /// the `convergence.settled` event every convergence view and the
+    /// trace's `p4.write` span are read from. Traces without an anchor
+    /// (evicted, or begun in another process) are not settled.
+    pub fn convergence_settled(
+        &self,
+        trace: u64,
+        switch: usize,
+        shard: Option<usize>,
+        updates: usize,
+        write_ns: u64,
+    ) {
+        let now = self.recorder.now_ns();
+        let Some(lag) = self.convergence.settle(&self.registry, trace, shard, now) else {
+            return;
+        };
+        let fields = [
+            ("switch", switch as u64),
+            ("updates", updates as u64),
+            ("write_ns", write_ns),
+            ("lag_ns", lag),
+            ("shard", shard.unwrap_or(0) as u64),
+        ];
+        let n = if shard.is_some() { 5 } else { 4 };
+        self.recorder
+            .record(Plane::Data, SETTLED, trace, &fields[..n]);
+    }
+
+    /// The largest lag recorded for `trace` (its last switch to
+    /// settle), if its settlements are still buffered.
+    pub fn lag_of(&self, trace: u64) -> Option<u64> {
+        self.recorder
+            .events_where(|e| e.trace == trace && e.kind == SETTLED)
+            .iter()
+            .filter_map(|e| e.field("lag_ns"))
+            .max()
+    }
+
+    /// The `/convergence` page: anchors begun and held, plus one entry
+    /// per trace with a buffered settlement (first settled first): its
+    /// begin time, largest lag, settling writes and last shard.
+    pub fn render_convergence(&self) -> String {
+        let mut order: Vec<u64> = Vec::new();
+        let mut traces: HashMap<u64, (u64, u64, u64, Option<u64>)> = HashMap::new();
+        let mut settled = 0;
+        for e in self.recorder.events_where(|e| e.kind == SETTLED) {
+            let lag = e.field("lag_ns").unwrap_or(0);
+            settled += 1;
+            let entry = traces.entry(e.trace).or_insert_with(|| {
+                order.push(e.trace);
+                (e.ts_ns.saturating_sub(lag), lag, 0, None)
+            });
+            entry.1 = entry.1.max(lag);
+            entry.2 += 1;
+            entry.3 = e.field("shard").or(entry.3);
         }
+        let recent: Vec<String> = order
+            .iter()
+            .map(|t| {
+                let (begin_ns, lag_ns, writes, shard) = traces[t];
+                let shard = shard.map(|s| format!(",\"shard\":{s}")).unwrap_or_default();
+                format!(
+                    "{{\"trace\":{t},\"begin_ns\":{begin_ns},\"lag_ns\":{lag_ns},\"writes\":{writes}{shard}}}"
+                )
+            })
+            .collect();
+        format!(
+            "{{\"begun\":{},\"settled\":{settled},\"open\":{},\"recent\":[{}]}}",
+            self.convergence.begun(),
+            self.convergence.open(),
+            recent.join(",")
+        )
+    }
+
+    /// The span tree of one trace, derived from the buffered events.
+    pub fn trace(&self, trace: u64) -> Option<SpanTree> {
+        let events = self.recorder.events_where(|e| e.trace == trace);
+        SpanTree::derive(trace, events.iter().map(Event::view))
+    }
+
+    /// Span trees of the most recent changes an engine applied, oldest
+    /// first (ordered by their last `ddlog.apply`) — `/traces`, and an
+    /// oracle failure's last trace. One snapshot serves both the choice
+    /// and the trees, so a tree always holds the apply it was chosen by.
+    pub fn traces(&self) -> Vec<SpanTree> {
+        let events = self
+            .recorder
+            .events_where(|e| e.trace != 0 && trace::is_stage(e.kind));
+        let mut newest_first: Vec<u64> = Vec::new();
+        for e in events.iter().rev().filter(|e| e.kind == "ddlog.apply") {
+            if newest_first.len() < TRACES_SHOWN && !newest_first.contains(&e.trace) {
+                newest_first.push(e.trace);
+            }
+        }
+        let mine = |t: u64| events.iter().filter(move |e| e.trace == t).map(Event::view);
+        newest_first
+            .iter()
+            .rev()
+            .filter_map(|&t| SpanTree::derive(t, mine(t)))
+            .collect()
     }
 
     /// Register (or replace) an extra page at `path` (must start with
@@ -131,11 +225,6 @@ impl Telemetry {
         let pages = self.pages.lock().unwrap();
         let page = pages.get(path)?;
         Some((page.content_type, (page.render)()))
-    }
-
-    /// Paths of all registered extra pages, sorted.
-    pub fn page_paths(&self) -> Vec<String> {
-        self.pages.lock().unwrap().keys().cloned().collect()
     }
 }
 
@@ -164,6 +253,22 @@ pub fn record_event_note(
     global()
         .recorder
         .record_note(plane, kind, trace, fields, note);
+}
+
+/// Dump the process-wide registry when `NERPA_METRICS` is set (`json`
+/// for JSON, anything else for Prometheus text). Report binaries and
+/// `nerpa prof` call this last, so a run can attach the raw counters and
+/// histograms behind its table.
+pub fn dump_metrics_snapshot() {
+    let Ok(mode) = std::env::var("NERPA_METRICS") else {
+        return;
+    };
+    let registry = &global().registry;
+    if mode == "json" {
+        println!("\n{}", registry.render_json());
+    } else {
+        print!("\n{}", registry.render_text());
+    }
 }
 
 /// Raise a failure signal on the process-wide recorder: records a

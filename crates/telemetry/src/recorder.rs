@@ -14,16 +14,21 @@
 //! incrementality-audit trip, a health transition to degraded, crash
 //! recovery, the end of a chaos run — the recorder snapshots all rings
 //! into a versioned `.nfr` dump file (NDJSON: one header line, one
-//! line per event). The `nerpa-flight` CLI merges and causally orders
-//! dumps into a cross-plane timeline.
+//! line per event). `nerpa flight` merges and causally orders dumps into
+//! a cross-plane timeline.
+//!
+//! Events are the one record of a change's path: span trees
+//! ([`crate::SpanTree::derive`]) and convergence lag are views of them,
+//! not separate ledgers.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::metrics::{json_string, Counter, Registry};
+use crate::metrics::{json_string, Counter, Histogram, Registry};
+use crate::trace::EventView;
 
 /// The `.nfr` dump format version written by this recorder.
 pub const NFR_VERSION: u32 = 1;
@@ -143,6 +148,20 @@ pub struct Event {
 }
 
 impl Event {
+    /// The value of the named field, if the event carries it.
+    pub fn field(&self, key: &str) -> Option<u64> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+    }
+
+    /// The event as span derivation reads it, on the recorder's clock.
+    pub fn view(&self) -> EventView<'_> {
+        EventView {
+            at_ns: self.ts_ns,
+            kind: self.kind,
+            fields: self.fields.to_vec(),
+        }
+    }
+
     /// Render as one `.nfr` NDJSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = format!(
@@ -194,9 +213,9 @@ impl Ring {
         self.head.load(Ordering::Relaxed)
     }
 
-    fn snapshot(&self, out: &mut Vec<Event>) {
+    fn snapshot(&self, keep: &impl Fn(&Event) -> bool, out: &mut Vec<Event>) {
         for slot in &self.slots {
-            if let Some(ev) = slot.lock().unwrap().as_ref() {
+            if let Some(ev) = slot.lock().unwrap().as_ref().filter(|ev| keep(ev)) {
                 out.push(ev.clone());
             }
         }
@@ -321,9 +340,15 @@ impl FlightRecorder {
     /// All currently buffered events across every plane, in causal
     /// (sequence) order.
     pub fn snapshot(&self) -> Vec<Event> {
+        self.events_where(|_| true)
+    }
+
+    /// The buffered events `keep` accepts, in causal order; the others
+    /// are never copied.
+    pub fn events_where(&self, keep: impl Fn(&Event) -> bool) -> Vec<Event> {
         let mut out = Vec::new();
         for ring in &self.rings {
-            ring.snapshot(&mut out);
+            ring.snapshot(&keep, &mut out);
         }
         out.sort_by_key(|e| e.seq);
         out
@@ -440,160 +465,101 @@ pub const CONVERGENCE_BOUNDS_NS: [u64; 14] = [
     2_500_000_000,
 ];
 
-/// Open traces tracked and recent settlements kept for `/convergence`.
-const CONVERGENCE_CAP: usize = 1024;
+/// Begin anchors kept before the oldest is evicted.
+const ANCHOR_CAP: usize = 1024;
 
-/// One settled trace as shown on `/convergence`.
-#[derive(Clone, Debug)]
-pub struct Settled {
-    /// The trace id.
-    pub trace: u64,
-    /// When the commit was acknowledged (recorder clock, ns).
-    pub begin_ns: u64,
-    /// Lag from ack to the most recent switch write settling it.
-    pub lag_ns: u64,
-    /// Switch writes that settled under this trace so far.
-    pub writes: u64,
-    /// Shard that performed the latest settling write, if sharded.
-    pub shard: Option<usize>,
+const LAG_SERIES: &str = "nerpa_convergence_lag_ns";
+const LAG_HELP: &str = "Commit-to-data-plane convergence lag: OVSDB ack to a switch write settling the trace, nanoseconds";
+
+/// The convergence clock of each open trace: when its commit was
+/// acknowledged. This is the one fact about convergence no event can
+/// carry — a shard writer is handed only a `u64` trace id — so it is
+/// kept here, in a bounded index that begins and settles in O(1).
+/// Everything else (per-trace lag, writes, `/convergence`) is read back
+/// from the `convergence.settled` events.
+#[derive(Default)]
+pub(crate) struct ConvergenceTracker {
+    anchors: Mutex<Anchors>,
 }
 
-/// Tracks each commit's trace from OVSDB ack to the switch writes that
-/// settle it; the lag is exported as `nerpa_convergence_lag_ns`
-/// histograms (global and per shard) and served on `/convergence`.
 #[derive(Default)]
-pub struct ConvergenceTracker {
-    /// Open traces: id → ack timestamp, insertion-ordered for eviction.
-    open: Mutex<VecDeque<(u64, u64)>>,
-    /// Recently settled traces, newest last.
-    recent: Mutex<VecDeque<Settled>>,
-    begun: AtomicU64,
-    settled: AtomicU64,
+struct Anchors {
+    /// Trace id → begin timestamp (recorder clock, ns).
+    at: HashMap<u64, u64>,
+    /// Anchored traces, oldest first, for eviction.
+    order: VecDeque<u64>,
+    /// Traces anchored since start (evicted ones included).
+    begun: u64,
+    /// `nerpa_convergence_lag_ns` handles, looked up on first use: the
+    /// global series and one per shard.
+    lag: Option<Histogram>,
+    shard_lag: Vec<Option<Histogram>>,
 }
 
 impl ConvergenceTracker {
     /// Start a trace's convergence clock at OVSDB ack time. Repeat
     /// calls for the same trace keep the first (earliest) anchor.
-    pub fn begin(&self, trace: u64, now_ns: u64) {
+    pub(crate) fn begin(&self, trace: u64, now_ns: u64) {
         if trace == 0 {
             return;
         }
-        let mut open = self.open.lock().unwrap();
-        if open.iter().any(|(t, _)| *t == trace) {
+        let mut a = self.anchors.lock().unwrap();
+        if a.at.contains_key(&trace) {
             return;
         }
-        if open.len() == CONVERGENCE_CAP {
-            open.pop_front();
+        if a.order.len() == ANCHOR_CAP {
+            if let Some(oldest) = a.order.pop_front() {
+                a.at.remove(&oldest);
+            }
         }
-        open.push_back((trace, now_ns));
-        self.begun.fetch_add(1, Ordering::Relaxed);
+        a.order.push_back(trace);
+        a.at.insert(trace, now_ns);
+        a.begun += 1;
     }
 
-    /// A switch write carrying `trace` completed: record the lag into
-    /// the global histogram (and the shard's, if sharded) and update
-    /// the recent table. Returns the lag, `None` for unknown traces
-    /// (evicted, or begun before this process), which are ignored.
-    pub fn settled(
+    /// A switch write carrying `trace` settled at `now_ns`: record the
+    /// lag into the global histogram (and the shard's, if sharded) and
+    /// return it. `None` for a trace with no anchor (evicted, or begun
+    /// in another process).
+    pub(crate) fn settle(
         &self,
         registry: &Registry,
         trace: u64,
         shard: Option<usize>,
         now_ns: u64,
     ) -> Option<u64> {
-        if trace == 0 {
-            return None;
-        }
-        let begin_ns = {
-            let open = self.open.lock().unwrap();
-            match open.iter().find(|(t, _)| *t == trace) {
-                Some((_, b)) => *b,
-                None => return None,
-            }
-        };
-        let lag = now_ns.saturating_sub(begin_ns);
-        self.settled.fetch_add(1, Ordering::Relaxed);
-        let help = "Commit-to-data-plane convergence lag: OVSDB ack to a switch write settling the trace, nanoseconds";
-        registry
-            .histogram("nerpa_convergence_lag_ns", help, &CONVERGENCE_BOUNDS_NS)
+        let mut a = self.anchors.lock().unwrap();
+        let lag = now_ns.saturating_sub(*a.at.get(&trace)?);
+        a.lag
+            .get_or_insert_with(|| registry.histogram(LAG_SERIES, LAG_HELP, &CONVERGENCE_BOUNDS_NS))
             .record(lag);
         if let Some(shard) = shard {
-            let label = shard.to_string();
-            registry
-                .histogram_with(
-                    "nerpa_convergence_lag_ns",
-                    help,
-                    &[("shard", &label)],
-                    &CONVERGENCE_BOUNDS_NS,
-                )
+            if a.shard_lag.len() <= shard {
+                a.shard_lag.resize(shard + 1, None);
+            }
+            a.shard_lag[shard]
+                .get_or_insert_with(|| {
+                    let label = shard.to_string();
+                    registry.histogram_with(
+                        LAG_SERIES,
+                        LAG_HELP,
+                        &[("shard", &label)],
+                        &CONVERGENCE_BOUNDS_NS,
+                    )
+                })
                 .record(lag);
         }
-        let mut recent = self.recent.lock().unwrap();
-        if let Some(entry) = recent.iter_mut().rev().find(|s| s.trace == trace) {
-            entry.lag_ns = entry.lag_ns.max(lag);
-            entry.writes += 1;
-            entry.shard = shard.or(entry.shard);
-            return Some(lag);
-        }
-        if recent.len() == CONVERGENCE_CAP {
-            recent.pop_front();
-        }
-        recent.push_back(Settled {
-            trace,
-            begin_ns,
-            lag_ns: lag,
-            writes: 1,
-            shard,
-        });
         Some(lag)
     }
 
     /// Traces whose convergence clock was started.
-    pub fn begun(&self) -> u64 {
-        self.begun.load(Ordering::Relaxed)
+    pub(crate) fn begun(&self) -> u64 {
+        self.anchors.lock().unwrap().begun
     }
 
-    /// Switch-write settlements recorded (≥ one per converged trace).
-    pub fn settled_total(&self) -> u64 {
-        self.settled.load(Ordering::Relaxed)
-    }
-
-    /// The lag recorded for one trace, if it settled and is still in
-    /// the recent table.
-    pub fn lag_of(&self, trace: u64) -> Option<u64> {
-        self.recent
-            .lock()
-            .unwrap()
-            .iter()
-            .rev()
-            .find(|s| s.trace == trace)
-            .map(|s| s.lag_ns)
-    }
-
-    /// The `/convergence` page body: counters plus the recent table,
-    /// newest settlement last.
-    pub fn render_json(&self) -> String {
-        let recent = self.recent.lock().unwrap();
-        let mut out = format!(
-            "{{\"begun\":{},\"settled\":{},\"open\":{},\"recent\":[",
-            self.begun(),
-            self.settled_total(),
-            self.open.lock().unwrap().len()
-        );
-        for (i, s) in recent.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"trace\":{},\"begin_ns\":{},\"lag_ns\":{},\"writes\":{}",
-                s.trace, s.begin_ns, s.lag_ns, s.writes
-            ));
-            match s.shard {
-                Some(sh) => out.push_str(&format!(",\"shard\":{sh}}}")),
-                None => out.push('}'),
-            }
-        }
-        out.push_str("]}");
-        out
+    /// Anchors currently held.
+    pub(crate) fn open(&self) -> usize {
+        self.anchors.lock().unwrap().order.len()
     }
 }
 
@@ -692,29 +658,31 @@ mod tests {
     }
 
     #[test]
-    fn convergence_tracks_lag_per_trace() {
+    fn convergence_anchors_are_bounded_and_keep_the_first() {
         let registry = Registry::new();
         let tracker = ConvergenceTracker::default();
         tracker.begin(5, 1_000);
         tracker.begin(5, 2_000); // repeat keeps the first anchor
-        tracker.settled(&registry, 5, None, 51_000);
-        tracker.settled(&registry, 5, Some(2), 101_000);
-        assert_eq!(tracker.settled_total(), 2);
-        assert_eq!(tracker.lag_of(5), Some(100_000));
-        // Unknown trace: ignored.
-        tracker.settled(&registry, 99, None, 500);
-        assert_eq!(tracker.settled_total(), 2);
-        let json = tracker.render_json();
-        assert!(json.contains("\"trace\":5"));
-        assert!(json.contains("\"writes\":2"));
-        assert!(json.contains("\"shard\":2"));
+        assert_eq!(tracker.settle(&registry, 5, None, 51_000), Some(50_000));
+        assert_eq!(
+            tracker.settle(&registry, 5, Some(2), 101_000),
+            Some(100_000)
+        );
+        // Unknown trace: no lag, no sample.
+        assert_eq!(tracker.settle(&registry, 99, None, 500), None);
         let text = registry.render_text();
+        assert!(text.contains("nerpa_convergence_lag_ns_count 2"), "{text}");
         assert!(
-            text.contains("nerpa_convergence_lag_ns_count 1")
-                || text.contains("nerpa_convergence_lag_ns_count{"),
+            text.contains("nerpa_convergence_lag_ns_count{shard=\"2\"} 1"),
             "{text}"
         );
         crate::metrics::validate_exposition(&text).unwrap();
+        for t in 100..100 + ANCHOR_CAP as u64 {
+            tracker.begin(t, 0);
+        }
+        assert_eq!(tracker.open(), ANCHOR_CAP);
+        assert_eq!(tracker.begun(), 1 + ANCHOR_CAP as u64);
+        assert_eq!(tracker.settle(&registry, 5, None, 0), None, "evicted");
     }
 
     #[test]

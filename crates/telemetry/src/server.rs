@@ -1,10 +1,12 @@
 //! A live introspection endpoint: a tiny HTTP/1.1 server exposing the
-//! metrics registry, the trace ring buffer, and the health board.
+//! metrics registry, the flight recorder and the views derived from it,
+//! and the health board.
 //!
 //! Routes:
 //! - `GET /metrics` — Prometheus-style text exposition
 //! - `GET /metrics.json` — the same registry as JSON
-//! - `GET /traces` — the trace ring buffer as a JSON array
+//! - `GET /traces` — span trees of recent traces, derived from the
+//!   flight recorder, as a JSON array
 //! - `GET /health` — connection health board as JSON (HTTP 503 when
 //!   any component is unhealthy)
 //! - `GET /convergence` — commit-to-data-plane convergence lag
@@ -147,12 +149,12 @@ fn route(method: &str, path: &str, telemetry: &Telemetry) -> (&'static str, &'st
             "application/json",
             telemetry.registry.render_json(),
         ),
-        "/traces" => ("200 OK", "application/json", telemetry.tracer.render_json()),
-        "/convergence" => (
+        "/traces" => (
             "200 OK",
             "application/json",
-            telemetry.convergence.render_json(),
+            crate::trace::render_json(&telemetry.traces()),
         ),
+        "/convergence" => ("200 OK", "application/json", telemetry.render_convergence()),
         "/flight" => {
             let events = telemetry.recorder.snapshot();
             let mut body = String::from("{\"enabled\":");

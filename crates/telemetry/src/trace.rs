@@ -1,15 +1,18 @@
-//! Causal trace spans: follow one configuration change across the
-//! management, control, and data planes.
+//! Causal trace spans, derived from flight-recorder events: follow one
+//! configuration change across the management, control, and data
+//! planes.
 //!
-//! A [`TraceId`] is minted when a management-plane transaction commits
-//! (or a digest arrives) and threaded through monitor delivery, engine
-//! apply, delta emission, and P4Runtime writes. Each change yields a
-//! [`SpanTree`] — per-plane timings plus delta sizes — collected in a
-//! bounded ring buffer served by the introspection endpoint.
+//! A trace id is minted when a management-plane transaction commits
+//! (or a digest arrives) and stamped on every event the change causes.
+//! A [`SpanTree`] is never recorded: [`SpanTree::derive`] builds it on
+//! demand from the events carrying its id — `ovsdb.commit`
+//! (`commit_ns`), `ddlog.apply` (`wall_ns`) and one
+//! `convergence.settled` per switch the change settles (`write_ns`,
+//! shown as a `p4.write` span). The live recorder and `.nfr` dumps feed
+//! the same derivation, so a trace that crossed processes is the tree
+//! of their merged dumps.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::metrics::json_string;
 
@@ -20,29 +23,36 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A span attribute value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AttrValue {
-    /// An integer attribute (counts, sizes, ids).
-    U64(u64),
-    /// A text attribute.
-    Text(String),
+/// The events a span tree is made of: `(event kind, span name, plane,
+/// the field holding the stage's duration)`.
+const STAGES: [(&str, &str, &str, &str); 3] = [
+    ("ovsdb.commit", "ovsdb.commit", "management", "commit_ns"),
+    ("ddlog.apply", "ddlog.apply", "control", "wall_ns"),
+    ("convergence.settled", "p4.write", "data", "write_ns"),
+];
+
+/// Whether events of `kind` become spans.
+pub fn is_stage(kind: &str) -> bool {
+    STAGES.iter().any(|s| s.0 == kind)
 }
 
-impl std::fmt::Display for AttrValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AttrValue::U64(v) => write!(f, "{v}"),
-            AttrValue::Text(s) => write!(f, "{s}"),
-        }
-    }
+/// One event as span derivation reads it, borrowed from the live
+/// recorder or from a parsed dump.
+pub struct EventView<'a> {
+    /// When the event was recorded (the end of its stage), in
+    /// nanoseconds on a clock shared by every event of one derivation.
+    pub at_ns: u64,
+    /// The event kind.
+    pub kind: &'a str,
+    /// The event's named numeric fields.
+    pub fields: Vec<(&'a str, u64)>,
 }
 
 /// One timed operation within a trace, possibly with children.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Operation name (`ovsdb.commit`, `ddlog.apply`, `p4.write`).
-    pub name: String,
+    pub name: &'static str,
     /// Which plane did the work: `management`, `control`, `data`, or
     /// `stack` for the root.
     pub plane: &'static str,
@@ -50,50 +60,18 @@ pub struct Span {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Attributes (delta sizes, switch ids, sources).
-    pub attrs: Vec<(String, AttrValue)>,
+    /// The event's other fields (delta sizes, switch ids, lag), sorted
+    /// by name.
+    pub attrs: Vec<(String, u64)>,
     /// Child spans.
     pub children: Vec<Span>,
 }
 
 impl Span {
-    /// A zero-duration span; set timings and attributes with the
-    /// builder methods.
-    pub fn new(name: impl Into<String>, plane: &'static str) -> Span {
-        Span {
-            name: name.into(),
-            plane,
-            start_ns: 0,
-            dur_ns: 0,
-            attrs: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Set the start offset and duration.
-    pub fn timed(mut self, start_ns: u64, dur_ns: u64) -> Span {
-        self.start_ns = start_ns;
-        self.dur_ns = dur_ns;
-        self
-    }
-
-    /// Attach an integer attribute.
-    pub fn attr_u64(mut self, key: &str, v: u64) -> Span {
-        self.attrs.push((key.to_string(), AttrValue::U64(v)));
-        self
-    }
-
-    /// Attach a text attribute.
-    pub fn attr_text(mut self, key: &str, v: impl Into<String>) -> Span {
-        self.attrs
-            .push((key.to_string(), AttrValue::Text(v.into())));
-        self
-    }
-
     fn to_json(&self, out: &mut String) {
         out.push_str(&format!(
             "{{\"name\":{},\"plane\":{},\"start_ns\":{},\"dur_ns\":{},\"attrs\":{{",
-            json_string(&self.name),
+            json_string(self.name),
             json_string(self.plane),
             self.start_ns,
             self.dur_ns
@@ -102,12 +80,7 @@ impl Span {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_string(k));
-            out.push(':');
-            match v {
-                AttrValue::U64(n) => out.push_str(&n.to_string()),
-                AttrValue::Text(s) => out.push_str(&json_string(s)),
-            }
+            out.push_str(&format!("{}:{v}", json_string(k)));
         }
         out.push_str("},\"children\":[");
         for (i, c) in self.children.iter().enumerate() {
@@ -130,6 +103,63 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
+    /// Build the tree of `trace` from its events, in any order: one
+    /// child per stage event, ending where the event was recorded and
+    /// lasting its duration field, under a `stack.change` root spanning
+    /// them all. `None` when no event is a stage.
+    pub fn derive<'a>(
+        trace: u64,
+        events: impl IntoIterator<Item = EventView<'a>>,
+    ) -> Option<SpanTree> {
+        let mut stages: Vec<(u64, Span)> = Vec::new();
+        let mut end = 0;
+        for ev in events {
+            let Some(&(_, name, plane, dur_key)) = STAGES.iter().find(|s| s.0 == ev.kind) else {
+                continue;
+            };
+            let mut dur_ns = 0;
+            let mut attrs = Vec::with_capacity(ev.fields.len());
+            for (k, v) in ev.fields {
+                if k == dur_key {
+                    dur_ns = v;
+                } else {
+                    attrs.push((k.to_string(), v));
+                }
+            }
+            attrs.sort();
+            end = end.max(ev.at_ns);
+            let span = Span {
+                name,
+                plane,
+                start_ns: 0,
+                dur_ns: dur_ns.max(1),
+                attrs,
+                children: Vec::new(),
+            };
+            stages.push((ev.at_ns.saturating_sub(dur_ns), span));
+        }
+        let origin = stages.iter().map(|(start, _)| *start).min()?;
+        stages.sort_by_key(|(start, _)| *start);
+        let children = stages
+            .into_iter()
+            .map(|(start, span)| Span {
+                start_ns: start - origin,
+                ..span
+            })
+            .collect();
+        Some(SpanTree {
+            trace,
+            root: Span {
+                name: "stack.change",
+                plane: "stack",
+                start_ns: 0,
+                dur_ns: (end - origin).max(1),
+                attrs: Vec::new(),
+                children,
+            },
+        })
+    }
+
     /// Total time attributed to `plane` across the whole tree, in
     /// nanoseconds.
     pub fn plane_duration_ns(&self, plane: &str) -> u64 {
@@ -181,76 +211,8 @@ impl SpanTree {
     }
 }
 
-/// A bounded ring buffer of recent traces.
-pub struct Tracer {
-    ring: Mutex<VecDeque<SpanTree>>,
-    cap: usize,
-    recorded: AtomicU64,
-}
-
-impl Default for Tracer {
-    fn default() -> Tracer {
-        Tracer::new(256)
-    }
-}
-
-impl Tracer {
-    /// A tracer keeping the most recent `cap` traces.
-    pub fn new(cap: usize) -> Tracer {
-        Tracer {
-            ring: Mutex::new(VecDeque::with_capacity(cap)),
-            cap,
-            recorded: AtomicU64::new(0),
-        }
-    }
-
-    /// Record a finished trace, evicting the oldest if full.
-    pub fn record(&self, tree: SpanTree) {
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() == self.cap {
-            ring.pop_front();
-        }
-        ring.push_back(tree);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total traces ever recorded (including evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// The most recent trace.
-    pub fn last(&self) -> Option<SpanTree> {
-        self.ring.lock().unwrap().back().cloned()
-    }
-
-    /// Find a trace by id (most recent first).
-    pub fn find(&self, trace: u64) -> Option<SpanTree> {
-        self.ring
-            .lock()
-            .unwrap()
-            .iter()
-            .rev()
-            .find(|t| t.trace == trace)
-            .cloned()
-    }
-
-    /// All buffered traces, oldest first.
-    pub fn snapshot(&self) -> Vec<SpanTree> {
-        self.ring.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Render the buffered traces as a JSON array.
-    pub fn render_json(&self) -> String {
-        let ring = self.ring.lock().unwrap();
-        let mut out = String::from("[");
-        for (i, t) in ring.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&t.to_json());
-        }
-        out.push(']');
-        out
-    }
+/// Render trees as the `/traces` JSON array.
+pub fn render_json(trees: &[SpanTree]) -> String {
+    let parts: Vec<String> = trees.iter().map(SpanTree::to_json).collect();
+    format!("[{}]", parts.join(","))
 }

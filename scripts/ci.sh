@@ -43,31 +43,36 @@ cargo run --release -q -p oracle --bin oracle -- --seed 1..8 --steps 200 --chaos
 # Flight recorder: the black-box e2e (an oracle failure must ship a
 # causally ordered .nfr dump; convergence lag is recorded under chaos
 # reconnects), then a seeded chaos oracle run armed with --flight-dir:
-# it must leave a .nfr dump that the nerpa-flight CLI parses back into
-# a timeline containing the injected chaos faults.
+# it must leave a .nfr dump that `nerpa flight` parses back into a
+# timeline containing the injected chaos faults, and from which it
+# derives the span tree of a commit the dump holds.
 cargo test -q --test flight_e2e
 rm -rf target/flight-ci
-cargo build --release -q --bin nerpa-flight
+cargo build --release -q --bin nerpa
 cargo run --release -q -p oracle --bin oracle -- \
     --seed 1..4 --steps 200 --chaos 7 --flight-dir target/flight-ci
 dump=$(ls target/flight-ci/*.nfr | head -n 1)
 test -n "$dump"
-target/release/nerpa-flight show --json "$dump" >target/flight-ci/timeline.json
+target/release/nerpa flight show --json "$dump" >target/flight-ci/timeline.json
 grep -q '"kind":"chaos.fault"' target/flight-ci/timeline.json
-echo "flight-recorder: OK ($dump replays the injected faults)"
+trace=$(grep -o '"kind":"ddlog.apply","trace":[1-9][0-9]*' "$dump" | tail -n 1 | grep -o '[0-9]*$')
+test -n "$trace"
+target/release/nerpa flight show --trace "$trace" "$dump" >target/flight-ci/trace.txt
+grep -q 'stack.change' target/flight-ci/trace.txt
+echo "flight-recorder: OK ($dump replays the injected faults and trace $trace)"
 
 # Provenance: the why/why-not e2e (every installed P4 entry and mcast
 # member on a live snvs stack — built with the default constructor,
 # nothing armed — resolves to a base-rooted derivation tree; retraction
 # takes the derivations with it; query cost at 2 000 ports is bounded
-# by counts), then the nerpa-why CLI against its built-in demo stack —
+# by counts), then `nerpa why` against its built-in demo stack —
 # exit 0 means every entry explained and the search's derivation counts
 # equal the evaluator's. (The oracle smokes above answer from the same
 # search: the harness dumps the first diverging tuple's derivation on
 # failure.)
 cargo test -q --test why_e2e
-cargo run --release -q --bin nerpa-why -- demo >/dev/null
-echo "provenance: OK (nerpa-why demo explains every installed entry)"
+cargo run --release -q --bin nerpa -- why demo >/dev/null
+echo "provenance: OK (nerpa why demo explains every installed entry)"
 
 # Overload robustness: the e2e suite (watchdog supersede + replace +
 # reconcile against a fault-free reference; slow-monitor eviction with

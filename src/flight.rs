@@ -7,10 +7,18 @@
 //! process the recorder's monotonic sequence number is the causal
 //! order; across processes events interleave by absolute time
 //! (`start_unix_ms` anchor plus the event's relative timestamp).
+//!
+//! The same span derivation the live recorder serves on `/traces`
+//! ([`telemetry::SpanTree::derive`]) reads a timeline, so a trace that
+//! crossed processes is the tree of their merged dumps.
+//!
+//! Dumps are untrusted input: every malformed dump is an `Err` naming
+//! the offending line, never a panic.
 
 use std::path::Path;
 
 use serde_json::Value as Json;
+use telemetry::{EventView, SpanTree};
 
 /// The header line of one `.nfr` dump.
 #[derive(Debug, Clone)]
@@ -45,7 +53,7 @@ pub struct FlightEvent {
     pub kind: String,
     /// Causal trace id; 0 = untraced.
     pub trace: u64,
-    /// Named numeric payload fields, in recorded order.
+    /// Named numeric payload fields, sorted by name.
     pub fields: Vec<(String, u64)>,
     /// Optional free-form detail.
     pub note: Option<String>,
@@ -110,9 +118,19 @@ pub struct Timeline {
     pub events: Vec<FlightEvent>,
 }
 
+/// A JSON integer in `u64` range. Floats are refused even when whole:
+/// the recorder writes integers, and a float past 2^53 (or 2^64) would
+/// silently read back as a different value.
+fn as_u64(v: &Json) -> Option<u64> {
+    match v {
+        Json::Number(n) if !n.is_f64() => n.as_u64(),
+        _ => None,
+    }
+}
+
 fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Json::as_u64)
+        .and_then(as_u64)
         .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
 }
 
@@ -123,15 +141,33 @@ fn get_str(obj: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
-fn parse_dump(
-    dump: usize,
-    source: &str,
-    text: &str,
-) -> Result<(DumpHeader, Vec<FlightEvent>), String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header_line = lines.next().ok_or("empty dump")?;
-    let header: Json =
-        serde_json::from_str(header_line).map_err(|e| format!("bad header line: {e}"))?;
+fn parse_event(dump: usize, line: &str) -> Result<FlightEvent, String> {
+    let ev: Json = serde_json::from_str(line).map_err(|e| format!("bad event: {e}"))?;
+    let fields = match ev.get("fields") {
+        Some(Json::Object(map)) => map
+            .iter()
+            .map(|(k, v)| {
+                as_u64(v)
+                    .map(|n| (k.clone(), n))
+                    .ok_or_else(|| format!("non-numeric field {k:?}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?,
+        _ => Vec::new(),
+    };
+    Ok(FlightEvent {
+        dump,
+        seq: get_u64(&ev, "seq")?,
+        ts_ns: get_u64(&ev, "ts_ns")?,
+        plane: get_str(&ev, "plane")?,
+        kind: get_str(&ev, "kind")?,
+        trace: get_u64(&ev, "trace")?,
+        fields,
+        note: ev.get("note").and_then(Json::as_str).map(str::to_string),
+    })
+}
+
+fn parse_header(source: &str, line: &str) -> Result<DumpHeader, String> {
+    let header: Json = serde_json::from_str(line).map_err(|e| format!("bad header: {e}"))?;
     let version = get_u64(&header, "nfr")?;
     if version != telemetry::NFR_VERSION as u64 {
         return Err(format!(
@@ -139,38 +175,38 @@ fn parse_dump(
             telemetry::NFR_VERSION
         ));
     }
-    let head = DumpHeader {
+    Ok(DumpHeader {
         source: source.to_string(),
         version,
         reason: get_str(&header, "reason")?,
         start_unix_ms: get_u64(&header, "start_unix_ms")?,
         events: get_u64(&header, "events")?,
-    };
+    })
+}
+
+fn parse_dump(
+    dump: usize,
+    source: &str,
+    text: &str,
+) -> Result<(DumpHeader, Vec<FlightEvent>), String> {
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        .filter(|(_, line)| !line.trim().is_empty());
+    let (n, header_line) = lines.next().ok_or("line 1: empty dump")?;
+    let head = parse_header(source, header_line).map_err(|e| format!("line {n}: {e}"))?;
     let mut events = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let ev: Json =
-            serde_json::from_str(line).map_err(|e| format!("bad event line {}: {e}", i + 2))?;
-        let fields = match ev.get("fields") {
-            Some(Json::Object(map)) => map
-                .iter()
-                .map(|(k, v)| {
-                    v.as_u64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("event line {}: non-numeric field {k:?}", i + 2))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
-        events.push(FlightEvent {
-            dump,
-            seq: get_u64(&ev, "seq")?,
-            ts_ns: get_u64(&ev, "ts_ns")?,
-            plane: get_str(&ev, "plane")?,
-            kind: get_str(&ev, "kind")?,
-            trace: get_u64(&ev, "trace")?,
-            fields,
-            note: ev.get("note").and_then(Json::as_str).map(str::to_string),
-        });
+    for (n, line) in lines {
+        events.push(parse_event(dump, line).map_err(|e| format!("line {n}: {e}"))?);
+    }
+    if events.len() as u64 != head.events {
+        return Err(format!(
+            "line {}: the header announces {} events, the dump holds {} (truncated?)",
+            text.lines().count() + 1,
+            head.events,
+            events.len()
+        ));
     }
     Ok((head, events))
 }
@@ -181,10 +217,17 @@ impl Timeline {
         let mut timeline = Timeline::default();
         for path in paths {
             let path = path.as_ref();
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let text = std::str::from_utf8(&bytes).map_err(|e| {
+                let line = bytes[..e.valid_up_to()]
+                    .iter()
+                    .filter(|b| **b == b'\n')
+                    .count()
+                    + 1;
+                format!("{}: line {line}: not UTF-8", path.display())
+            })?;
             timeline
-                .push_dump(&path.display().to_string(), &text)
+                .push_dump(&path.display().to_string(), text)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
         }
         timeline.sort();
@@ -224,21 +267,19 @@ impl Timeline {
         }
     }
 
-    /// The convergence lag recorded in this timeline, if any: the
-    /// largest `lag_ns` field among `convergence.settled` events (a
-    /// trace with several switch writes settles more than once; the
-    /// last write bounds convergence).
-    pub fn convergence_lag_ns(&self) -> Option<u64> {
-        self.events
+    /// The span tree of one trace, derived from its events in every
+    /// loaded dump on their shared wall clock.
+    pub fn span_tree(&self, trace: u64) -> Option<SpanTree> {
+        let views = self
+            .events
             .iter()
-            .filter(|e| e.kind == "convergence.settled")
-            .flat_map(|e| {
-                e.fields
-                    .iter()
-                    .filter(|(k, _)| k == "lag_ns")
-                    .map(|(_, v)| *v)
-            })
-            .max()
+            .filter(|e| e.trace == trace)
+            .map(|e| EventView {
+                at_ns: e.abs_ns(&self.dumps).min(u64::MAX as u128) as u64,
+                kind: &e.kind,
+                fields: e.fields.iter().map(|(k, v)| (k.as_str(), *v)).collect(),
+            });
+        SpanTree::derive(trace, views)
     }
 
     /// The plane names crossed by this timeline, in event order

@@ -41,7 +41,7 @@ fn trace_of(update: &serde_json::Value) -> u64 {
 /// traced change (filling the rings with its cross-plane events), then
 /// an injected engine bug makes the oracle fail — and the `.nfr` dump
 /// it ships must replay that commit as a causally ordered
-/// ovsdb → ddlog → shard → p4 timeline under `nerpa-flight`'s loader.
+/// ovsdb → ddlog → shard → p4 timeline under `nerpa flight`'s loader.
 #[test]
 fn oracle_failure_ships_causally_ordered_flight_dump() {
     let (_, program, nerpa_program) = snvs_program();
@@ -253,7 +253,7 @@ fn convergence_lag_recorded_for_every_commit_under_chaos_reconnects() {
     let telemetry = telemetry::global();
     for (i, trace) in traces.iter().enumerate() {
         assert!(
-            telemetry.convergence.lag_of(*trace).is_some(),
+            telemetry.lag_of(*trace).is_some(),
             "transaction {i} (trace {trace:x}) has no recorded convergence lag"
         );
     }

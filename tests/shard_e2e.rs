@@ -86,7 +86,7 @@ fn sharded_pipeline_survives_single_switch_failure() {
     // The writer acked on every shard, so the commit's convergence lag
     // was recorded from the single begin anchor.
     assert!(
-        telemetry::global().convergence.lag_of(trace).is_some(),
+        telemetry::global().lag_of(trace).is_some(),
         "convergence lag must be recorded once the shard writers settle"
     );
 

@@ -7,14 +7,17 @@
 
 use std::time::Duration;
 
+use fullstack_sdn::flight::Timeline;
 use nerpa::codegen::CodegenOptions;
 use nerpa::controller::{Controller, NerpaProgram};
 use p4sim::service::{ControlClient, ControlService, SwitchDevice};
 use p4sim::Switch;
 use serde_json::json;
 
-#[test]
-fn trace_id_flows_from_ovsdb_commit_to_p4_write() {
+/// One management-plane transaction over the full TCP stack (OVSDB
+/// server → monitor → controller → P4Runtime service). Returns the
+/// trace id the server minted at commit time and the switch device.
+fn traced_tcp_commit() -> (u64, SwitchDevice) {
     let schema = ovsdb::Schema::parse(snvs::assets::SNVS_SCHEMA).unwrap();
     let db_server =
         ovsdb::Server::start(ovsdb::Database::new(schema.clone()), "127.0.0.1:0").unwrap();
@@ -63,6 +66,12 @@ fn trace_id_flows_from_ovsdb_commit_to_p4_write() {
         .and_then(|id| id.as_u64())
         .expect("monitor update must carry the commit's trace id");
     controller.handle_monitor_update(&update).unwrap();
+    (minted, device)
+}
+
+#[test]
+fn trace_id_flows_from_ovsdb_commit_to_p4_write() {
+    let (minted, device) = traced_tcp_commit();
 
     // The entry landed in the data plane...
     let entries = device.with_switch(|sw| sw.read_table("InVlan").unwrap().len());
@@ -76,11 +85,11 @@ fn trace_id_flows_from_ovsdb_commit_to_p4_write() {
         "the P4 write must carry the commit's trace id"
     );
 
-    // The recorded span tree times every plane the change crossed.
+    // The span tree derived from the trace's events times every plane
+    // the change crossed.
     let tree = telemetry::global()
-        .tracer
-        .find(minted)
-        .expect("the trace must be in the ring buffer");
+        .trace(minted)
+        .expect("the trace's events must be in the flight recorder");
     for plane in ["management", "control", "data"] {
         assert!(
             tree.plane_duration_ns(plane) > 0,
@@ -91,6 +100,26 @@ fn trace_id_flows_from_ovsdb_commit_to_p4_write() {
     assert!(tree.find_span("ovsdb.commit").is_some());
     assert!(tree.find_span("ddlog.apply").is_some());
     assert!(tree.find_span("p4.write").is_some());
+}
+
+/// One derivation, two sources: the tree the live recorder yields for a
+/// traced commit is the tree `nerpa flight` derives from its dump.
+#[test]
+fn live_recorder_and_its_dump_derive_the_same_tree() {
+    let (minted, _device) = traced_tcp_commit();
+    let dump = telemetry::global().recorder.render_dump("telemetry_e2e");
+    let live = telemetry::global()
+        .trace(minted)
+        .expect("the trace's events must be in the flight recorder");
+    let mut timeline = Timeline::default();
+    timeline.push_dump("live.nfr", &dump).unwrap();
+    timeline.sort();
+    assert_eq!(timeline.span_tree(minted), Some(live.clone()));
+    assert!(
+        live.find_span("p4.write").is_some(),
+        "{}",
+        live.render_text()
+    );
 }
 
 #[test]
