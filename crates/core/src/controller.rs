@@ -24,13 +24,20 @@ use crate::resync::{self, OvsdbSupervisor, ReconcileReport, ResyncReport};
 
 /// Anything that accepts P4Runtime writes (an in-process device or a TCP
 /// control client).
+///
+/// The controller hands a switch its whole share of a commit (or of a
+/// reconcile) as one [`SwitchPush`] through [`DataPlane::push`]. Devices
+/// implement the primitive calls and inherit `push`, whose default body
+/// is the one place that knows their order. Handles that forward the
+/// push elsewhere as a unit (the shard runtime's write queue) override
+/// `push` instead.
 pub trait DataPlane: Send {
     /// Apply updates atomically.
     fn write_updates(&self, updates: &[Update]) -> Result<(), String>;
 
     /// Apply updates atomically, carrying the causal trace id that
-    /// produced them. Data planes that cannot attribute writes fall back
-    /// to [`DataPlane::write_updates`].
+    /// produced them (0 = none). Data planes that cannot attribute writes
+    /// fall back to [`DataPlane::write_updates`].
     fn write_updates_traced(&self, updates: &[Update], trace: u64) -> Result<(), String> {
         let _ = trace;
         self.write_updates(updates)
@@ -39,17 +46,18 @@ pub trait DataPlane: Send {
     /// Configure a multicast group (empty ports = remove).
     fn set_mcast_group(&self, group: u16, ports: Vec<u16>) -> Result<(), String>;
 
-    /// Configure a multicast group as part of the change `trace`. Data
-    /// planes that cannot attribute group programming fall back to
-    /// [`DataPlane::set_mcast_group`].
-    fn set_mcast_group_traced(
-        &self,
-        group: u16,
-        ports: Vec<u16>,
-        trace: u64,
-    ) -> Result<(), String> {
-        let _ = trace;
-        self.set_mcast_group(group, ports)
+    /// Apply one switch's share of the change `trace` (0 = none): each
+    /// group through [`DataPlane::set_mcast_group`], then the table
+    /// batch, carrying the trace, through
+    /// [`DataPlane::write_updates_traced`]. Stops at the first error.
+    fn push(&self, push: &SwitchPush, trace: u64) -> Result<(), String> {
+        for (group, ports) in &push.groups {
+            self.set_mcast_group(*group, ports.clone())?;
+        }
+        if !push.updates.is_empty() {
+            self.write_updates_traced(&push.updates, trace)?;
+        }
+        Ok(())
     }
 
     /// Read back the switch's full table state, for reconciliation after
@@ -58,10 +66,10 @@ pub trait DataPlane: Send {
         Err("data plane does not support table read-back".to_string())
     }
 
-    /// Whether a returned traced call means the device settled it.
-    /// Asynchronous handles that merely enqueue (the shard runtime's
+    /// Whether a returned [`DataPlane::push`] means the device settled
+    /// it. Asynchronous handles that merely enqueue (the shard runtime's
     /// writer queues) return `false`; their writer records convergence
-    /// when the device acknowledges the traced call.
+    /// when the device acknowledges the push.
     fn settles_inline(&self) -> bool {
         true
     }
@@ -73,7 +81,7 @@ impl DataPlane for SwitchDevice {
     }
 
     fn write_updates_traced(&self, updates: &[Update], trace: u64) -> Result<(), String> {
-        self.write_traced(updates, Some(trace))
+        self.write_traced(updates, (trace != 0).then_some(trace))
     }
 
     fn set_mcast_group(&self, group: u16, ports: Vec<u16>) -> Result<(), String> {
@@ -92,7 +100,7 @@ impl DataPlane for p4sim::service::ControlClient {
     }
 
     fn write_updates_traced(&self, updates: &[Update], trace: u64) -> Result<(), String> {
-        self.write_traced(updates.to_vec(), Some(trace))
+        self.write_traced(updates.to_vec(), (trace != 0).then_some(trace))
     }
 
     fn set_mcast_group(&self, group: u16, ports: Vec<u16>) -> Result<(), String> {
@@ -240,12 +248,34 @@ impl TraceCtx {
     }
 }
 
-/// What a commit asks of one switch, in call order: multicast group
-/// snapshots to program, then the table batch (deletes before inserts).
-type SwitchPush = (Vec<(u16, Vec<u16>)>, Vec<Update>);
+/// What a commit asks of one switch: multicast group snapshots to
+/// program and the table batch. [`DataPlane::push`] applies it.
+#[derive(Debug, Clone, Default)]
+pub struct SwitchPush {
+    /// Group id → desired member ports (empty = remove the group).
+    pub groups: BTreeMap<u16, Vec<u16>>,
+    /// The table batch, deletes before inserts.
+    pub updates: Vec<Update>,
+}
 
-/// The output of [`Controller::commit_to_plan`]: the calls each touched
-/// switch gets, in switch-id order. Everything the push half of the
+impl SwitchPush {
+    /// Fold a later push for the same switch into this one: updates
+    /// append in order, and a group's later snapshot replaces its earlier
+    /// one. Groups and tables are disjoint device state, so applying the
+    /// merge leaves the device where applying both pushes would.
+    pub fn merge(&mut self, later: SwitchPush) {
+        self.updates.extend(later.updates);
+        self.groups.extend(later.groups);
+    }
+
+    /// Whether the push asks nothing of the device.
+    pub fn is_empty(&self) -> bool {
+        self.groups.is_empty() && self.updates.is_empty()
+    }
+}
+
+/// The output of [`Controller::commit_to_plan`]: one push per touched
+/// switch, in switch-id order. Everything the push half of the
 /// commit→convert→write cycle needs, detached from the engine so writes
 /// can be pipelined behind commits.
 pub struct PushPlan {
@@ -576,7 +606,7 @@ impl Controller {
         for (rel, rows) in &delta.changes {
             if rel == "MulticastGroup" {
                 for (s, group, ports) in self.apply_mcast_delta(rows)? {
-                    switches.entry(s).or_default().0.push((group, ports));
+                    switches.entry(s).or_default().groups.insert(group, ports);
                 }
                 continue;
             }
@@ -602,7 +632,7 @@ impl Controller {
         }
         for (t, (mut dels, ins)) in per_switch {
             dels.extend(ins);
-            switches.entry(t).or_default().1 = dels;
+            switches.entry(t).or_default().updates = dels;
         }
 
         telemetry::log_debug!(
@@ -622,36 +652,29 @@ impl Controller {
         Ok((delta, Some(plan)))
     }
 
-    /// The push half of the cycle: program each switch the plan touches
-    /// (in switch-id order) — its multicast groups, then its table
-    /// batch — and record the commit's latency. Only a switch's last
-    /// device call carries the trace, so each switch settles the change
-    /// exactly once, after everything the change asked of it: here for
-    /// planes that settle inline, on acknowledgement for asynchronous
-    /// handles (the shard runtime's write pipeline).
+    /// The push half of the cycle: hand each switch the plan touches (in
+    /// switch-id order) its one [`SwitchPush`] and record the commit's
+    /// latency. Each switch settles the change exactly once, after
+    /// everything the change asked of it: here for planes that settle
+    /// inline, on acknowledgement for asynchronous handles (the shard
+    /// runtime's write pipeline).
     pub fn push_plan(&self, plan: PushPlan) -> Result<(), String> {
         let PushPlan {
             ctx,
             start,
             switches,
         } = plan;
-        for (t, (groups, updates)) in switches {
+        for (t, push) in switches {
             let Some(dp) = self.switches.get(&t) else {
                 return Err(format!("push plan routed to unregistered switch {t}"));
             };
             let write_start = Instant::now();
-            let calls = groups.len() + usize::from(!updates.is_empty());
-            for (i, (group, ports)) in groups.into_iter().enumerate() {
-                let trace = if i + 1 == calls { ctx.id } else { 0 };
-                dp.set_mcast_group_traced(group, ports, trace)?;
-            }
-            if !updates.is_empty() {
-                self.metrics.entries_pushed.add(updates.len() as u64);
-                dp.write_updates_traced(&updates, ctx.id)?;
-            }
+            self.metrics.entries_pushed.add(push.updates.len() as u64);
+            dp.push(&push, ctx.id)?;
             if dp.settles_inline() {
                 let write_ns = write_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                telemetry::global().convergence_settled(ctx.id, t, None, updates.len(), write_ns);
+                let updates = push.updates.len();
+                telemetry::global().convergence_settled(ctx.id, t, None, updates, write_ns);
             }
         }
         self.metrics.latency.record_duration(start.elapsed());
@@ -1050,7 +1073,7 @@ impl Controller {
     ) -> BTreeMap<usize, Result<ReconcileReport, String>> {
         // Phase 1 (serial, shared engine): desired entries and desired
         // multicast groups per switch.
-        type Desired = (BTreeSet<TableEntry>, Vec<(u16, Vec<u16>)>);
+        type Desired = (BTreeSet<TableEntry>, BTreeMap<u16, Vec<u16>>);
         let mut results: BTreeMap<usize, Result<ReconcileReport, String>> = BTreeMap::new();
         let mut desired: BTreeMap<usize, Desired> = BTreeMap::new();
         for &id in ids {
@@ -1060,7 +1083,7 @@ impl Controller {
             }
             match self.desired_entries(id) {
                 Ok(entries) => {
-                    let groups: Vec<(u16, Vec<u16>)> = self
+                    let groups = self
                         .mcast
                         .iter()
                         .filter(|((s, _), _)| *s == id)
@@ -1084,7 +1107,7 @@ impl Controller {
                 let id = *id;
                 handles.push((
                     id,
-                    scope.spawn(move || reconcile_device(dp.as_mut(), &want, &groups)),
+                    scope.spawn(move || reconcile_device(dp.as_mut(), &want, groups)),
                 ));
             }
             for (id, h) in handles {
@@ -1212,14 +1235,14 @@ fn num_value(ty: Option<&ddlog::Type>, v: u128) -> Result<ddlog::Value, String> 
 }
 
 /// The device-facing half of a switch reconciliation: read back actual
-/// table state, push the diff against `want` (deletes first), and
-/// replay the desired multicast groups. Runs on a per-switch thread in
-/// [`Controller::reconcile_switches`] so one stalled device cannot
-/// delay another's recovery.
+/// table state and push, as one [`SwitchPush`], the desired multicast
+/// groups and the diff against `want` (deletes first). Runs on a
+/// per-switch thread in [`Controller::reconcile_switches`] so one
+/// stalled device cannot delay another's recovery.
 fn reconcile_device(
     dp: &mut dyn DataPlane,
     want: &BTreeSet<TableEntry>,
-    groups: &[(u16, Vec<u16>)],
+    groups: BTreeMap<u16, Vec<u16>>,
 ) -> Result<ReconcileReport, String> {
     let actual: BTreeSet<TableEntry> = dp
         .read_all_tables()?
@@ -1228,28 +1251,28 @@ fn reconcile_device(
         .collect();
 
     let mut report = ReconcileReport::default();
-    let mut updates = Vec::new();
+    let mut push = SwitchPush {
+        groups,
+        updates: Vec::new(),
+    };
     for entry in actual.difference(want) {
-        updates.push(Update {
+        push.updates.push(Update {
             op: WriteOp::Delete,
             entry: entry.clone(),
         });
         report.deleted += 1;
     }
     for entry in want.difference(&actual) {
-        updates.push(Update {
+        push.updates.push(Update {
             op: WriteOp::Insert,
             entry: entry.clone(),
         });
         report.inserted += 1;
     }
     report.unchanged = want.intersection(&actual).count();
-    if !updates.is_empty() {
-        dp.write_updates(&updates)?;
-    }
-    for (group, ports) in groups {
-        dp.set_mcast_group(*group, ports.clone())?;
-        report.mcast_groups += 1;
+    report.mcast_groups = push.groups.len();
+    if !push.is_empty() {
+        dp.push(&push, 0)?;
     }
     Ok(report)
 }

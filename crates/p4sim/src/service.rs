@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
@@ -201,7 +201,9 @@ pub fn write_frame<T: serde_json::ToJson>(w: &mut impl Write, msg: &T) -> std::i
     w.flush()
 }
 
-/// Read one length-prefixed JSON message; `Ok(None)` on clean EOF.
+/// Read one length-prefixed JSON message; `Ok(None)` on clean EOF. The
+/// body is read through `take(len)`, so a length prefix the peer never
+/// backs with bytes costs only what actually arrived.
 pub fn read_frame<T: serde_json::FromJson>(r: &mut impl Read) -> std::io::Result<Option<T>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -216,10 +218,14 @@ pub fn read_frame<T: serde_json::FromJson>(r: &mut impl Read) -> std::io::Result
             "frame too large",
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let mut buf = &body[..];
-    let msg = serde_json::from_slice(buf.copy_to_bytes(buf.remaining()).as_ref())
+    let mut body = Vec::new();
+    if r.take(len as u64).read_to_end(&mut body)? < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame truncated",
+        ));
+    }
+    let msg = serde_json::from_slice(&body)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     Ok(Some(msg))
 }

@@ -10,16 +10,16 @@
 //!   surfaced as an error (the caller decides whether to retry or
 //!   resync).
 //! * **writer jobs** describe *desired state* — only the latest
-//!   matters — so the write queue **coalesces**: a new `Write` for a
-//!   switch that already has one queued merges into it (updates
-//!   append), and a new `Mcast` for a `(switch, group)` that already
-//!   has one queued replaces its port list. A merged job's trace ids
-//!   ride on the switch's *latest* queued job, so a trace still settles
-//!   only after every call queued for it on that switch. Barrier jobs
-//!   (`ReadAll`, `Replace`, `Flush`) close every open coalesce point so
-//!   reads stay ordered after the writes that precede them. Under a
-//!   flood targeting one switch the queue therefore holds
-//!   O(switches + groups) jobs, not O(commits).
+//!   matters — so the write queue **coalesces**: a switch has at most
+//!   one open `Push` job, and a new push for that switch merges into it
+//!   through [`SwitchPush::merge`] (updates append, a group's later
+//!   snapshot wins), its trace ids joining the job's. The open job is
+//!   the switch's latest queued job, so every trace it carries settles
+//!   after every call queued for that switch before the trace was
+//!   pushed. Barrier jobs (`ReadAll`, `Replace`, `Flush`) close every
+//!   open job so reads stay ordered after the writes that precede them.
+//!   Under a flood targeting one switch the queue therefore holds
+//!   O(switches) jobs, not O(commits).
 //!
 //! The queue also carries the writer **generation**: the watchdog bumps
 //! it to supersede a writer thread stuck in a device push. A superseded
@@ -32,8 +32,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::Sender;
-use nerpa::controller::DataPlane;
-use p4sim::runtime::{TableEntry, Update};
+use nerpa::controller::{DataPlane, SwitchPush};
+use p4sim::runtime::TableEntry;
 
 /// What `read_all_tables` returns through the writer queue.
 pub type TableDump = Result<Vec<(String, Vec<TableEntry>)>, String>;
@@ -69,28 +69,15 @@ impl Default for OverloadPolicy {
     }
 }
 
-/// One unit of work for a shard writer. The `traces` of a `Write` or
-/// `Mcast` are the changes whose last call on the switch this job is;
-/// all of them settle when the device acknowledges it.
+/// One unit of work for a shard writer.
 pub enum WriteJob {
-    /// Push table-entry updates to one switch.
-    Write {
+    /// Apply one switch's (possibly merged) share of one or more changes.
+    Push {
         /// Global switch id.
         switch_id: usize,
-        /// The update batch (appended to by coalescing).
-        updates: Vec<Update>,
-        /// Trace ids settled by this job.
-        traces: Vec<u64>,
-    },
-    /// Program a multicast group (last write wins per group).
-    Mcast {
-        /// Global switch id.
-        switch_id: usize,
-        /// Multicast group id.
-        group: u16,
-        /// Desired member ports.
-        ports: Vec<u16>,
-        /// Trace ids settled by this job.
+        /// Groups and table batch (merged into by coalescing).
+        push: SwitchPush,
+        /// The changes this job settles when the device acknowledges it.
         traces: Vec<u64>,
     },
     /// Read back every table (barrier: ordered after queued writes).
@@ -115,12 +102,14 @@ pub enum WriteJob {
 impl std::fmt::Debug for WriteJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WriteJob::Write {
-                switch_id, updates, ..
-            } => write!(f, "Write{{switch:{switch_id}, updates:{}}}", updates.len()),
-            WriteJob::Mcast {
-                switch_id, group, ..
-            } => write!(f, "Mcast{{switch:{switch_id}, group:{group}}}"),
+            WriteJob::Push {
+                switch_id, push, ..
+            } => write!(
+                f,
+                "Push{{switch:{switch_id}, groups:{}, updates:{}}}",
+                push.groups.len(),
+                push.updates.len()
+            ),
             WriteJob::ReadAll { switch_id, .. } => write!(f, "ReadAll{{switch:{switch_id}}}"),
             WriteJob::Replace { switch_id, .. } => write!(f, "Replace{{switch:{switch_id}}}"),
             WriteJob::Flush(_) => f.write_str("Flush"),
@@ -137,29 +126,12 @@ impl std::fmt::Debug for PushError {
     }
 }
 
-impl WriteJob {
-    fn is_barrier(&self) -> bool {
-        matches!(
-            self,
-            WriteJob::ReadAll { .. } | WriteJob::Replace { .. } | WriteJob::Flush(_)
-        )
-    }
-
-    fn traces_mut(&mut self) -> Option<&mut Vec<u64>> {
-        match self {
-            WriteJob::Write { traces, .. } | WriteJob::Mcast { traces, .. } => Some(traces),
-            _ => None,
-        }
-    }
-}
-
 /// How a [`WriteQueue::push`] landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pushed {
     /// Appended as a new job.
     Queued,
-    /// Merged into an already-queued job for the same switch (write)
-    /// or `(switch, group)` (mcast); queue depth unchanged.
+    /// Merged into the switch's open `Push` job; queue depth unchanged.
     Coalesced,
 }
 
@@ -187,38 +159,14 @@ struct QueueState {
     /// Absolute sequence number of `jobs.front()`; a job's stable
     /// handle is `base + index`, immune to `pop_front` shifts.
     base: u64,
-    /// Open (coalescible) `Write` job per switch: switch id → absolute
-    /// sequence. Stale entries (seq < base) are ignored.
-    open_write: BTreeMap<usize, u64>,
-    /// Open `Mcast` job per `(switch, group)` → absolute sequence.
-    open_mcast: BTreeMap<(usize, u16), u64>,
-    /// Latest queued `Write`/`Mcast` job per switch → absolute
-    /// sequence: where a coalesced job's traces ride.
-    last_job: BTreeMap<usize, u64>,
+    /// Open (coalescible) `Push` job per switch: switch id → absolute
+    /// sequence. Popping a job or queueing a barrier closes it, so an
+    /// open job is always queued and is its switch's latest job.
+    open: BTreeMap<usize, u64>,
     /// The current writer generation; pops from older generations
     /// return [`Popped::Superseded`].
     generation: u64,
     closed: bool,
-}
-
-impl QueueState {
-    fn job_mut(&mut self, seq: u64) -> Option<&mut WriteJob> {
-        if seq < self.base {
-            return None;
-        }
-        self.jobs.get_mut((seq - self.base) as usize)
-    }
-
-    /// A merged job's payload moved earlier in the queue; its traces
-    /// must not settle before the calls queued for the switch since, so
-    /// they ride on the switch's latest queued job (the merge target
-    /// itself when nothing was queued after it).
-    fn ride(&mut self, switch_id: usize, traces: &[u64]) {
-        let latest = self.last_job[&switch_id];
-        if let Some(ride) = self.job_mut(latest).and_then(WriteJob::traces_mut) {
-            ride.extend_from_slice(traces);
-        }
-    }
 }
 
 /// The bounded, coalescing MPSC job queue between a shard's worker and
@@ -247,9 +195,7 @@ impl WriteQueue {
                 state: Mutex::new(QueueState {
                     jobs: VecDeque::new(),
                     base: 0,
-                    open_write: BTreeMap::new(),
-                    open_mcast: BTreeMap::new(),
-                    last_job: BTreeMap::new(),
+                    open: BTreeMap::new(),
                     generation: 0,
                     closed: false,
                 }),
@@ -263,50 +209,33 @@ impl WriteQueue {
     /// Enqueue a job, coalescing where the job kind allows it. On a
     /// full queue, blocks until space frees or `deadline` passes
     /// (`None` = wait forever).
-    pub fn push(&self, job: WriteJob, deadline: Option<Duration>) -> Result<Pushed, PushError> {
+    pub fn push(&self, mut job: WriteJob, deadline: Option<Duration>) -> Result<Pushed, PushError> {
         let give_up = deadline.map(|d| Instant::now() + d);
         let mut st = self.inner.state.lock().unwrap();
         if st.closed {
             return Err(PushError::Closed(job));
         }
 
-        // Coalesce into an open job if one is still queued.
-        match &job {
-            WriteJob::Write {
-                switch_id,
-                updates,
-                traces,
-            } => {
-                if let Some(&seq) = st.open_write.get(switch_id) {
-                    if let Some(WriteJob::Write {
-                        updates: open_updates,
-                        ..
-                    }) = st.job_mut(seq)
-                    {
-                        open_updates.extend(updates.iter().cloned());
-                        st.ride(*switch_id, traces);
-                        return Ok(Pushed::Coalesced);
-                    }
+        // Coalesce into the switch's open job if one is still queued.
+        if let WriteJob::Push {
+            switch_id,
+            push,
+            traces,
+        } = &mut job
+        {
+            if let Some(&seq) = st.open.get(switch_id) {
+                let idx = (seq - st.base) as usize;
+                if let Some(WriteJob::Push {
+                    push: into,
+                    traces: settles,
+                    ..
+                }) = st.jobs.get_mut(idx)
+                {
+                    into.merge(std::mem::take(push));
+                    settles.append(traces);
+                    return Ok(Pushed::Coalesced);
                 }
             }
-            WriteJob::Mcast {
-                switch_id,
-                group,
-                ports,
-                traces,
-            } => {
-                if let Some(&seq) = st.open_mcast.get(&(*switch_id, *group)) {
-                    if let Some(WriteJob::Mcast {
-                        ports: open_ports, ..
-                    }) = st.job_mut(seq)
-                    {
-                        *open_ports = ports.clone();
-                        st.ride(*switch_id, traces);
-                        return Ok(Pushed::Coalesced);
-                    }
-                }
-            }
-            _ => {}
         }
 
         // Need a fresh slot: wait for space.
@@ -331,25 +260,13 @@ impl WriteQueue {
         }
 
         let seq = st.base + st.jobs.len() as u64;
-        if job.is_barrier() {
-            // Reads and swaps must stay ordered after every write
-            // queued before them: close all open coalesce points.
-            st.open_write.clear();
-            st.open_mcast.clear();
-        } else {
-            match &job {
-                WriteJob::Write { switch_id, .. } => {
-                    st.open_write.insert(*switch_id, seq);
-                    st.last_job.insert(*switch_id, seq);
-                }
-                WriteJob::Mcast {
-                    switch_id, group, ..
-                } => {
-                    st.open_mcast.insert((*switch_id, *group), seq);
-                    st.last_job.insert(*switch_id, seq);
-                }
-                _ => unreachable!("non-barrier jobs are Write or Mcast"),
+        match &job {
+            WriteJob::Push { switch_id, .. } => {
+                st.open.insert(*switch_id, seq);
             }
+            // Reads and swaps must stay ordered after every write queued
+            // before them: a barrier closes every open job.
+            _ => st.open.clear(),
         }
         st.jobs.push_back(job);
         self.inner.pop_cond.notify_all();
@@ -370,18 +287,10 @@ impl WriteQueue {
                 st.base += 1;
                 // The popped job is in flight now: later pushes must
                 // not merge into it.
-                match &job {
-                    WriteJob::Write { switch_id, .. }
-                        if st.open_write.get(switch_id) == Some(&seq) =>
-                    {
-                        st.open_write.remove(switch_id);
+                if let WriteJob::Push { switch_id, .. } = &job {
+                    if st.open.get(switch_id) == Some(&seq) {
+                        st.open.remove(switch_id);
                     }
-                    WriteJob::Mcast {
-                        switch_id, group, ..
-                    } if st.open_mcast.get(&(*switch_id, *group)) == Some(&seq) => {
-                        st.open_mcast.remove(&(*switch_id, *group));
-                    }
-                    _ => {}
                 }
                 self.inner.push_cond.notify_all();
                 return Popped::Job(job);
@@ -447,7 +356,7 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4sim::runtime::{FieldMatch, WriteOp};
+    use p4sim::runtime::{FieldMatch, Update, WriteOp};
 
     fn upd(table: &str, key: u128) -> Update {
         Update {
@@ -463,11 +372,26 @@ mod tests {
     }
 
     fn write(switch: usize, key: u128, trace: u64) -> WriteJob {
-        WriteJob::Write {
+        WriteJob::Push {
             switch_id: switch,
-            updates: vec![upd("t", key)],
+            push: SwitchPush {
+                updates: vec![upd("t", key)],
+                ..SwitchPush::default()
+            },
             traces: vec![trace],
         }
+    }
+
+    fn popped_push(q: &WriteQueue) -> (usize, SwitchPush, Vec<u64>) {
+        let Popped::Job(WriteJob::Push {
+            switch_id,
+            push,
+            traces,
+        }) = q.pop(0)
+        else {
+            panic!("expected a push job");
+        };
+        (switch_id, push, traces)
     }
 
     #[test]
@@ -477,16 +401,9 @@ mod tests {
         assert_eq!(q.push(write(2, 2, 102), None).ok(), Some(Pushed::Queued));
         assert_eq!(q.push(write(1, 3, 103), None).ok(), Some(Pushed::Coalesced));
         assert_eq!(q.len(), 2);
-        let Popped::Job(WriteJob::Write {
-            switch_id,
-            updates,
-            traces,
-        }) = q.pop(0)
-        else {
-            panic!("expected a write job");
-        };
+        let (switch_id, push, traces) = popped_push(&q);
         assert_eq!(switch_id, 1);
-        assert_eq!(updates.len(), 2);
+        assert_eq!(push.updates, vec![upd("t", 1), upd("t", 3)]);
         assert_eq!(traces, vec![101, 103]);
         // The in-flight job is closed: a new push for switch 1 queues.
         assert_eq!(q.push(write(1, 4, 104), None).ok(), Some(Pushed::Queued));
@@ -494,10 +411,12 @@ mod tests {
     }
 
     fn mcast(switch: usize, group: u16, ports: Vec<u16>) -> WriteJob {
-        WriteJob::Mcast {
+        WriteJob::Push {
             switch_id: switch,
-            group,
-            ports,
+            push: SwitchPush {
+                groups: [(group, ports)].into(),
+                ..SwitchPush::default()
+            },
             traces: Vec::new(),
         }
     }
@@ -506,25 +425,30 @@ mod tests {
     fn barriers_close_coalesce_points_and_mcast_is_last_wins() {
         let q = WriteQueue::new(8);
         q.push(write(1, 1, 0), None).unwrap();
-        q.push(mcast(1, 7, vec![1, 2]), None).unwrap();
-        assert_eq!(
-            q.push(mcast(1, 7, vec![3]), None).ok(),
-            Some(Pushed::Coalesced)
-        );
+        // Groups merge into the switch's open job; a group's later
+        // snapshot replaces its earlier one.
+        for ports in [vec![1, 2], vec![3]] {
+            assert_eq!(
+                q.push(mcast(1, 7, ports), None).ok(),
+                Some(Pushed::Coalesced)
+            );
+        }
         let (tx, _rx) = crossbeam_channel::bounded(1);
         q.push(WriteJob::Flush(tx), None).unwrap();
-        // After the barrier both kinds queue fresh jobs.
-        assert_eq!(q.push(write(1, 2, 0), None).ok(), Some(Pushed::Queued));
+        // After the barrier the switch gets a fresh job.
         assert_eq!(
             q.push(mcast(1, 7, vec![4]), None).ok(),
             Some(Pushed::Queued)
         );
-        assert_eq!(q.len(), 5);
-        let _ = q.pop(0); // the queued write
-        let Popped::Job(WriteJob::Mcast { ports, .. }) = q.pop(0) else {
-            panic!("expected mcast");
-        };
-        assert_eq!(ports, vec![3]);
+        assert_eq!(q.push(write(1, 2, 0), None).ok(), Some(Pushed::Coalesced));
+        assert_eq!(q.len(), 3);
+        let (_, before, _) = popped_push(&q);
+        assert_eq!(before.groups, [(7, vec![3])].into());
+        assert_eq!(before.updates, vec![upd("t", 1)]);
+        assert!(matches!(q.pop(0), Popped::Job(WriteJob::Flush(_))));
+        let (_, after, _) = popped_push(&q);
+        assert_eq!(after.groups, [(7, vec![4])].into());
+        assert_eq!(after.updates, vec![upd("t", 2)]);
     }
 
     #[test]
@@ -534,7 +458,7 @@ mod tests {
         q.push(write(2, 1, 0), None).unwrap();
         // Full for a *new* switch: shed after the deadline.
         match q.push(write(3, 1, 0), Some(Duration::from_millis(10))) {
-            Err(PushError::Timeout(WriteJob::Write { switch_id, .. })) => {
+            Err(PushError::Timeout(WriteJob::Push { switch_id, .. })) => {
                 assert_eq!(switch_id, 3)
             }
             _ => panic!("expected timeout"),

@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, SendTimeoutError, Sender};
-use nerpa::controller::{Controller, DataPlane, NerpaProgram, TraceCtx};
+use nerpa::controller::{Controller, DataPlane, NerpaProgram, SwitchPush, TraceCtx};
 use ovsdb::db::RowChange;
 use p4sim::runtime::{Digest, TableEntry, Update};
 use serde_json::{json, Value as Json};
@@ -103,8 +103,8 @@ struct ShardStat {
     /// Sends that failed because the worker/writer is gone (was a
     /// silent `let _ = send(..)` before overload hardening).
     dropped_inputs: telemetry::Counter,
-    /// Write jobs merged into an already-queued job for the same
-    /// switch instead of growing the queue.
+    /// Switch pushes merged into the switch's already-queued push
+    /// instead of growing the queue.
     coalesced_writes: telemetry::Counter,
     /// Writer threads superseded + respawned by the push watchdog.
     watchdog_restarts: telemetry::Counter,
@@ -252,7 +252,7 @@ impl AsyncSwitch {
     /// Enqueue a writer job with the shard's overload discipline:
     /// coalesce if possible, block up to the enqueue deadline on a
     /// full queue, then shed with a surfaced error.
-    fn push(&self, job: WriteJob) -> Result<(), String> {
+    fn enqueue(&self, job: WriteJob) -> Result<(), String> {
         match self.queue.push(job, Some(self.policy.enqueue_deadline)) {
             Ok(Pushed::Queued) => {
                 self.stat.note_write_queue_depth(self.queue.len());
@@ -286,44 +286,38 @@ impl AsyncSwitch {
 
 impl DataPlane for AsyncSwitch {
     fn write_updates(&self, updates: &[Update]) -> Result<(), String> {
-        self.write_updates_traced(updates, 0)
-    }
-
-    fn write_updates_traced(&self, updates: &[Update], trace: u64) -> Result<(), String> {
-        self.push(WriteJob::Write {
-            switch_id: self.switch_id,
+        let push = SwitchPush {
             updates: updates.to_vec(),
-            traces: (trace != 0).then_some(trace).into_iter().collect(),
-        })
+            ..SwitchPush::default()
+        };
+        self.push(&push, 0)
     }
 
     fn set_mcast_group(&self, group: u16, ports: Vec<u16>) -> Result<(), String> {
-        self.set_mcast_group_traced(group, ports, 0)
+        let push = SwitchPush {
+            groups: [(group, ports)].into(),
+            ..SwitchPush::default()
+        };
+        self.push(&push, 0)
     }
 
-    fn set_mcast_group_traced(
-        &self,
-        group: u16,
-        ports: Vec<u16>,
-        trace: u64,
-    ) -> Result<(), String> {
-        self.push(WriteJob::Mcast {
+    fn push(&self, push: &SwitchPush, trace: u64) -> Result<(), String> {
+        self.enqueue(WriteJob::Push {
             switch_id: self.switch_id,
-            group,
-            ports,
+            push: push.clone(),
             traces: (trace != 0).then_some(trace).into_iter().collect(),
         })
     }
 
     fn settles_inline(&self) -> bool {
         // Enqueueing is not settling: the shard's writer records
-        // convergence when the device acknowledges the traced call.
+        // convergence when the device acknowledges the push.
         false
     }
 
     fn read_all_tables(&self) -> Result<Vec<(String, Vec<TableEntry>)>, String> {
         let (tx, rx) = bounded(1);
-        self.push(WriteJob::ReadAll {
+        self.enqueue(WriteJob::ReadAll {
             switch_id: self.switch_id,
             reply: tx,
         })?;
@@ -640,7 +634,7 @@ impl ShardRuntime {
         self.stats[shard].watchdog_restarts.get()
     }
 
-    /// Write jobs coalesced on one shard so far.
+    /// Switch pushes coalesced on one shard so far.
     pub fn coalesced_writes(&self, shard: usize) -> u64 {
         self.stats[shard].coalesced_writes.get()
     }
@@ -1080,14 +1074,6 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
     let begin_call = |switch_id: usize| {
         *shared.inflight.lock().unwrap() = Some((switch_id, Instant::now(), my_gen));
     };
-    // The device acknowledged a job: every trace whose last call on this
-    // switch it carries has settled there.
-    let settle = |traces: &[u64], switch_id: usize, updates: usize, started: Instant| {
-        let write_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        for &t in traces {
-            telemetry::global().convergence_settled(t, switch_id, Some(shard), updates, write_ns);
-        }
-    };
 
     loop {
         let job = match shared.queue.pop(my_gen) {
@@ -1096,9 +1082,9 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
         };
         stat.note_write_queue_depth(shared.queue.len());
         match job {
-            WriteJob::Write {
+            WriteJob::Push {
                 switch_id,
-                updates,
+                push,
                 traces,
             } => {
                 let dp = match take_dp(switch_id) {
@@ -1111,6 +1097,7 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                 // Recorded before the device call so the timeline
                 // orders the shard push before the p4.write it causes.
                 let trace = traces.first().copied().unwrap_or(0);
+                let updates = push.updates.len();
                 telemetry::record_event(
                     telemetry::Plane::Control,
                     "shard.push",
@@ -1118,25 +1105,26 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                     &[
                         ("shard", shard as u64),
                         ("switch", switch_id as u64),
-                        ("updates", updates.len() as u64),
+                        ("updates", updates as u64),
                     ],
                 );
                 begin_call(switch_id);
                 let started = Instant::now();
-                let r = if trace != 0 {
-                    dp.write_updates_traced(&updates, trace)
-                } else {
-                    dp.write_updates(&updates)
-                };
+                let r = dp.push(&push, trace);
                 if !put_dp(switch_id, dp) {
                     return; // superseded: no effects, no settle
                 }
                 match r {
                     Ok(()) => {
                         stat.write_batches.inc();
-                        stat.entries_written.add(updates.len() as u64);
+                        stat.entries_written.add(updates as u64);
                         mark_clean(switch_id);
-                        settle(&traces, switch_id, updates.len(), started);
+                        // Every change the job carries has settled here.
+                        let write_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                        let tel = telemetry::global();
+                        for &t in &traces {
+                            tel.convergence_settled(t, switch_id, Some(shard), updates, write_ns);
+                        }
                     }
                     Err(e) => {
                         telemetry::record_event_note(
@@ -1150,30 +1138,6 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                     }
                 }
                 push_us().record_duration(started.elapsed());
-            }
-            WriteJob::Mcast {
-                switch_id,
-                group,
-                ports,
-                traces,
-            } => {
-                let dp = match take_dp(switch_id) {
-                    Ok(dp) => dp,
-                    Err(e) => {
-                        mark_dirty(switch_id, &e);
-                        continue;
-                    }
-                };
-                begin_call(switch_id);
-                let started = Instant::now();
-                let r = dp.set_mcast_group(group, ports);
-                if !put_dp(switch_id, dp) {
-                    return;
-                }
-                match r {
-                    Ok(()) => settle(&traces, switch_id, 0, started),
-                    Err(e) => mark_dirty(switch_id, &e),
-                }
             }
             WriteJob::ReadAll { switch_id, reply } => {
                 let r = match take_dp(switch_id) {

@@ -131,3 +131,12 @@ cargo run --release -q -p bench --bin report_fig3 -- \
 # Timings are ignored here.
 stackbench/run.sh --smoke >/dev/null
 echo "stackbench: OK (every workload correct, nothing failed)"
+
+# stackbench's own unit tests: its `Tap` settle tests are the only tests
+# of the `DataPlane` surface as the benchmark implements it. `--locked`
+# fails instead of rewriting stackbench/Cargo.lock, and the stage must
+# leave the checkout as it found it.
+before=$(git status --porcelain -- stackbench)
+cargo test -q --locked --manifest-path stackbench/Cargo.toml
+test "$(git status --porcelain -- stackbench)" = "$before"
+echo "stackbench unit tests: OK"
