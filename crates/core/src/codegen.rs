@@ -10,9 +10,72 @@
 //! The generated declarations are concatenated with the programmer's
 //! rules and compiled together, so any mismatch between planes surfaces
 //! as a type error — "all three parts are type-checked together".
+//!
+//! Each generator first builds a relation's column [`Layout`] — per
+//! column its DDlog name and type and what it holds on the other plane
+//! ([`ColKind`]) — and renders the declaration text from it. The layout
+//! is the one record of column order: [`crate::convert`] walks it in
+//! both directions (row → table entry and back, OVSDB row and digest →
+//! tuple), and `Controller::new` checks every layout against the
+//! compiled program once. That check also covers what the DDlog type
+//! checker cannot see: an action-name constant the P4 table does not
+//! declare, and a `MulticastGroup` column wider than the data plane's
+//! 16-bit group ids and ports.
 
-use ovsdb::schema::{ColumnType, Schema};
+use ddlog::Type;
+use ovsdb::datum::Datum;
+use ovsdb::schema::{ColumnType, Schema, TableSchema};
 use p4sim::p4info::{P4Info, TableInfo};
+
+/// What a generated column holds on its other plane. `k` is the P4
+/// table's key index.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColKind {
+    /// The switch a row is routed to, or a digest came from (`bigint`).
+    Switch,
+    /// An exact-match key.
+    Exact(usize),
+    /// An LPM key's value.
+    LpmValue(usize),
+    /// An LPM key's prefix length (`bigint`).
+    LpmPrefix(usize),
+    /// A ternary key's value.
+    TernaryValue(usize),
+    /// A ternary key's mask.
+    TernaryMask(usize),
+    /// The entry priority (`bigint`; tables with a ternary key).
+    Priority,
+    /// The action name (`string`).
+    Action,
+    /// Parameter `index` of the table's action number `action`.
+    Param {
+        /// Index into the table's actions.
+        action: usize,
+        /// Index into that action's parameters.
+        index: usize,
+    },
+    /// The digest field of this name.
+    Field(String),
+    /// An OVSDB row's `_uuid`.
+    Uuid,
+    /// The OVSDB column of this name, and the default datum a row that
+    /// omits it holds.
+    Column(String, Datum),
+}
+
+/// One column of a generated relation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Col {
+    /// DDlog column name.
+    pub name: String,
+    /// DDlog column type.
+    pub ty: Type,
+    /// What the column holds on the other plane.
+    pub kind: ColKind,
+}
+
+/// A generated relation's columns, in declaration order.
+pub type Layout = Vec<Col>;
 
 /// How a P4 table maps onto its generated DDlog output relation.
 #[derive(Debug, Clone)]
@@ -21,27 +84,23 @@ pub struct TableBinding {
     pub relation: String,
     /// The P4 table description.
     pub table: TableInfo,
-    /// True when a leading `switch_id: bigint` column routes entries to a
-    /// specific switch.
-    pub per_switch: bool,
-    /// True when the relation carries a `priority: bigint` column
-    /// (any ternary key forces it).
-    pub has_priority: bool,
-    /// Parameter columns: (column name, action it belongs to, param index).
-    pub param_cols: Vec<(String, String, usize)>,
+    /// The relation's columns.
+    pub layout: Layout,
 }
 
-/// How a digest maps onto its generated DDlog input relation.
+/// How an OVSDB table or a P4 digest maps onto its generated DDlog
+/// input relation.
 #[derive(Debug, Clone)]
-pub struct DigestBinding {
-    /// Relation (and digest struct) name.
+pub struct InputBinding {
+    /// Relation (and table or digest struct) name.
     pub relation: String,
-    /// Field names and widths, in order. A leading implicit
-    /// `switch_id: bigint` column is added when `per_switch`.
-    pub fields: Vec<(String, u16)>,
-    /// True when digests are tagged with the originating switch.
-    pub per_switch: bool,
+    /// The relation's columns.
+    pub layout: Layout,
 }
+
+/// A digest's binding: the leading `switch_id` column (when
+/// [`CodegenOptions::per_switch`]) and then the digest fields.
+pub type DigestBinding = InputBinding;
 
 /// Options controlling generation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,138 +120,146 @@ pub struct Generated {
     pub tables: Vec<TableBinding>,
     /// Digest bindings.
     pub digests: Vec<DigestBinding>,
-    /// Names of generated OVSDB input relations.
-    pub ovsdb_relations: Vec<String>,
+    /// OVSDB table bindings.
+    pub ovsdb: Vec<InputBinding>,
 }
 
-/// Map an OVSDB column type to a DDlog type expression.
+/// Map an OVSDB column type to a DDlog type.
 ///
 /// Optional scalars (`min 0, max 1`) become `Set<T>` — faithfully
 /// mirroring OVSDB's "a scalar is a set of size one" data model.
-pub fn ovsdb_type_to_ddlog(ct: &ColumnType) -> String {
-    let base = |bt: &ovsdb::schema::BaseType| -> &'static str {
-        match bt.ty {
-            ovsdb::AtomType::Integer => "bigint",
-            ovsdb::AtomType::Real => "double",
-            ovsdb::AtomType::Boolean => "bool",
-            ovsdb::AtomType::String => "string",
-            ovsdb::AtomType::Uuid => "uuid",
-        }
+pub fn ovsdb_type_to_ddlog(ct: &ColumnType) -> Type {
+    let base = |bt: &ovsdb::schema::BaseType| match bt.ty {
+        ovsdb::AtomType::Integer => Type::Int,
+        ovsdb::AtomType::Real => Type::Double,
+        ovsdb::AtomType::Boolean => Type::Bool,
+        ovsdb::AtomType::String => Type::Str,
+        ovsdb::AtomType::Uuid => Type::Uuid,
     };
     if let Some(v) = &ct.value {
-        return format!("Map<{},{}>", base(&ct.key), base(v));
+        return Type::Map(Box::new(base(&ct.key)), Box::new(base(v)));
     }
     if ct.min == 1 && ct.max == 1 {
-        return base(&ct.key).to_string();
+        return base(&ct.key);
     }
-    format!("Set<{}>", base(&ct.key))
+    Type::Set(Box::new(base(&ct.key)))
+}
+
+fn col(name: impl Into<String>, ty: Type, kind: ColKind) -> Col {
+    Col {
+        name: name.into(),
+        ty,
+        kind,
+    }
+}
+
+/// Render a relation declaration from its layout.
+fn declare(src: &mut String, role: &str, relation: &str, layout: &[Col]) {
+    let cols: Vec<String> = layout
+        .iter()
+        .map(|c| format!("{}: {}", c.name, c.ty))
+        .collect();
+    let cols = cols.join(", ");
+    src.push_str(&format!("{role} relation {relation}({cols})\n"));
+}
+
+/// The input relation of one OVSDB table: `_uuid`, then the columns in
+/// schema (alphabetical) order.
+pub(crate) fn ovsdb_binding(table: &TableSchema) -> InputBinding {
+    let mut layout = vec![col("_uuid", Type::Uuid, ColKind::Uuid)];
+    for (cname, c) in &table.columns {
+        let kind = ColKind::Column(cname.clone(), c.ty.default_datum());
+        layout.push(col(sanitize(cname), ovsdb_type_to_ddlog(&c.ty), kind));
+    }
+    InputBinding {
+        relation: table.name.clone(),
+        layout,
+    }
 }
 
 /// Generate input relations for every table of an OVSDB schema.
 pub fn ovsdb2ddlog(schema: &Schema) -> Generated {
-    let mut src = String::new();
-    let mut rels = Vec::new();
-    src.push_str(&format!(
-        "// ---- generated from OVSDB schema `{}` (version {}) ----\n",
-        schema.name, schema.version
-    ));
-    for (tname, table) in &schema.tables {
-        let mut cols = vec!["_uuid: uuid".to_string()];
-        for (cname, col) in &table.columns {
-            cols.push(format!(
-                "{}: {}",
-                sanitize(cname),
-                ovsdb_type_to_ddlog(&col.ty)
-            ));
-        }
-        src.push_str(&format!("input relation {}({})\n", tname, cols.join(", ")));
-        rels.push(tname.clone());
-    }
-    Generated {
-        source: src,
-        ovsdb_relations: rels,
+    let mut gen = Generated {
+        source: format!(
+            "// ---- generated from OVSDB schema `{}` (version {}) ----\n",
+            schema.name, schema.version
+        ),
         ..Default::default()
+    };
+    for table in schema.tables.values() {
+        let binding = ovsdb_binding(table);
+        declare(&mut gen.source, "input", &binding.relation, &binding.layout);
+        gen.ovsdb.push(binding);
     }
+    gen
 }
 
 /// Generate output relations for every P4 table and input relations for
 /// every digest.
 pub fn p4info2ddlog(info: &P4Info, opts: CodegenOptions) -> Generated {
-    let mut src = String::new();
-    let mut tables = Vec::new();
-    let mut digests = Vec::new();
-    src.push_str(&format!(
-        "// ---- generated from P4 program `{}` ----\n",
-        info.program
-    ));
+    let mut gen = Generated {
+        source: format!(
+            "// ---- generated from P4 program `{}` ----\n",
+            info.program
+        ),
+        ..Default::default()
+    };
+    let switch_col = opts
+        .per_switch
+        .then(|| col("switch_id", Type::Int, ColKind::Switch));
     for t in &info.tables {
-        let mut cols = Vec::new();
-        if opts.per_switch {
-            cols.push("switch_id: bigint".to_string());
-        }
-        let mut has_priority = false;
-        for k in &t.keys {
-            let kname = sanitize(&k.name);
-            match k.match_kind.as_str() {
-                "exact" => cols.push(format!("{kname}: bit<{}>", k.width)),
+        let mut layout: Layout = switch_col.iter().cloned().collect();
+        let mut ternary = false;
+        for (k, key) in t.keys.iter().enumerate() {
+            let name = sanitize(&key.name);
+            let bits = Type::Bit(key.width);
+            match key.match_kind.as_str() {
+                "exact" => layout.push(col(name, bits, ColKind::Exact(k))),
                 "lpm" => {
-                    cols.push(format!("{kname}: bit<{}>", k.width));
-                    cols.push(format!("{kname}_prefix_len: bigint"));
+                    let prefix = format!("{name}_prefix_len");
+                    layout.push(col(name, bits, ColKind::LpmValue(k)));
+                    layout.push(col(prefix, Type::Int, ColKind::LpmPrefix(k)));
                 }
                 "ternary" => {
-                    cols.push(format!("{kname}: bit<{}>", k.width));
-                    cols.push(format!("{kname}_mask: bit<{}>", k.width));
-                    has_priority = true;
+                    let mask = format!("{name}_mask");
+                    layout.push(col(name, bits.clone(), ColKind::TernaryValue(k)));
+                    layout.push(col(mask, bits, ColKind::TernaryMask(k)));
+                    ternary = true;
                 }
-                other => unreachable!("unknown match kind {other}"),
+                other => unreachable!("p4sim parses exact, lpm and ternary keys, not {other}"),
             }
         }
-        if has_priority {
-            cols.push("priority: bigint".to_string());
+        if ternary {
+            layout.push(col("priority", Type::Int, ColKind::Priority));
         }
-        cols.push("action: string".to_string());
-        let mut param_cols = Vec::new();
-        for a in &t.actions {
-            for (i, p) in a.params.iter().enumerate() {
-                let col = format!("{}_{}", a.name, p.name);
-                cols.push(format!("{col}: bit<{}>", p.width));
-                param_cols.push((col, a.name.clone(), i));
+        layout.push(col("action", Type::Str, ColKind::Action));
+        for (action, a) in t.actions.iter().enumerate() {
+            for (index, p) in a.params.iter().enumerate() {
+                let name = format!("{}_{}", a.name, p.name);
+                let kind = ColKind::Param { action, index };
+                layout.push(col(name, Type::Bit(p.width), kind));
             }
         }
-        src.push_str(&format!(
-            "output relation {}({})\n",
-            t.name,
-            cols.join(", ")
-        ));
-        tables.push(TableBinding {
+        declare(&mut gen.source, "output", &t.name, &layout);
+        gen.tables.push(TableBinding {
             relation: t.name.clone(),
             table: t.clone(),
-            per_switch: opts.per_switch,
-            has_priority,
-            param_cols,
+            layout,
         });
     }
     for d in &info.digests {
-        let mut cols = Vec::new();
-        if opts.per_switch {
-            cols.push("switch_id: bigint".to_string());
-        }
+        let mut layout: Layout = switch_col.iter().cloned().collect();
         for f in &d.fields {
-            cols.push(format!("{}: bit<{}>", sanitize(&f.name), f.width));
+            let kind = ColKind::Field(f.name.clone());
+            layout.push(col(sanitize(&f.name), Type::Bit(f.width), kind));
         }
-        src.push_str(&format!("input relation {}({})\n", d.name, cols.join(", ")));
-        digests.push(DigestBinding {
+        declare(&mut gen.source, "input", &d.name, &layout);
+        gen.digests.push(DigestBinding {
             relation: d.name.clone(),
-            fields: d.fields.iter().map(|f| (f.name.clone(), f.width)).collect(),
-            per_switch: opts.per_switch,
+            layout,
         });
     }
-    Generated {
-        source: src,
-        tables,
-        digests,
-        ..Default::default()
-    }
+    gen
 }
 
 /// Turn a P4 key name like `std.ingress_port` or `hdr.eth.dst` into a
@@ -265,7 +332,8 @@ mod tests {
             "{}",
             gen.source
         );
-        assert_eq!(gen.ovsdb_relations, vec!["Port"]);
+        assert_eq!(gen.ovsdb.len(), 1);
+        assert_eq!(gen.ovsdb[0].relation, "Port");
     }
 
     #[test]
@@ -342,33 +410,7 @@ mod tests {
 
     #[test]
     fn lpm_and_ternary_columns() {
-        let p4 = r#"
-            header ipv4_t { bit<32> src; bit<32> dst; bit<8> proto; }
-            struct headers_t { ipv4_t ip; }
-            struct meta_t { bit<1> unused; }
-            parser P(packet_in pkt, out headers_t hdr, inout meta_t meta,
-                     inout standard_metadata_t std) {
-                state start { pkt.extract(hdr.ip); transition accept; }
-            }
-            control I(inout headers_t hdr, inout meta_t meta,
-                      inout standard_metadata_t std) {
-                action fwd(bit<16> port) { std.egress_spec = port; }
-                action deny() { mark_to_drop(); }
-                table Route {
-                    key = { hdr.ip.dst: lpm; }
-                    actions = { fwd; }
-                }
-                table Acl {
-                    key = { hdr.ip.src: ternary; hdr.ip.proto: exact; }
-                    actions = { deny; fwd; }
-                }
-                apply { Acl.apply(); Route.apply(); }
-            }
-            control E(inout headers_t hdr, inout meta_t meta,
-                      inout standard_metadata_t std) { apply { } }
-            V1Switch(P(), I(), E()) main;
-        "#;
-        let prog = p4sim::parse_p4(p4).unwrap();
+        let prog = p4sim::parse_p4(include_str!("../tests/acl.p4")).unwrap();
         let gen = p4info2ddlog(&P4Info::from_program(&prog), CodegenOptions::default());
         assert!(
             gen.source.contains(
@@ -390,6 +432,6 @@ mod tests {
             gen.source
         );
         let acl = gen.tables.iter().find(|t| t.relation == "Acl").unwrap();
-        assert!(acl.has_priority);
+        assert!(acl.layout.iter().any(|c| c.kind == ColKind::Priority));
     }
 }

@@ -9,17 +9,17 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, Select};
-use ddlog::{Engine, Transaction, TxnDelta};
+use ddlog::{Engine, Transaction, TxnDelta, Type, Value};
 use ovsdb::db::RowChange;
 use p4sim::runtime::{Digest, TableEntry, Update, WriteOp};
 use p4sim::service::SwitchDevice;
 use serde_json::Value as Json;
 
 use crate::codegen::{
-    assemble_program, ovsdb2ddlog, p4info2ddlog, CodegenOptions, DigestBinding, Generated,
-    TableBinding,
+    assemble_program, ovsdb2ddlog, p4info2ddlog, CodegenOptions, Col, ColKind, DigestBinding,
+    Generated, InputBinding, TableBinding,
 };
-use crate::convert::{self, InputOps};
+use crate::convert::{self, InputOps, Inputs};
 use crate::resync::{self, OvsdbSupervisor, ReconcileReport, ResyncReport};
 
 /// Anything that accepts P4Runtime writes (an in-process device or a TCP
@@ -308,21 +308,35 @@ impl NerpaProgram {
     }
 }
 
+/// The convention relation whose rows are multicast group members:
+/// `output relation MulticastGroup([switch_id: bigint,] group, port)`.
+const MCAST: &str = "MulticastGroup";
+
 /// The controller.
 pub struct Controller {
     engine: Engine,
     schema: ovsdb::Schema,
+    /// The generated relations' bindings by relation name (OVSDB
+    /// tables, P4 tables, digests), each checked against the engine at
+    /// construction.
+    inputs: Inputs,
     tables: HashMap<String, TableBinding>,
     digests: HashMap<String, DigestBinding>,
+    /// The `MulticastGroup` column types, if the program declares the
+    /// relation: an optional leading switch column, then group and port.
+    mcast_types: Option<Vec<Type>>,
     /// Registered data planes, keyed by global switch id. Sparse on
     /// purpose: a shard controller registers only the switches its
     /// partition owns, under their global ids, and output rows routed
     /// to unregistered switches are simply not this instance's to push.
     switches: BTreeMap<usize, Box<dyn DataPlane>>,
     /// Replication state derived from the `MulticastGroup` convention
-    /// relation: (switch, group) → member ports. Ordered so replaying
-    /// it (switch reconcile) always pushes groups in the same order.
-    mcast: BTreeMap<(usize, u16), BTreeSet<u16>>,
+    /// relation: (target, group) → member ports, where the target is a
+    /// switch for per-switch groups and `None` for a group every
+    /// registered switch holds. Emptied groups stay, so a reconcile
+    /// replays their removal. Ordered so a replay always pushes groups
+    /// in the same order.
+    mcast: BTreeMap<(Option<usize>, u16), BTreeSet<u16>>,
     /// Rendered `/dataflow` snapshot shared with the introspection
     /// endpoint's page closure; refreshed after each commit while the
     /// endpoint holds a clone (the engine itself cannot cross threads).
@@ -336,24 +350,33 @@ pub struct Controller {
 
 impl Controller {
     /// Compile a Nerpa program into a running controller. This is where
-    /// the whole stack is type-checked together; errors carry the DDlog
-    /// diagnostics.
+    /// the whole stack is type-checked together: the DDlog type checker
+    /// runs over the generated declarations and the rules (errors carry
+    /// its diagnostics), then every generated layout is checked against
+    /// the compiled relations, constant action names against their P4
+    /// tables, and the `MulticastGroup` shape against the data plane's
+    /// 16-bit ids. Each error names both planes' declarations.
     pub fn new(program: &NerpaProgram) -> Result<Controller, String> {
-        let (src, _schema_gen, p4_gen) = program.generate();
+        let (src, schema_gen, p4_gen) = program.generate();
         let engine = Engine::from_source(&src).map_err(|e| e.to_string())?;
+        let ovsdb = schema_gen.ovsdb.iter().map(|b| (b, "OVSDB table"));
+        for (b, origin) in ovsdb.chain(p4_gen.digests.iter().map(|b| (b, "P4 digest"))) {
+            check_layout(&engine, &b.relation, &b.layout, origin)?;
+        }
+        for t in &p4_gen.tables {
+            check_layout(&engine, &t.relation, &t.layout, "P4 table")?;
+            check_actions(&engine, t)?;
+        }
+        let mcast_types = mcast_types(&engine)?;
+        let by_relation = |b: InputBinding| (b.relation.clone(), b);
+        let tables = p4_gen.tables.into_iter().map(|t| (t.relation.clone(), t));
         Ok(Controller {
             engine,
             schema: program.schema.clone(),
-            tables: p4_gen
-                .tables
-                .into_iter()
-                .map(|t| (t.relation.clone(), t))
-                .collect(),
-            digests: p4_gen
-                .digests
-                .into_iter()
-                .map(|d| (d.relation.clone(), d))
-                .collect(),
+            inputs: schema_gen.ovsdb.into_iter().map(by_relation).collect(),
+            tables: tables.collect(),
+            digests: p4_gen.digests.into_iter().map(by_relation).collect(),
+            mcast_types,
             switches: BTreeMap::new(),
             mcast: BTreeMap::new(),
             dataflow: std::sync::Arc::new(std::sync::Mutex::new(String::new())),
@@ -443,21 +466,19 @@ impl Controller {
     }
 
     /// The one place typed configuration rows become engine input,
-    /// lowered against this controller's schema and relation types.
+    /// lowered through this controller's OVSDB table bindings.
     /// In-process commits, the shard runtime's routed slices and typed
     /// snapshot slices all come through here; the two wire-form shims
     /// decode through [`convert::decode_monitor_update`], which applies
     /// the same conversion row by row.
-    fn config_ops(&self, changes: &[RowChange]) -> Result<InputOps, String> {
-        let rel_types = |name: &str| self.engine.relation_types(name);
-        convert::changes_to_ops(changes, &self.schema, &rel_types)
+    pub fn config_ops(&self, changes: &[RowChange]) -> Result<InputOps, String> {
+        convert::changes_to_ops(changes, &self.inputs)
     }
 
     /// Decode a monitor `table-updates` object straight into engine ops,
     /// plus the trace the server embedded, if any.
     fn decode_ops(&self, updates: &Json) -> Result<(InputOps, Option<(u64, u64)>), String> {
-        let rel_types = |name: &str| self.engine.relation_types(name);
-        convert::decode_monitor_update(updates, &self.schema, &rel_types)
+        convert::decode_monitor_update(updates, &self.schema, &self.inputs)
     }
 
     /// Ingest typed row changes under a context the caller fixed — the
@@ -604,9 +625,13 @@ impl Controller {
         let mut per_switch: BTreeMap<usize, (Vec<Update>, Vec<Update>)> = BTreeMap::new();
         let mut switches: BTreeMap<usize, SwitchPush> = BTreeMap::new();
         for (rel, rows) in &delta.changes {
-            if rel == "MulticastGroup" {
-                for (s, group, ports) in self.apply_mcast_delta(rows)? {
-                    switches.entry(s).or_default().groups.insert(group, ports);
+            if rel == MCAST {
+                for (target, group) in self.apply_mcast_delta(rows) {
+                    let ports: Vec<u16> = self.mcast[&(target, group)].iter().copied().collect();
+                    for t in self.targets(target) {
+                        let push = switches.entry(t).or_default();
+                        push.groups.insert(group, ports.clone());
+                    }
                 }
                 continue;
             }
@@ -615,12 +640,7 @@ impl Controller {
             };
             for (row, weight) in rows {
                 let (target, update) = convert::row_to_update(row, *weight, binding)?;
-                let targets: Vec<usize> = match target {
-                    Some(t) if self.switches.contains_key(&t) => vec![t],
-                    Some(_) => vec![], // another shard's switch
-                    None => self.switches.keys().copied().collect(),
-                };
-                for t in targets {
+                for t in self.targets(target) {
                     let bucket = per_switch.entry(t).or_default();
                     if weight < &0 {
                         bucket.0.push(update.clone());
@@ -681,54 +701,49 @@ impl Controller {
         Ok(())
     }
 
-    /// Fold a delta of the convention relation
-    /// `output relation MulticastGroup(group, port)` (optionally with a
-    /// leading `switch_id` column when there are ≥3 columns) into the
-    /// replication state, returning the group snapshots that must be
-    /// pushed to registered switches.
+    /// The registered switches a row routed to `target` goes to: the
+    /// switch itself, none if another shard owns it, or every registered
+    /// switch for a broadcast row (`None`).
+    fn targets(&self, target: Option<usize>) -> Vec<usize> {
+        match target {
+            Some(t) if self.switches.contains_key(&t) => vec![t],
+            Some(_) => vec![],
+            None => self.switches.keys().copied().collect(),
+        }
+    }
+
+    /// Fold a `MulticastGroup` delta into the replication state and
+    /// return the `(target, group)`s it touched. A row is `[switch,]
+    /// group, port`; construction checked the shape, so group and port
+    /// fit in 16 bits.
     fn apply_mcast_delta(
         &mut self,
         rows: &[(Vec<Value>, isize)],
-    ) -> Result<Vec<(usize, u16, Vec<u16>)>, String> {
-        let mut touched: BTreeSet<(usize, u16)> = BTreeSet::new();
+    ) -> BTreeSet<(Option<usize>, u16)> {
+        let mut touched = BTreeSet::new();
         for (row, w) in rows {
-            let (switches, group, port): (Vec<usize>, u16, u16) = match row.len() {
-                2 => {
-                    let g = row[0].as_u128().ok_or("MulticastGroup: bad group")? as u16;
-                    let p = row[1].as_u128().ok_or("MulticastGroup: bad port")? as u16;
-                    (self.switches.keys().copied().collect(), g, p)
-                }
-                3 => {
-                    let s = row[0].as_u128().ok_or("MulticastGroup: bad switch")? as usize;
-                    let g = row[1].as_u128().ok_or("MulticastGroup: bad group")? as u16;
-                    let p = row[2].as_u128().ok_or("MulticastGroup: bad port")? as u16;
-                    (vec![s], g, p)
-                }
-                n => return Err(format!("MulticastGroup must have 2 or 3 columns, has {n}")),
-            };
-            for s in switches {
-                let set = self.mcast.entry((s, group)).or_default();
-                if *w > 0 {
-                    set.insert(port);
-                } else {
-                    set.remove(&port);
-                }
-                touched.insert((s, group));
+            let (switch, member) = row.split_at(row.len() - 2);
+            let target = switch.first().map(|s| convert::num(s) as usize);
+            let group = convert::num(&member[0]) as u16;
+            let port = convert::num(&member[1]) as u16;
+            let set = self.mcast.entry((target, group)).or_default();
+            if *w > 0 {
+                set.insert(port);
+            } else {
+                set.remove(&port);
             }
+            touched.insert((target, group));
         }
-        let mut pushes = Vec::new();
-        for (s, group) in touched {
-            if !self.switches.contains_key(&s) {
-                continue;
-            }
-            let ports: Vec<u16> = self
-                .mcast
-                .get(&(s, group))
-                .map(|set| set.iter().copied().collect())
-                .unwrap_or_default();
-            pushes.push((s, group, ports));
-        }
-        Ok(pushes)
+        touched
+    }
+
+    /// The replication state's groups switch `switch_id` holds, emptied
+    /// ones included.
+    fn groups_of(&self, switch_id: usize) -> impl Iterator<Item = (u16, &BTreeSet<u16>)> {
+        self.mcast
+            .iter()
+            .filter(move |((t, _), _)| t.is_none_or(|t| t == switch_id))
+            .map(|((_, g), ports)| (*g, ports))
     }
 
     /// Resync the engine's input relations against a fresh monitor
@@ -779,7 +794,7 @@ impl Controller {
         let mut ops = Vec::new();
         let mut report = ResyncReport::default();
         for t in &tables {
-            if self.engine.relation_types(t).is_none() {
+            if !self.inputs.contains_key(t) {
                 continue; // not an input relation of this program
             }
             let target = snapshot.get(t).unwrap_or(&empty);
@@ -817,11 +832,7 @@ impl Controller {
             let rows = self.engine.dump(rel).map_err(|e| e.to_string())?;
             for row in &rows {
                 let (target, update) = convert::row_to_update(row, 1, binding)?;
-                let applies = match target {
-                    Some(t) => t == switch_id,
-                    None => true,
-                };
-                if applies {
+                if target.is_none_or(|t| t == switch_id) {
                     out.insert(update.entry);
                 }
             }
@@ -833,16 +844,15 @@ impl Controller {
     /// holds (its replication state), order-normalized with empty groups
     /// pruned — comparable against a device's `mcast_snapshot`.
     pub fn mcast_snapshot(&self, switch_id: usize) -> BTreeMap<u16, BTreeSet<u16>> {
-        self.mcast
-            .iter()
-            .filter(|((s, _), set)| *s == switch_id && !set.is_empty())
-            .map(|((_, g), set)| (*g, set.clone()))
+        self.groups_of(switch_id)
+            .filter(|(_, ports)| !ports.is_empty())
+            .map(|(g, ports)| (g, ports.clone()))
             .collect()
     }
 
     /// Resolve an installed P4 table entry back to the output-relation
     /// row that produced it: invert the entry through the table binding
-    /// ([`Controller::entry_to_row`], the reverse of the commit path's
+    /// ([`convert::entry_to_row`], the reverse of the commit path's
     /// row→update conversion) and check the row is there. Returns
     /// `(relation, row)`.
     pub fn entry_source(
@@ -876,32 +886,6 @@ impl Controller {
         self.engine.why(&rel, row).map_err(|e| e.to_string())
     }
 
-    /// The `MulticastGroup` convention-relation row for a group member
-    /// (2-column form, or 3-column with a leading switch id), typed
-    /// against the relation's declared columns.
-    fn mcast_row(
-        &self,
-        switch_id: usize,
-        group: u16,
-        port: u16,
-    ) -> Result<Vec<ddlog::Value>, String> {
-        let schema = self
-            .engine
-            .relation_schema("MulticastGroup")
-            .map_err(|e| e.to_string())?;
-        let vals = [switch_id as u128, group as u128, port as u128];
-        let vals = match schema.len() {
-            2 => &vals[1..],
-            3 => &vals[..],
-            n => return Err(format!("MulticastGroup must have 2 or 3 columns, has {n}")),
-        };
-        schema
-            .iter()
-            .zip(vals)
-            .map(|((_, ty), v)| num_value(Some(ty), *v))
-            .collect()
-    }
-
     /// Why is `port` a member of multicast `group`? Resolves through
     /// the `MulticastGroup` convention relation and returns the
     /// derivation tree.
@@ -911,97 +895,32 @@ impl Controller {
         group: u16,
         port: u16,
     ) -> Result<ddlog::WhyNode, String> {
-        let row = self.mcast_row(switch_id, group, port)?;
+        let types = self.mcast_types.as_deref().unwrap_or_default();
+        let vals = [switch_id as u128, group as u128, port as u128];
+        let row: Vec<Value> = types
+            .iter()
+            .zip(&vals[vals.len() - types.len()..])
+            .map(|(ty, v)| convert::typed(ty, *v))
+            .collect();
         if !self
             .engine
-            .contains("MulticastGroup", &row)
+            .contains(MCAST, &row)
             .map_err(|e| e.to_string())?
         {
             return Err(format!(
                 "no MulticastGroup row for group {group} port {port} on switch {switch_id}"
             ));
         }
-        self.engine
-            .why("MulticastGroup", row)
-            .map_err(|e| e.to_string())
+        self.engine.why(MCAST, row).map_err(|e| e.to_string())
     }
 
-    /// Build the output-relation row that *would* produce `entry` on
-    /// `switch_id` — the inverse of the commit path's row→update
-    /// conversion, typed against the relation's declared columns. Param
-    /// columns owned by other actions are set to 0 (the convention the
-    /// generated rules follow).
-    fn entry_to_row(
-        &self,
-        switch_id: usize,
-        entry: &TableEntry,
-    ) -> Result<Vec<ddlog::Value>, String> {
-        use p4sim::runtime::FieldMatch;
-        let Some(binding) = self.tables.get(&entry.table) else {
-            return Err(format!(
-                "no table-bound output relation named `{}`",
-                entry.table
-            ));
+    /// The output row that *would* produce `entry` on `switch_id`.
+    fn entry_to_row(&self, switch_id: usize, entry: &TableEntry) -> Result<Vec<Value>, String> {
+        let name = &entry.table;
+        let Some(binding) = self.tables.get(name) else {
+            return Err(format!("no table-bound output relation named `{name}`"));
         };
-        let schema = self
-            .engine
-            .relation_schema(&entry.table)
-            .map_err(|e| e.to_string())?;
-        let mut types = schema.iter().map(|(_, t)| t);
-        let mut row = Vec::with_capacity(schema.len());
-        if binding.per_switch {
-            row.push(num_value(types.next(), switch_id as u128)?);
-        }
-        if entry.matches.len() != binding.table.keys.len() {
-            return Err(format!(
-                "entry has {} matches, table `{}` has {} keys",
-                entry.matches.len(),
-                entry.table,
-                binding.table.keys.len()
-            ));
-        }
-        for m in &entry.matches {
-            match m {
-                FieldMatch::Exact { value } => row.push(num_value(types.next(), *value)?),
-                FieldMatch::Lpm { value, prefix_len } => {
-                    row.push(num_value(types.next(), *value)?);
-                    row.push(num_value(types.next(), *prefix_len as u128)?);
-                }
-                FieldMatch::Ternary { value, mask } => {
-                    row.push(num_value(types.next(), *value)?);
-                    row.push(num_value(types.next(), *mask)?);
-                }
-            }
-        }
-        if binding.has_priority {
-            row.push(num_value(types.next(), entry.priority as u128)?);
-        }
-        let _ = types.next(); // action column
-        row.push(ddlog::Value::str(&entry.action));
-        let action = binding
-            .table
-            .actions
-            .iter()
-            .find(|a| a.name == entry.action);
-        if let Some(a) = action.filter(|a| a.params.len() != entry.params.len()) {
-            return Err(format!(
-                "entry for table `{}` carries {} param(s), action `{}` declares {}",
-                entry.table,
-                entry.params.len(),
-                a.name,
-                a.params.len()
-            ));
-        }
-        let action_params: &[u128] = action.map_or(&[], |_| &entry.params);
-        for (_, owner, idx) in &binding.param_cols {
-            let v = if owner == &entry.action {
-                action_params.get(*idx).copied().unwrap_or(0)
-            } else {
-                0
-            };
-            row.push(num_value(types.next(), v)?);
-        }
-        Ok(row)
+        convert::entry_to_row(entry, switch_id, binding)
     }
 
     /// Why is this P4 table entry *not* installed? Inverts the entry to
@@ -1084,10 +1003,8 @@ impl Controller {
             match self.desired_entries(id) {
                 Ok(entries) => {
                     let groups = self
-                        .mcast
-                        .iter()
-                        .filter(|((s, _), _)| *s == id)
-                        .map(|((_, g), ports)| (*g, ports.iter().copied().collect()))
+                        .groups_of(id)
+                        .map(|(g, ports)| (g, ports.iter().copied().collect()))
                         .collect();
                     desired.insert(id, (entries, groups));
                 }
@@ -1224,14 +1141,80 @@ impl Controller {
     }
 }
 
-/// A numeric value typed against a declared column (`bit<N>` or
-/// `bigint`).
-fn num_value(ty: Option<&ddlog::Type>, v: u128) -> Result<ddlog::Value, String> {
-    match ty {
-        Some(ddlog::Type::Bit(w)) => Ok(ddlog::Value::Bit { width: *w, val: v }),
-        Some(ddlog::Type::Int) => Ok(ddlog::Value::Int(v as i128)),
-        other => Err(format!("expected numeric column, found {other:?}")),
+/// Check a generated layout against the relation the engine compiled
+/// from its declaration (the rules cannot redeclare it, so a mismatch
+/// means the generator and the compiler disagree).
+fn check_layout(engine: &Engine, rel: &str, layout: &[Col], origin: &str) -> Result<(), String> {
+    let compiled = engine.relation_schema(rel).map_err(|e| e.to_string())?;
+    let compiled: Vec<_> = compiled.iter().map(|(n, t)| format!("{n}: {t}")).collect();
+    let generated: Vec<_> = layout
+        .iter()
+        .map(|c| format!("{}: {}", c.name, c.ty))
+        .collect();
+    if compiled != generated {
+        let [compiled, generated] = [compiled, generated].map(|cols| cols.join(", "));
+        return Err(format!(
+            "relation `{rel}` is declared ({compiled}) in the program, \
+             but {origin} `{rel}` generates ({generated})"
+        ));
     }
+    Ok(())
+}
+
+/// Every constant a rule or fact writes into a table relation's
+/// `action` column must name an action of the P4 table. (Computed names
+/// are checked per row, by [`convert::row_to_update`].)
+fn check_actions(engine: &Engine, t: &TableBinding) -> Result<(), String> {
+    let Some(col) = t.layout.iter().position(|c| c.kind == ColKind::Action) else {
+        return Ok(());
+    };
+    let declared: Vec<&str> = t.table.actions.iter().map(|a| a.name.as_str()).collect();
+    for head in engine.head_constants(&t.relation) {
+        if let Some(Some(Value::Str(name))) = head.get(col) {
+            if !declared.contains(&&**name) {
+                return Err(format!(
+                    "relation `{}` column `action`: a rule writes \"{name}\", \
+                     but P4 table `{}` declares only {}",
+                    t.relation,
+                    t.table.name,
+                    declared.join(", ")
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The `MulticastGroup` column types, if the program declares it: an
+/// optional leading switch column (`bigint`, like the generated
+/// `switch_id`; without it every switch holds every group), then group
+/// and port, which the data plane's replication engine holds as P4
+/// `standard_metadata` `bit<16>` fields.
+fn mcast_types(engine: &Engine) -> Result<Option<Vec<Type>>, String> {
+    let Ok(cols) = engine.relation_schema(MCAST) else {
+        return Ok(None);
+    };
+    if !(2..=3).contains(&cols.len()) {
+        return Err(format!(
+            "{MCAST} must have 2 or 3 columns, has {}",
+            cols.len()
+        ));
+    }
+    let want = [
+        "a switch column is bigint, like the generated `switch_id`",
+        "P4 `standard_metadata.mcast_grp` is bit<16>",
+        "P4 `standard_metadata.egress_spec` is bit<16>",
+    ];
+    for (i, (name, ty)) in (3 - cols.len()..).zip(&cols) {
+        let fits = match i {
+            0 => *ty == Type::Int,
+            _ => matches!(ty, Type::Bit(w) if *w <= 16),
+        };
+        if !fits {
+            return Err(format!("{MCAST} column `{name}` is {ty}, but {}", want[i]));
+        }
+    }
+    Ok(Some(cols.into_iter().map(|(_, ty)| ty).collect()))
 }
 
 /// The device-facing half of a switch reconciliation: read back actual
@@ -1276,8 +1259,6 @@ fn reconcile_device(
     }
     Ok(report)
 }
-
-use ddlog::Value;
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,6 @@ use rand::{RngExt, SeedableRng};
 use serde_json::Value as Json;
 
 use crate::controller::Controller;
-use crate::convert;
 
 // ------------------------------------------------------------ reports
 
@@ -83,16 +82,6 @@ pub fn group_inserts(ops: Vec<(String, Vec<Value>, bool)>) -> BTreeMap<String, V
         }
     }
     out
-}
-
-/// Parse a monitor initial-state snapshot into per-relation row
-/// multisets, using the same conversion path as live monitor updates.
-pub fn snapshot_rows(
-    initial: &Json,
-    schema: &ovsdb::Schema,
-    rel_types: &dyn Fn(&str) -> Option<Vec<ddlog::Type>>,
-) -> Result<BTreeMap<String, Vec<Vec<Value>>>, String> {
-    convert::monitor_update_to_ops(initial, schema, rel_types).map(group_inserts)
 }
 
 /// Multiset difference between the engine's current rows and the target

@@ -661,6 +661,22 @@ impl Engine {
         Ok(self.compiled.decls[rel].columns.clone())
     }
 
+    /// The head arguments of every rule and fact headed at `relation`,
+    /// in source order: the value of each constant argument, `None` for
+    /// one computed from the rule's body.
+    pub fn head_constants(&self, relation: &str) -> Vec<Vec<Option<Value>>> {
+        let no_vars = HashMap::new();
+        let constant = |e| match crate::plan::lower_expr(e, &no_vars) {
+            Ok(crate::cexpr::CExpr::Const(v)) => Some(v),
+            _ => None,
+        };
+        let rules = self.checked.program.rules.iter();
+        rules
+            .filter(|r| r.head.relation == relation)
+            .map(|r| r.head.args.iter().map(constant).collect())
+            .collect()
+    }
+
     fn rel_id(&self, relation: &str) -> Result<RelId> {
         self.compiled
             .rel_ids

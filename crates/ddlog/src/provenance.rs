@@ -5,7 +5,7 @@
 //! `(relation, row)` is answered by one search over the state the
 //! evaluators already keep: for each rule headed at the relation, bind
 //! the head backwards onto the rule's variables, walk the body with
-//! [`crate::recursive::explain_stages`] (probing the shared
+//! `recursive::explain_stages` (probing the shared
 //! arrangements on every variable bound so far), and resolve aggregate
 //! groups against the chain evaluator's live group state. Per rule the
 //! search yields either the environments under which the rule derives

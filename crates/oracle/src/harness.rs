@@ -6,7 +6,7 @@
 //! shard 0). It is checked, per switch, against:
 //!
 //! * the **baseline** — a [`baselines::FullRecompute`] reconciling its
-//!   own `SwitchDevice` from the plain-Rust [`Model`] — and the pure
+//!   own `SwitchDevice` from the plain-Rust `Model` — and the pure
 //!   specification the baseline computes from;
 //! * for N > 1, the **unsharded reference** — one [`Controller`] holding
 //!   all N switches in a single engine — whose relations must equal the
@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use baselines::FullRecompute;
 use nerpa::codegen::CodegenOptions;
 use nerpa::controller::{Controller, NerpaProgram};
-use nerpa::{convert, resync};
+use nerpa::resync;
 use ovsdb::db::RowChange;
 use p4sim::runtime::{FieldMatch, TableEntry, Update, WriteOp};
 use p4sim::service::SwitchDevice;
@@ -600,13 +600,8 @@ impl Harness {
             let slices = self.shards.router().split_row_changes(&rows);
             for (shard, slice) in slices.into_iter().enumerate() {
                 let controller = self.shards.controller_mut(shard);
+                let snapshot = resync::group_inserts(controller.config_ops(&slice)?);
                 let engine = controller.engine();
-                let rel_types = |name: &str| engine.relation_types(name);
-                let snapshot = resync::group_inserts(convert::changes_to_ops(
-                    &slice,
-                    self.db.schema(),
-                    &rel_types,
-                )?);
                 let mut ops = Vec::new();
                 for t in MONITORED {
                     let target = snapshot.get(t).cloned().unwrap_or_default();
@@ -705,9 +700,9 @@ impl Harness {
         let shard_ctls = self.shards.controllers();
         let flat = self.reference.as_ref().map_or(&shard_ctls[0], |(c, _)| c);
         let initial = self.db.monitor_snapshot(&MONITORED)?;
+        let rows = ovsdb::decode_table_updates(&initial, self.db.schema())?.changes;
+        let snapshot = resync::group_inserts(flat.config_ops(&rows)?);
         let engine = flat.engine();
-        let rel_types = |name: &str| engine.relation_types(name);
-        let snapshot = resync::snapshot_rows(&initial, self.db.schema(), &rel_types)?;
         for t in MONITORED {
             let target = snapshot.get(t).cloned().unwrap_or_default();
             let current = engine.dump(t).map_err(|e| e.to_string())?;

@@ -129,6 +129,12 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> std::io::Result<()> {
     w.flush()
 }
 
+/// The longest message line a reader accepts, newline included: 32 MiB,
+/// 12× the largest legitimate message measured, the initial monitor
+/// snapshot of 20 000 snvs ports (2.7 MB). A longer line is refused
+/// instead of buffered until the process runs out of memory.
+pub const MAX_LINE_BYTES: usize = 32 << 20;
+
 /// A message reader over any byte stream.
 pub struct MessageReader<R: Read> {
     inner: BufReader<R>,
@@ -148,11 +154,16 @@ impl<R: Read> MessageReader<R> {
     pub fn read(&mut self) -> std::io::Result<Option<Message>> {
         loop {
             self.line.clear();
-            let n = self.inner.read_line(&mut self.line)?;
+            let mut bounded = (&mut self.inner).take(MAX_LINE_BYTES as u64);
+            let n = bounded.read_line(&mut self.line)?;
             if n == 0 {
                 return Ok(None);
             }
             wire_rx_bytes().add(n as u64);
+            if n == MAX_LINE_BYTES && !self.line.ends_with('\n') {
+                let msg = format!("message line longer than {MAX_LINE_BYTES} bytes");
+                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
+            }
             let trimmed = self.line.trim();
             if trimmed.is_empty() {
                 continue;

@@ -11,7 +11,7 @@
 //!   queue. Device pushes run here.
 //!
 //! The worker's controller never touches a real device: its registered
-//! switches are [`AsyncSwitch`] handles that enqueue write jobs (with
+//! switches are `AsyncSwitch` handles that enqueue write jobs (with
 //! the originating trace id) onto the writer queue and return
 //! immediately. That is the pipelining point — a commit on shard A is
 //! never blocked behind a device push, and shard B's slow or dead

@@ -9,6 +9,10 @@ cargo build --release
 cargo test -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc: a deleted or private item that a doc link still names fails
+# here. `--lib` because the `nerpa` binary and the `nerpa` library
+# would otherwise write the same doc files.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 # Telemetry: the equivalence suite and the cross-plane e2e test run
 # with debug logging wide open (every hot-path log site formats), and
