@@ -13,8 +13,9 @@
 //! engine's incrementality audit armed (every commit asserts work is
 //! O(|input delta| + |output delta|)), and the measured tuples/commit
 //! must stay flat as the network grows. `--out FILE` writes the
-//! measurements as a `BENCH_*.json` report; `--quick` shrinks the
-//! commit counts for CI smoke runs.
+//! measurements as a `BENCH_*.json` report, whose reachability entries
+//! carry the churn-scaling wall budget `compare` enforces; `--quick`
+//! shrinks the Robotron commit counts for CI smoke runs.
 
 use std::time::Instant;
 
@@ -116,70 +117,30 @@ fn wall_ratio(large: &ChurnMeasure, small: &ChurnMeasure) -> f64 {
     large.median_ns as f64 / (small.median_ns as f64).max(1_000.0)
 }
 
-/// The churn-scaling cliff gate (also run standalone via `--cliff`):
-/// wall/op at each larger scale must stay within `MAX_WALL_RATIO` of the
-/// smallest scale. Before the arrangement-backed evaluator this ratio
-/// was ~10x at n=2000 (see EXPERIMENTS.md).
+/// The churn-scaling cliff gate: wall/op at each larger scale must stay
+/// within `MAX_WALL_RATIO` of the smallest scale. Before the
+/// arrangement-backed evaluator this ratio was ~10x at n=2000 (see
+/// EXPERIMENTS.md).
 const MAX_WALL_RATIO: f64 = 2.0;
+
+/// Reachability churn commits, in every mode: each costs microseconds
+/// next to the preload, and a 20-commit median is noisy enough for
+/// warm-up effects to eat most of the 2x wall budget.
+const REACHABILITY_COMMITS: usize = 200;
 
 fn main() {
     let mut out: Option<String> = None;
     let mut quick = false;
-    let mut cliff = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--out" => out = args.next(),
             "--quick" => quick = true,
-            "--cliff" => cliff = true,
             other => {
-                eprintln!("usage: report_fig3 [--out FILE] [--quick] [--cliff] (got {other:?})");
+                eprintln!("usage: report_fig3 [--out FILE] [--quick] (got {other:?})");
                 std::process::exit(2);
             }
         }
-    }
-
-    if cliff {
-        // CI smoke for the scaling cliff: just the reachability churn
-        // pair, gated on the machine-independent wall ratio. The commit
-        // loop is microseconds per iteration (the preload dominates), so
-        // always take the full 200-commit median — 20 commits is noisy
-        // enough for warm-up effects to eat most of the 2x budget.
-        let _ = quick;
-        let commits = 200;
-        let small = measure_reachability_churn(200, 600, commits);
-        let large = measure_reachability_churn(2000, 6000, commits);
-        let ratio = wall_ratio(&large, &small);
-        println!(
-            "bench-cliff: reachability churn wall/op n=200 {:.1}us, n=2000 {:.1}us ({ratio:.2}x, budget {MAX_WALL_RATIO:.2}x)",
-            small.median_ns as f64 / 1e3,
-            large.median_ns as f64 / 1e3,
-        );
-        if let Some(path) = out {
-            let entries = vec![
-                BenchEntry::new(
-                    "fig3/reachability_churn/n=200",
-                    small.median_ns,
-                    small.tuples_per_commit,
-                ),
-                BenchEntry::new(
-                    "fig3/reachability_churn/n=2000",
-                    large.median_ns,
-                    large.tuples_per_commit,
-                )
-                .with_wall_budget("fig3/reachability_churn/n=200", MAX_WALL_RATIO),
-            ];
-            bench::write_bench_json(&path, "fig3-cliff", &entries).expect("write bench json");
-            println!("wrote {path}");
-        }
-        assert!(
-            ratio <= MAX_WALL_RATIO,
-            "churn wall/op grew {ratio:.2}x from n=200 to n=2000 (budget {MAX_WALL_RATIO:.2}x): \
-             the evaluator is paying per-commit cost proportional to total state again"
-        );
-        println!("bench-cliff: OK (churn cost scales with the delta, not the model)");
-        bench::dump_metrics_snapshot();
-        return;
     }
 
     println!("E1 / Fig. 3: fragment growth vs unified rules");
@@ -228,12 +189,15 @@ fn main() {
     };
     let rob_small = measure_robotron_churn(small, commits);
     let rob_large = measure_robotron_churn(large, commits);
-    let reach_small = measure_reachability_churn(200, 600, commits);
-    let reach_large = measure_reachability_churn(2000, 6000, commits);
-    let reach_xl = measure_reachability_churn(20000, 60000, commits);
+    let reach_small = measure_reachability_churn(200, 600, REACHABILITY_COMMITS);
+    let reach_large = measure_reachability_churn(2000, 6000, REACHABILITY_COMMITS);
+    let reach_xl = measure_reachability_churn(20000, 60000, REACHABILITY_COMMITS);
 
     print_table(
-        &format!("audited churn: work per commit vs model size ({commits} commits each)"),
+        &format!(
+            "audited churn: work per commit vs model size \
+             ({commits} Robotron / {REACHABILITY_COMMITS} reachability commits each)"
+        ),
         &["workload", "tuples/commit", "median_us"],
         &[
             vec![

@@ -85,7 +85,6 @@ impl FaultProxy {
             .next()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ProxyState {
             schedule,
@@ -96,41 +95,38 @@ impl FaultProxy {
             conns: Mutex::new(HashMap::new()),
         });
         let accept_state = state.clone();
-        let accept_thread = std::thread::spawn(move || loop {
-            if accept_state.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            match listener.accept() {
-                Ok((client, _)) => {
-                    let conn_id = accept_state.next_conn.fetch_add(1, Ordering::Relaxed);
-                    lock(&accept_state.stats).connections += 1;
-                    if accept_state.partitioned() {
-                        lock(&accept_state.stats).refused += 1;
-                        telemetry::record_event_note(
-                            telemetry::Plane::Chaos,
-                            "chaos.fault",
-                            0,
-                            &[("conn", conn_id)],
-                            "partition-refused",
-                        );
+        let accept_thread = std::thread::spawn(move || {
+            for client in listener.incoming() {
+                // After shutdown the next connection is the wake-up call:
+                // neither proxied nor counted.
+                if accept_state.shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(client) = client else { break };
+                let conn_id = accept_state.next_conn.fetch_add(1, Ordering::Relaxed);
+                lock(&accept_state.stats).connections += 1;
+                if accept_state.partitioned() {
+                    lock(&accept_state.stats).refused += 1;
+                    telemetry::record_event_note(
+                        telemetry::Plane::Chaos,
+                        "chaos.fault",
+                        0,
+                        &[("conn", conn_id)],
+                        "partition-refused",
+                    );
+                    let _ = client.shutdown(Shutdown::Both);
+                    continue;
+                }
+                let server = match TcpStream::connect(upstream) {
+                    Ok(s) => s,
+                    Err(_) => {
                         let _ = client.shutdown(Shutdown::Both);
                         continue;
                     }
-                    let server = match TcpStream::connect(upstream) {
-                        Ok(s) => s,
-                        Err(_) => {
-                            let _ = client.shutdown(Shutdown::Both);
-                            continue;
-                        }
-                    };
-                    let _ = client.set_nodelay(true);
-                    let _ = server.set_nodelay(true);
-                    spawn_pumps(accept_state.clone(), conn_id, client, server);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => break,
+                };
+                let _ = client.set_nodelay(true);
+                let _ = server.set_nodelay(true);
+                spawn_pumps(accept_state.clone(), conn_id, client, server);
             }
         });
         Ok(FaultProxy {
@@ -191,9 +187,11 @@ impl FaultProxy {
 
     /// Stop the proxy: no new connections, all active ones severed.
     pub fn shutdown(&mut self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
+        self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+            if telemetry::server::wake_accept(self.addr) {
+                let _ = h.join();
+            }
         }
         self.sever_all();
     }

@@ -17,7 +17,7 @@ use crate::profile::{AuditConfig, FixpointProbe, OpCatalog, WorkProfile};
 use crate::provenance::{QueryCtx, WhyNode, WhyNot};
 use crate::recursive::process_recursive_stratum;
 use crate::store::{RelId, RelationStore};
-use crate::stratify::{stratify, Stratification};
+use crate::stratify::stratify;
 use crate::typecheck::{check, CheckedProgram};
 use crate::types::Type;
 use crate::value::{Row, Value};
@@ -178,8 +178,6 @@ struct StratumExec {
 pub struct Engine {
     checked: CheckedProgram,
     compiled: CompiledProgram,
-    #[allow(dead_code)]
-    strat: Stratification,
     strata: Vec<StratumExec>,
     stores: Vec<RelationStore>,
     rule_states: Vec<RuleState>,
@@ -220,7 +218,7 @@ impl Engine {
             .program
             .relations
             .iter()
-            .map(|r| RelationStore::new(r.name.clone()))
+            .map(|r| RelationStore::new(r.name.clone(), r.arity()))
             .collect();
         let mut compiled = plan(&checked, &mut stores)?;
 
@@ -262,7 +260,7 @@ impl Engine {
             });
         }
 
-        // Re-plan recursive rules per drive context so every probe of the
+        // Order recursive rules per drive context so every probe of the
         // fixpoint hits a maintained arrangement (registering the extra
         // arrangements before any data arrives).
         for s in &strata {
@@ -294,7 +292,6 @@ impl Engine {
         let mut engine = Engine {
             checked,
             compiled,
-            strat,
             strata,
             stores,
             rule_states,
@@ -806,11 +803,7 @@ impl Engine {
 
     /// The current contents of any relation, sorted.
     pub fn dump(&self, relation: &str) -> Result<Vec<Vec<Value>>> {
-        let rel = *self
-            .compiled
-            .rel_ids
-            .get(relation)
-            .ok_or_else(|| Error::new(Phase::Eval, format!("unknown relation `{relation}`")))?;
+        let rel = self.rel_id(relation)?;
         let mut rows: Vec<Vec<Value>> = self.stores[rel].rows().map(|r| (**r).clone()).collect();
         rows.sort();
         Ok(rows)
@@ -821,11 +814,7 @@ impl Engine {
     /// only positive counts — so this exists for invariant checkers
     /// (`crates/oracle`) rather than for normal clients.
     pub fn dump_weights(&self, relation: &str) -> Result<Vec<(Vec<Value>, isize)>> {
-        let rel = *self
-            .compiled
-            .rel_ids
-            .get(relation)
-            .ok_or_else(|| Error::new(Phase::Eval, format!("unknown relation `{relation}`")))?;
+        let rel = self.rel_id(relation)?;
         let mut rows: Vec<(Vec<Value>, isize)> = self.stores[rel]
             .rows_with_counts()
             .map(|(r, c)| ((**r).clone(), c))
@@ -836,11 +825,7 @@ impl Engine {
 
     /// Number of visible rows in a relation.
     pub fn relation_len(&self, relation: &str) -> Result<usize> {
-        let rel = *self
-            .compiled
-            .rel_ids
-            .get(relation)
-            .ok_or_else(|| Error::new(Phase::Eval, format!("unknown relation `{relation}`")))?;
+        let rel = self.rel_id(relation)?;
         Ok(self.stores[rel].len())
     }
 

@@ -11,7 +11,7 @@
 //! Planning also registers every hash index the pipelines will need on the
 //! relation stores (indexes must exist before data arrives).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use crate::ast::*;
 use crate::cexpr::CExpr;
@@ -79,34 +79,23 @@ pub enum PStage {
     },
 }
 
-/// How a head argument can be matched backwards (head row → bindings),
-/// used by delete–re-derive.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HeadBind {
-    /// The argument is a plain variable in this slot.
-    Slot(usize),
-    /// The argument is this constant.
-    Const(Value),
-}
-
-/// Re-planned pipelines for the drive contexts of recursive evaluation.
+/// Stage orders for the drive contexts of recursive evaluation.
 ///
-/// The statically planned left-to-right pipeline keys each atom only on
-/// slots bound by *earlier* stages. Driven evaluation binds slots in a
-/// different order — a delta row pre-binds the driven atom's slots, and
-/// backward re-derivation pre-binds the head's slots — so under the
-/// static plan the remaining atoms can degrade to full scans (cost ∝
-/// relation size per driven row). These pipelines are re-ordered and
-/// re-keyed per context so every probe hits a maintained arrangement.
+/// A rule's stages are planned left to right, so each atom's key holds
+/// only the slots earlier stages bind. Driven evaluation binds slots in
+/// another order — a delta row pre-binds the driven atom's slots, and
+/// re-derivation pre-binds the head's — so each context gets its own
+/// order, most constrained atom first, and planning registers the
+/// arrangement every probe in that order will find. The keys themselves
+/// are read off the bound slots at run time (`recursive::Walk`).
 #[derive(Debug, Clone, Default)]
 pub struct DrivePlans {
-    /// Per stage index: the pipeline over the *other* stages when a
-    /// delta row drives that atom. `None` entries (non-atom stages, or
-    /// where re-planning bailed) fall back to original order + skip.
-    pub from: Vec<Option<Vec<PStage>>>,
-    /// The pipeline for backward re-derivation, where the head row binds
-    /// slots first. `None` falls back to original order.
-    pub rederive: Option<Vec<PStage>>,
+    /// Per stage index: the order of the *other* stages when a delta row
+    /// drives that atom (empty for stages that are not atoms).
+    pub from: Vec<Vec<usize>>,
+    /// The order for re-derivation, where the head row binds slots
+    /// first; body order when the head binds none.
+    pub rederive: Vec<usize>,
 }
 
 /// A fully planned rule.
@@ -118,9 +107,6 @@ pub struct CompiledRule {
     pub head_rel: RelId,
     /// Head expressions over the final environment layout.
     pub head_exprs: Vec<CExpr>,
-    /// Backward head matching, if every head argument is a variable or
-    /// constant. `None` forces forward evaluation during re-derivation.
-    pub head_binds: Option<Vec<HeadBind>>,
     /// The pipeline.
     pub stages: Vec<PStage>,
     /// Final environment size. Only meaningful when the rule has no
@@ -130,7 +116,7 @@ pub struct CompiledRule {
     pub has_aggregate: bool,
     /// The distinct relations referenced by body atoms.
     pub body_rels: Vec<RelId>,
-    /// Context-specific pipelines for driven evaluation, built by
+    /// Stage orders for driven evaluation, built by
     /// [`build_drive_plans`] for recursive rules. Empty for chain rules.
     pub drive_plans: DrivePlans,
 }
@@ -387,27 +373,10 @@ fn plan_rule(
     for expr in &rule.head.args {
         head_exprs.push(lower_expr(expr, &layout)?);
     }
-    // Backward head matching when every arg folds to a slot or constant.
-    let mut head_binds = Some(Vec::new());
-    for ce in &head_exprs {
-        let hb = match ce {
-            CExpr::Var(slot) => Some(HeadBind::Slot(*slot)),
-            other => const_fold(other).map(HeadBind::Const),
-        };
-        match (hb, &mut head_binds) {
-            (Some(h), Some(v)) => v.push(h),
-            _ => {
-                head_binds = None;
-                break;
-            }
-        }
-    }
-
     Ok(CompiledRule {
         rule_index,
         head_rel,
         head_exprs,
-        head_binds,
         stages,
         n_slots: layout.len(),
         has_aggregate,
@@ -416,9 +385,9 @@ fn plan_rule(
     })
 }
 
-/// Build context-specific drive plans for the rules of one recursive
-/// stratum (`plan_idxs`), registering the arrangements the re-keyed
-/// probes need. Must run after [`plan`] and before data arrives.
+/// Build the drive orders for the rules of one recursive stratum
+/// (`plan_idxs`), registering the arrangements their probes need. Must
+/// run after [`plan`] and before data arrives.
 pub fn build_drive_plans(
     compiled: &mut CompiledProgram,
     plan_idxs: &[usize],
@@ -431,78 +400,80 @@ pub fn build_drive_plans(
         ..
     } = compiled;
     for &pi in plan_idxs {
-        let rule_index = rules[pi].rule_index;
-        let stages = rules[pi].stages.clone();
-        let n = stages.len();
-        let mut plans = DrivePlans {
-            from: vec![None; n],
-            rederive: None,
-        };
-        for idx in 0..n {
-            let PStage::Atom {
-                neg: false,
-                key_srcs,
-                binds,
-                ..
-            } = &stages[idx]
-            else {
+        let rule = &rules[pi];
+        let (ri, n) = (rule.rule_index, rule.stages.len());
+        let mut from = vec![Vec::new(); n];
+        for (idx, stage) in rule.stages.iter().enumerate() {
+            let PStage::Atom { neg, .. } = stage else {
                 continue;
             };
-            // A driving row pre-binds every slot the atom mentions.
-            let mut bound = HashSet::new();
-            for src in key_srcs {
-                if let KeySrc::Slot(s) = src {
-                    bound.insert(*s);
-                }
+            if *neg {
+                // A change to a negated relation seeds the fixpoint
+                // (an insertion can kill derivations, a deletion enable
+                // them): body order, keyed on whatever is bound.
+                from[idx] = (0..n).filter(|i| *i != idx).collect();
+                continue;
             }
-            for (_, slot) in binds {
-                bound.insert(*slot);
-            }
-            plans.from[idx] = replan(
-                &stages,
+            // A driving row binds every slot the atom mentions.
+            let bound = atom_cols(stage)
+                .filter_map(|(_, src)| match src {
+                    ColSrc::Slot(s) => Some(s),
+                    ColSrc::Const(_) => None,
+                })
+                .collect();
+            let user = format!("rule {ri} drive@{idx}");
+            from[idx] = replan(
+                &rule.stages,
                 Some(idx),
                 bound,
                 scc_rels,
                 arrangements,
                 stores,
-                &format!("rule {rule_index} drive@{idx}"),
+                &user,
             );
         }
-        if let Some(head_binds) = &rules[pi].head_binds {
-            let bound: HashSet<usize> = head_binds
-                .iter()
-                .filter_map(|hb| match hb {
-                    HeadBind::Slot(s) => Some(*s),
-                    HeadBind::Const(_) => None,
-                })
-                .collect();
-            plans.rederive = replan(
-                &stages,
+        // Re-derivation pins the slots the head's plain variables name
+        // (see `provenance::head_init`); a head that names none
+        // enumerates its rule forward.
+        let bound: HashSet<usize> = rule
+            .head_exprs
+            .iter()
+            .filter_map(|e| match e {
+                CExpr::Var(s) => Some(*s),
+                _ => None,
+            })
+            .collect();
+        let rederive = if bound.is_empty() {
+            (0..n).collect()
+        } else {
+            let user = format!("rule {ri} rederive");
+            replan(
+                &rule.stages,
                 None,
                 bound,
                 scc_rels,
                 arrangements,
                 stores,
-                &format!("rule {rule_index} rederive"),
-            );
-        }
-        rules[pi].drive_plans = plans;
+                &user,
+            )
+        };
+        rules[pi].drive_plans = DrivePlans { from, rederive };
     }
 }
 
 /// The value source of one atom column under any binding order.
-pub(crate) enum ColSrc {
+pub(crate) enum ColSrc<'a> {
     /// The column must equal this literal.
-    Const(Value),
+    Const(&'a Value),
     /// The column carries this environment slot's value.
     Slot(usize),
 }
 
-/// Reconstruct per-column sources from a planned atom stage (its
-/// key/bind/check split assumed the original left-to-right order).
-/// Shared with the provenance layer, which inverts a recorded
-/// environment back into the concrete input rows of each atom.
-pub(crate) fn atom_col_srcs(stage: &PStage) -> Vec<(usize, ColSrc)> {
+/// Every column an atom constrains, with its source, wildcards left out.
+/// A planned atom splits its columns into key, bind and check columns
+/// for the left-to-right binding order; this undoes the split, so a walk
+/// in any order can key on whichever slots it has bound.
+pub(crate) fn atom_cols(stage: &PStage) -> impl Iterator<Item = (usize, ColSrc<'_>)> {
     let PStage::Atom {
         key_cols,
         key_srcs,
@@ -511,65 +482,19 @@ pub(crate) fn atom_col_srcs(stage: &PStage) -> Vec<(usize, ColSrc)> {
         ..
     } = stage
     else {
-        unreachable!("re-keying a non-atom stage")
+        unreachable!("column sources of a non-atom stage")
     };
-    let mut srcs: BTreeMap<usize, ColSrc> = BTreeMap::new();
-    for (c, s) in key_cols.iter().zip(key_srcs) {
-        let src = match s {
-            KeySrc::Const(v) => ColSrc::Const(v.clone()),
-            KeySrc::Slot(sl) => ColSrc::Slot(*sl),
-        };
-        srcs.insert(*c, src);
-    }
-    for (c, sl) in binds {
-        srcs.insert(*c, ColSrc::Slot(*sl));
-    }
-    for (a, b) in checks {
-        // Column `a` repeats the variable first bound at column `b`.
-        if let Some((_, sl)) = binds.iter().find(|(c, _)| c == b) {
-            srcs.insert(*a, ColSrc::Slot(*sl));
-        }
-    }
-    srcs.into_iter().collect()
-}
-
-/// An atom's key/check/bind split for a given set of bound slots.
-struct Rekeyed {
-    key_cols: Vec<usize>,
-    key_srcs: Vec<KeySrc>,
-    checks: Vec<(usize, usize)>,
-    binds: Vec<(usize, usize)>,
-}
-
-fn rekey(cols: &[(usize, ColSrc)], bound: &HashSet<usize>) -> Rekeyed {
-    let mut out = Rekeyed {
-        key_cols: Vec::new(),
-        key_srcs: Vec::new(),
-        checks: Vec::new(),
-        binds: Vec::new(),
-    };
-    // slot → first column carrying it within this atom.
-    let mut local: HashMap<usize, usize> = HashMap::new();
-    for (col, src) in cols {
-        match src {
-            ColSrc::Const(v) => {
-                out.key_cols.push(*col);
-                out.key_srcs.push(KeySrc::Const(v.clone()));
-            }
-            ColSrc::Slot(s) if bound.contains(s) => {
-                out.key_cols.push(*col);
-                out.key_srcs.push(KeySrc::Slot(*s));
-            }
-            ColSrc::Slot(s) => match local.get(s) {
-                Some(first) => out.checks.push((*col, *first)),
-                None => {
-                    local.insert(*s, *col);
-                    out.binds.push((*col, *s));
-                }
-            },
-        }
-    }
-    out
+    let keys = key_cols.iter().zip(key_srcs).map(|(c, s)| match s {
+        KeySrc::Const(v) => (*c, ColSrc::Const(v)),
+        KeySrc::Slot(sl) => (*c, ColSrc::Slot(*sl)),
+    });
+    let bound = binds.iter().map(|(c, sl)| (*c, ColSrc::Slot(*sl)));
+    // Column `a` repeats the variable first bound at column `b`.
+    let repeats = checks.iter().filter_map(|(a, b)| {
+        let (_, sl) = binds.iter().find(|(c, _)| c == b)?;
+        Some((*a, ColSrc::Slot(*sl)))
+    });
+    keys.chain(bound).chain(repeats)
 }
 
 /// True when every slot `expr` reads is in `bound`.
@@ -579,9 +504,9 @@ fn slots_bound(expr: &CExpr, bound: &HashSet<usize>) -> bool {
     ok
 }
 
-/// Greedily re-order and re-key `stages` (minus `exclude`) for a context
-/// where `bound` slots are pre-bound. Returns `None` when re-planning
-/// cannot proceed (the caller falls back to the original order).
+/// Greedily order `stages` (minus `exclude`) for a context where `bound`
+/// slots are pre-bound, registering the arrangement each atom's probe
+/// will key on.
 #[allow(clippy::too_many_arguments)]
 fn replan(
     stages: &[PStage],
@@ -591,7 +516,7 @@ fn replan(
     arrangements: &mut Vec<ArrangementSpec>,
     stores: &mut [RelationStore],
     user: &str,
-) -> Option<Vec<PStage>> {
+) -> Vec<usize> {
     let mut remaining: Vec<usize> = (0..stages.len()).filter(|i| Some(*i) != exclude).collect();
     let mut out = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
@@ -613,12 +538,10 @@ fn replan(
                         }
                         ok
                     }
-                    PStage::Aggregate { .. } => return None,
-                    PStage::Atom { .. } => false,
+                    PStage::Atom { .. } | PStage::Aggregate { .. } => false,
                 };
                 if take {
-                    out.push(stages[i].clone());
-                    remaining.remove(j);
+                    out.push(remaining.remove(j));
                     progressed = true;
                 } else {
                     j += 1;
@@ -632,49 +555,48 @@ fn replan(
         // relations (their keyed fan-out reflects the data, not the
         // fixpoint's full frontier) and then original order.
         type Score = (usize, bool, std::cmp::Reverse<usize>);
-        let mut best: Option<(Score, usize, Rekeyed)> = None;
+        let mut best: Option<(Score, usize, Vec<usize>)> = None;
         for (j, &i) in remaining.iter().enumerate() {
             let PStage::Atom { rel, neg, .. } = &stages[i] else {
                 continue;
             };
-            let rk = rekey(&atom_col_srcs(&stages[i]), &bound);
-            if *neg && !rk.binds.is_empty() {
+            let (mut known, mut free) = (Vec::new(), false);
+            for (col, src) in atom_cols(&stages[i]) {
+                match src {
+                    ColSrc::Slot(s) if !bound.contains(&s) => free = true,
+                    _ => known.push(col),
+                }
+            }
+            if *neg && free {
                 continue; // negation needs every variable bound
             }
-            let score = (
-                rk.key_cols.len(),
-                !scc_rels.contains(rel),
-                std::cmp::Reverse(i),
-            );
-            let better = match &best {
-                None => true,
-                Some((b, _, _)) => score > *b,
-            };
-            if better {
-                best = Some((score, j, rk));
+            known.sort_unstable();
+            let score = (known.len(), !scc_rels.contains(rel), std::cmp::Reverse(i));
+            if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
+                best = Some((score, j, known));
             }
         }
-        let (_, j, rk) = best?; // stuck → original-order fallback
+        let Some((_, j, known)) = best else {
+            // Stuck (only an aggregate does this): the original order
+            // binds every slot before its use.
+            out.append(&mut remaining);
+            break;
+        };
         let i = remaining.remove(j);
-        let PStage::Atom { rel, neg, .. } = &stages[i] else {
+        let PStage::Atom { rel, .. } = &stages[i] else {
             unreachable!()
         };
-        if !rk.key_cols.is_empty() {
-            register_arrangement(arrangements, stores, *rel, &rk.key_cols, user.to_string());
+        if !known.is_empty() {
+            register_arrangement(arrangements, stores, *rel, &known, user.to_string());
         }
-        for (_, slot) in &rk.binds {
-            bound.insert(*slot);
+        for (_, src) in atom_cols(&stages[i]) {
+            if let ColSrc::Slot(s) = src {
+                bound.insert(s);
+            }
         }
-        out.push(PStage::Atom {
-            rel: *rel,
-            neg: *neg,
-            key_cols: rk.key_cols,
-            key_srcs: rk.key_srcs,
-            checks: rk.checks,
-            binds: rk.binds,
-        });
+        out.push(i);
     }
-    Some(out)
+    out
 }
 
 /// Lower an AST expression to a compiled expression, resolving variables
@@ -778,7 +700,7 @@ mod tests {
         let mut stores: Vec<RelationStore> = prog
             .relations
             .iter()
-            .map(|r| RelationStore::new(r.name.clone()))
+            .map(|r| RelationStore::new(r.name.clone(), r.arity()))
             .collect();
         let cp = plan(&checked, &mut stores).unwrap();
         (cp, stores)
@@ -856,21 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn head_binds_for_simple_heads() {
-        let (cp, _) = compile(
-            "
-            input relation E(a: bigint, b: bigint)
-            output relation R(a: bigint, b: bigint)
-            output relation S(x: bigint)
-            R(a, b) :- E(a, b).
-            S(a + b) :- E(a, b).
-            ",
-        );
-        assert!(cp.rules[0].head_binds.is_some());
-        assert!(cp.rules[1].head_binds.is_none());
-    }
-
-    #[test]
     fn facts_planned_as_constants() {
         let (cp, _) = compile(
             "
@@ -919,49 +826,48 @@ mod tests {
         build_drive_plans(&mut cp, &[1], &scc, &mut stores);
         let rule = &cp.rules[1];
 
-        // Driving Edge (stage 1) binds a and b; the Label(a, l) probe
-        // must be keyed on column 0 = a, not a full scan.
-        let from_edge = rule.drive_plans.from[1].as_ref().unwrap();
-        match &from_edge[0] {
-            PStage::Atom { rel, key_cols, .. } => {
-                assert_eq!(*rel, cp.rel_ids["Label"]);
-                assert_eq!(key_cols, &[0]);
-            }
-            other => panic!("unexpected stage {other:?}"),
-        }
+        // Driving Edge (stage 1) binds a and b; Label(a, l) is left,
+        // probed by column 0 = a, not a full scan.
+        assert_eq!(rule.drive_plans.from[1], vec![0]);
+        assert!(stores[cp.rel_ids["Label"]].has_index(&[0]));
 
         // Driving Label (stage 0) binds a and l; Edge keyed on column 0.
-        let from_label = rule.drive_plans.from[0].as_ref().unwrap();
-        match &from_label[0] {
-            PStage::Atom { rel, key_cols, .. } => {
-                assert_eq!(*rel, cp.rel_ids["Edge"]);
-                assert_eq!(key_cols, &[0]);
-            }
-            other => panic!("unexpected stage {other:?}"),
-        }
+        assert_eq!(rule.drive_plans.from[0], vec![1]);
+        assert!(stores[cp.rel_ids["Edge"]].has_index(&[0]));
 
         // Re-derivation binds the head slots (b, l); the best first
         // probe is the non-SCC Edge by b (column 1), then Label fully
         // keyed — never a scan proportional to |Label|.
-        let red = rule.drive_plans.rederive.as_ref().unwrap();
-        match &red[0] {
-            PStage::Atom { rel, key_cols, .. } => {
-                assert_eq!(*rel, cp.rel_ids["Edge"]);
-                assert_eq!(key_cols, &[1]);
-            }
-            other => panic!("unexpected stage {other:?}"),
-        }
-        match &red[1] {
-            PStage::Atom { rel, key_cols, .. } => {
-                assert_eq!(*rel, cp.rel_ids["Label"]);
-                assert_eq!(key_cols, &[0, 1]);
-            }
-            other => panic!("unexpected stage {other:?}"),
-        }
-
-        // The re-keyed probes registered their arrangements.
+        assert_eq!(rule.drive_plans.rederive, vec![1, 0]);
         assert!(stores[cp.rel_ids["Edge"]].has_index(&[1]));
         assert!(stores[cp.rel_ids["Label"]].has_index(&[0, 1]));
+        let users = |rel: &str, cols: &[usize]| {
+            let rel = cp.rel_ids[rel];
+            let spec = cp
+                .arrangements
+                .iter()
+                .find(|s| s.rel == rel && s.cols == cols);
+            spec.unwrap().users.clone()
+        };
+        assert_eq!(users("Edge", &[1]), vec!["rule 1 rederive".to_string()]);
+        assert_eq!(users("Label", &[0]), vec!["rule 1 drive@1".to_string()]);
+    }
+
+    #[test]
+    fn a_head_with_a_computed_argument_still_rederives_by_its_variables() {
+        let (mut cp, mut stores) = compile(
+            "
+            input relation E(a: bigint, b: bigint)
+            output relation R(a: bigint, b: bigint)
+            R(a, b + 1) :- R(a, b), E(a, b).
+            R(a, b) :- E(a, b).
+            ",
+        );
+        let scc: HashSet<RelId> = [cp.rel_ids["R"]].into_iter().collect();
+        build_drive_plans(&mut cp, &[0], &scc, &mut stores);
+        // `a` pins slot 0; E by a is the non-SCC probe, then R by (a, b).
+        assert_eq!(cp.rules[0].drive_plans.rederive, vec![1, 0]);
+        assert!(stores[cp.rel_ids["E"]].has_index(&[0]));
     }
 
     #[test]

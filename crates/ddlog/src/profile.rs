@@ -436,8 +436,8 @@ pub struct FixpointProbe {
     /// Rows popped from the DRed / semi-naive frontiers (each distinct
     /// row is driven at most once per phase).
     pub driven: u64,
-    /// Rows handed out by view lookups and scans while driving — the
-    /// probe-side work. Under the arranged evaluator this stays
+    /// Rows handed out by view probes while driving — the probe-side
+    /// work. Under the arranged evaluator this stays
     /// O(matches); a full scan would make it O(relation) and trip the
     /// incrementality audit.
     pub examined: u64,
@@ -456,7 +456,7 @@ impl FixpointProbe {
         self.driven += 1;
     }
 
-    /// Note `n` rows handed out by lookups/scans (drained from a
+    /// Note `n` rows handed out by probes (drained from a
     /// [`crate::recursive::View`]).
     pub fn examine(&mut self, n: u64) {
         self.examined += n;

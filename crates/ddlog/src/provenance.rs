@@ -4,14 +4,14 @@
 //! Nothing is recorded while the engine evaluates. A question about a
 //! `(relation, row)` is answered by one search over the state the
 //! evaluators already keep: for each rule headed at the relation, bind
-//! the head backwards onto the rule's variables, walk the body with
-//! `recursive::explain_stages` (probing the shared
-//! arrangements on every variable bound so far), and resolve aggregate
-//! groups against the chain evaluator's live group state. Per rule the
-//! search yields either the environments under which the rule derives
-//! the row or the deepest literal that blocks it — `why` renders the
-//! first side as a derivation tree rooted in base facts, `why_not` the
-//! second. Supporting input rows are re-found by projecting an
+//! the head backwards onto the rule's variables, walk the body with the
+//! engine's one tuple-at-a-time walker (`recursive::Walk`, probing the
+//! shared arrangements on every variable bound so far), and resolve
+//! aggregate groups against the chain evaluator's live group state. Per
+//! rule the search yields either the environments under which the rule
+//! derives the row or the deepest literal that blocks it — `why` renders
+//! the first side as a derivation tree rooted in base facts, `why_not`
+//! the second. Supporting input rows are re-found by projecting an
 //! environment back through each atom's columns, so an answer can never
 //! cite a retracted fact: it is computed from what is visible now.
 //!
@@ -25,12 +25,12 @@
 use std::cell::Cell;
 use std::collections::HashSet;
 
-use crate::ast::RelationRole;
+use crate::ast::{RelationDecl, RelationRole};
 use crate::cexpr::{eval, eval_aggregate, eval_cast, CExpr};
 use crate::chain::RuleState;
 use crate::error::{Error, Phase, Result};
 use crate::plan::{CompiledProgram, CompiledRule, PStage};
-use crate::recursive::{atom_pattern, explain_stages, fmt_pattern, fmt_row, HeadCheck};
+use crate::recursive::{atom_pattern, DeadEnd, Sink, View, Walk};
 use crate::store::{RelId, RelationStore};
 use crate::types::Type;
 use crate::value::{Row, Value};
@@ -133,6 +133,51 @@ pub struct CandidateReport {
 
 // ---------------------------------------------------------------------------
 // Rendering
+
+/// Render a row as `Rel(v, w)`.
+fn fmt_row(relation: &str, row: &[Value]) -> String {
+    let vals: Vec<String> = row.iter().map(Value::to_string).collect();
+    format!("{}({})", relation, vals.join(", "))
+}
+
+/// Render a pattern as `Rel(v, _, w)`.
+fn fmt_pattern(relation: &str, pattern: &[Option<Value>]) -> String {
+    let cols: Vec<String> = pattern
+        .iter()
+        .map(|p| p.as_ref().map_or("_".to_string(), Value::to_string))
+        .collect();
+    format!("{}({})", relation, cols.join(", "))
+}
+
+/// Render a walk's dead end in a rule headed at `head`.
+fn fmt_dead_end(decls: &[RelationDecl], head: RelId, dead_end: DeadEnd) -> String {
+    let name = |rel: RelId| decls[rel].name.as_str();
+    match dead_end {
+        DeadEnd::Conflict => {
+            "the target row binds the same variable twice with different values".to_string()
+        }
+        DeadEnd::NoMatch { rel, pattern } => {
+            format!("no row matches {}", fmt_pattern(name(rel), &pattern))
+        }
+        DeadEnd::Present { rel, row, pattern } => format!(
+            "negation violated: {} is present, but the rule requires `not {}`",
+            fmt_row(name(rel), &row),
+            fmt_pattern(name(rel), &pattern)
+        ),
+        DeadEnd::Filter => "filter condition evaluates to false".to_string(),
+        DeadEnd::Assign { computed, required } => {
+            format!("assignment computes {computed} but the target row requires {required}")
+        }
+        DeadEnd::EmptyFlatMap => "FlatMap collection is empty".to_string(),
+        DeadEnd::NoElement { required } => {
+            format!("no FlatMap element equals the required value {required}")
+        }
+        DeadEnd::Head { row } => format!(
+            "the rule fires but its head yields {}, not the target",
+            fmt_row(name(head), &row)
+        ),
+    }
+}
 
 fn fmt_touch(touch: Option<(u64, u64)>) -> String {
     match touch {
@@ -389,13 +434,6 @@ const MAX_CONTRIBUTORS: usize = 16;
 pub const SEARCH_BUDGET: usize = 50_000;
 
 impl<'a> QueryCtx<'a> {
-    fn describe(&self) -> impl Fn(RelId) -> (String, usize) + '_ {
-        |rel| {
-            let d = &self.compiled.decls[rel];
-            (d.name.clone(), d.arity())
-        }
-    }
-
     fn head_row(&self, rule: &CompiledRule, env: &[Value]) -> Result<Vec<Value>> {
         rule.head_exprs.iter().map(|e| eval(e, env)).collect()
     }
@@ -432,40 +470,30 @@ fn aggregate_of(rule: &CompiledRule) -> Option<(usize, &[usize])> {
 
 /// The declared type of the column that binds `slot`, when an atom of
 /// the rule binds it.
-fn slot_type(ctx: &QueryCtx<'_>, rule: &CompiledRule, slot: usize) -> Option<Type> {
+fn slot_type(decls: &[RelationDecl], rule: &CompiledRule, slot: usize) -> Option<Type> {
     rule.stages.iter().find_map(|s| match s {
         PStage::Atom { rel, binds, .. } => binds
             .iter()
             .find(|(_, sl)| *sl == slot)
-            .map(|(col, _)| ctx.compiled.decls[*rel].columns[*col].1.clone()),
+            .map(|(col, _)| decls[*rel].columns[*col].1.clone()),
         _ => None,
     })
 }
 
-/// One more than the highest slot `stages` bind: the environment size a
-/// walk over them needs.
-fn slots_of(stages: &[PStage]) -> usize {
-    let bound = stages.iter().flat_map(|s| match s {
-        PStage::Atom { binds, .. } => binds.iter().map(|(_, sl)| *sl).collect(),
-        PStage::Assign { slot, .. } | PStage::FlatMap { slot, .. } => vec![*slot],
-        PStage::Filter { .. } | PStage::Aggregate { .. } => Vec::new(),
-    });
-    bound.max().map_or(0, |m| m + 1)
-}
-
-/// Bind a head row backwards onto the rule's final environment layout:
-/// a plain-variable argument pins its slot, a constant argument must
-/// equal the target (`Err(reason)` when it cannot). With `invert_casts`
-/// an argument `x as T` also pins `x`, to the one value of its declared
-/// type that casts to the target without wrapping; `.1` reports that
-/// such a guess was made (a wrapping preimage would be missed, so
-/// [`derivations`] retries uninverted when this comes up short).
-/// Computed arguments stay unbound and are checked at the leaf.
-fn head_init(
-    ctx: &QueryCtx<'_>,
+/// Bind a head row backwards onto the rule's final environment layout —
+/// the one head binder, shared with DRed's re-derivation: a
+/// plain-variable argument pins its slot, a constant argument must equal
+/// the target (`Err(reason)` when it cannot). Given the relation
+/// declarations (`invert_casts`), an argument `x as T` also pins `x`, to
+/// the one value of its declared type that casts to the target without
+/// wrapping; `.1` reports that such a guess was made (a wrapping preimage
+/// would be missed, so [`derivations`] retries uninverted when this comes
+/// up short). Computed arguments stay unbound and are checked at the
+/// leaf.
+pub(crate) fn head_init(
     rule: &CompiledRule,
     row: &[Value],
-    invert_casts: bool,
+    invert_casts: Option<&[RelationDecl]>,
 ) -> std::result::Result<(Vec<(usize, Value)>, bool), String> {
     let mut init = Vec::new();
     let mut guessed = false;
@@ -477,7 +505,7 @@ fn head_init(
                     "head constant {c} can never equal the target's {v}"
                 ));
             }
-            CExpr::Cast(inner, to) if invert_casts => {
+            CExpr::Cast(inner, to) if invert_casts.is_some() => {
                 let CExpr::Var(s) = **inner else { continue };
                 // Behind an aggregate the head's slots name group keys
                 // (the aggregate result has no declared column type).
@@ -485,7 +513,7 @@ fn head_init(
                     Some((_, group_slots)) => group_slots.get(s).copied(),
                     None => Some(s),
                 }
-                .and_then(|pre| slot_type(ctx, rule, pre));
+                .and_then(|pre| slot_type(invert_casts?, rule, pre));
                 let back = declared.and_then(|ty| eval_cast(v.clone(), &ty).ok());
                 if let Some(u) = back.filter(|u| eval_cast(u.clone(), to).as_ref() == Ok(v)) {
                     init.push((s, u));
@@ -622,7 +650,7 @@ fn search(
     env_cap: usize,
     invert_casts: bool,
 ) -> Result<Search> {
-    let describe = ctx.describe();
+    let view = View::new(ctx.stores);
     let truncations = ctx.truncations.get();
     let facts = ctx.compiled.facts.iter();
     let mut out = Search {
@@ -634,7 +662,8 @@ fn search(
     };
     for pi in ctx.rules_of(rel) {
         let rule = &ctx.compiled.rules[pi];
-        let init = match head_init(ctx, rule, row, invert_casts) {
+        let decls = invert_casts.then_some(&ctx.compiled.decls[..]);
+        let init = match head_init(rule, row, decls) {
             Ok((init, guessed)) => {
                 out.guessed |= guessed;
                 init
@@ -651,15 +680,10 @@ fn search(
         // back through the group key) — only to find the literal that
         // keeps rows from reaching the target's group.
         let agg = aggregate_of(rule);
-        let (body, init, head, cap) = match agg {
+        let (body, init, target, cap) = match agg {
             None => {
-                let head = HeadCheck {
-                    relation: &ctx.compiled.decls[rel].name,
-                    exprs: &rule.head_exprs,
-                    target: row,
-                };
                 let room = env_cap.saturating_sub(out.found());
-                (&rule.stages[..], init, Some(head), room)
+                (&rule.stages[..], init, Some(&row[..]), room)
             }
             Some((ai, group_slots)) => {
                 if let Some(outcome) = group_envs(ctx, pi, ai, &init, row)? {
@@ -673,31 +697,26 @@ fn search(
                 (&rule.stages[..ai], pre, None, 1)
             }
         };
-        let n_slots = slots_of(body);
-        let ex = explain_stages(
-            body,
-            n_slots,
-            ctx.stores,
-            &describe,
-            &init,
-            head,
-            SEARCH_BUDGET,
-            cap,
-        )?;
-        ctx.spend(ex.examined, ex.truncated);
-        let outcome = match (agg, ex.fail) {
-            (_, fail) if ex.truncated => truncated_outcome(fail.map(|(s, _)| s), ex.examined),
-            (None, _) if !ex.envs.is_empty() => {
-                out.capped |= ex.capped;
-                Outcome::Derives(ex.envs)
+        let mut walk = Walk::explain(body, &view, &rule.head_exprs, target, SEARCH_BUDGET, cap);
+        let order: Vec<usize> = (0..body.len()).collect();
+        walk.run(&order, &init, None)?;
+        ctx.spend(walk.examined, walk.truncated);
+        let Sink::Envs { envs, .. } = walk.sink else {
+            unreachable!("an explaining walk keeps environments")
+        };
+        let outcome = match (agg, walk.fail) {
+            (_, fail) if walk.truncated => truncated_outcome(fail.map(|(s, _)| s), walk.examined),
+            (None, _) if !envs.is_empty() => {
+                out.capped |= walk.capped;
+                Outcome::Derives(envs)
             }
-            (Some((ai, _)), _) if !ex.envs.is_empty() => Outcome::Blocked {
+            (Some((ai, _)), _) if !envs.is_empty() => Outcome::Blocked {
                 stage: Some(ai),
                 failure: "rows reach the aggregate but no group yields the target".to_string(),
             },
-            (_, Some((stage, failure))) => Outcome::Blocked {
+            (_, Some((stage, dead_end))) => Outcome::Blocked {
                 stage: Some(stage),
-                failure,
+                failure: fmt_dead_end(&ctx.compiled.decls, rel, dead_end),
             },
             (_, None) => Outcome::Blocked {
                 stage: Some(0),
@@ -849,7 +868,7 @@ fn env_just(
             continue;
         };
         let decl = &ctx.compiled.decls[*rel];
-        let pattern = atom_pattern(stage, decl.arity(), env);
+        let pattern = atom_pattern(stage, decl.arity(), env, |_| true);
         let shown = fmt_pattern(&decl.name, &pattern);
         if *neg {
             supports.push(WhySupport::Absent {
@@ -858,7 +877,7 @@ fn env_just(
             });
             continue;
         }
-        let m = ctx.stores[*rel].matching_rows(&pattern, MAX_SUPPORT_ROWS, SEARCH_BUDGET);
+        let m = View::new(ctx.stores).probe(*rel, &pattern, MAX_SUPPORT_ROWS, SEARCH_BUDGET);
         ctx.spend(m.examined, m.exhausted);
         if m.capped {
             notes.push(format!(

@@ -1,5 +1,6 @@
-//! Evaluation of recursive strata: semi-naive fixpoint for insertions and
-//! delete–re-derive (DRed) for retractions.
+//! Tuple-at-a-time evaluation: the one walker over a rule's stages, and
+//! the recursive strata it drives — semi-naive fixpoint for insertions
+//! and delete–re-derive (DRed) for retractions.
 //!
 //! Recursive relations (graph reachability, routing tables — §2.2 of the
 //! paper calls these out as the queries classical IVM cannot handle) are
@@ -7,14 +8,24 @@
 //! rule from the newly added rows until a fixpoint. Deletions use DRed:
 //! over-delete everything derivable from the removed rows, then re-derive
 //! the survivors that have alternative derivations.
+//!
+//! Every one of those evaluations, and every provenance question
+//! ([`crate::provenance`]), is one `Walk` through one probe
+//! ([`View::probe`]). They differ only in what they bind first (a driving
+//! row, a head row) and what they collect (head rows, or environments
+//! plus the deepest dead end).
 
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use crate::cexpr::eval;
+use crate::cexpr::{eval, CExpr};
 use crate::chain::flatten;
 use crate::error::{Error, Phase, Result};
-use crate::plan::{CompiledRule, HeadBind, KeySrc, PStage};
+use crate::plan::{atom_cols, ColSrc, CompiledRule, PStage};
 use crate::profile::FixpointProbe;
+use crate::provenance::head_init;
 use crate::store::{Key, RelId, RelationStore};
 use crate::value::{Row, Value};
 use crate::zset::ZSet;
@@ -26,9 +37,23 @@ pub struct View<'a> {
     stores: &'a [RelationStore],
     /// When present: subtract these deltas, i.e. present the OLD contents.
     rewind: Option<&'a HashMap<RelId, ZSet<Row>>>,
-    /// Rows this view has handed out — the fixpoint's probe/scan work,
-    /// surfaced as Fixpoint tuples so the incrementality audit sees it.
-    examined: std::cell::Cell<u64>,
+    /// Rows this view's probes have handed out — the fixpoint's probe
+    /// work, surfaced as Fixpoint tuples so the incrementality audit
+    /// sees it.
+    handed_out: Cell<u64>,
+}
+
+/// The outcome of one [`View::probe`].
+#[derive(Debug, Default)]
+pub struct Probe {
+    /// The matching visible rows, sorted.
+    pub rows: Vec<Row>,
+    /// Rows looked at to find them (1 for a membership test).
+    pub examined: usize,
+    /// More rows matched than the caller's cap.
+    pub capped: bool,
+    /// The examination budget ran out before every candidate was seen.
+    pub exhausted: bool,
 }
 
 impl<'a> View<'a> {
@@ -37,7 +62,7 @@ impl<'a> View<'a> {
         View {
             stores,
             rewind: None,
-            examined: std::cell::Cell::new(0),
+            handed_out: Cell::new(0),
         }
     }
 
@@ -47,78 +72,86 @@ impl<'a> View<'a> {
         View {
             stores,
             rewind: Some(deltas),
-            examined: std::cell::Cell::new(0),
+            handed_out: Cell::new(0),
         }
     }
 
-    fn delta_of(&self, rel: RelId) -> Option<&'a ZSet<Row>> {
-        self.rewind.and_then(|m| m.get(&rel))
-    }
-
-    /// Drain the count of rows handed out by lookups and scans.
+    /// Drain the count of rows handed out by probes.
     pub fn take_examined(&self) -> u64 {
-        self.examined.replace(0)
+        self.handed_out.replace(0)
     }
 
-    /// Rows matching `key` under the registered `key_cols` index.
-    pub fn lookup(&self, rel: RelId, key_cols: &[usize], key: &Key) -> Vec<Row> {
-        let mut rows: Vec<Row> = match self.delta_of(rel) {
-            None => self.stores[rel].lookup(key_cols, key).cloned().collect(),
-            Some(d) => {
-                // OLD = NEW − delta: drop rows added this txn, restore
-                // rows removed this txn.
-                let mut v: Vec<Row> = self.stores[rel]
-                    .lookup(key_cols, key)
-                    .filter(|r| d.weight(r) <= 0)
-                    .cloned()
-                    .collect();
-                for (r, w) in d.iter() {
-                    if w < 0 && key_cols.iter().zip(key).all(|(c, k)| &r[*c] == k) {
-                        v.push(r.clone());
+    /// Visible rows of `rel` matching a column pattern (`Some(v)` = must
+    /// equal `v`, `None` = wildcard): at most `cap` of them, looking at no
+    /// more than `budget` rows (`usize::MAX` for no limit). A fully
+    /// determined pattern is one membership test; otherwise the widest
+    /// registered arrangement whose key columns the pattern all fixes is
+    /// probed and the rest post-filtered, and only when none applies is
+    /// the relation scanned — O(matches) wherever an arrangement covers
+    /// the known columns. An old view rewinds the transaction's delta:
+    /// rows it added are skipped, rows it removed are visible again.
+    pub fn probe(&self, rel: RelId, pattern: &[Option<Value>], cap: usize, budget: usize) -> Probe {
+        let store = &self.stores[rel];
+        let delta = self.rewind.and_then(|m| m.get(&rel));
+        let not_added = |r: &Row| delta.is_none_or(|d| d.weight(r) <= 0);
+        let mut out = Probe::default();
+        if pattern.iter().all(Option::is_some) {
+            let vals: Vec<Value> = pattern.iter().flatten().cloned().collect();
+            out.examined = 1;
+            match delta {
+                None => out.rows.extend(store.visible(&vals).cloned()),
+                Some(d) => {
+                    let row = Arc::new(vals);
+                    let w = d.weight(&row);
+                    if w < 0 || (w == 0 && store.contains(&row)) {
+                        out.rows.push(row);
                     }
                 }
-                v
             }
-        };
-        rows.sort();
-        self.examined.set(self.examined.get() + rows.len() as u64);
-        rows
-    }
-
-    /// Count of rows matching `key`.
-    pub fn count(&self, rel: RelId, key_cols: &[usize], key: &Key) -> usize {
-        let n = match self.delta_of(rel) {
-            None => self.stores[rel].lookup_count(key_cols, key),
-            Some(_) => self.lookup(rel, key_cols, key).len(),
-        };
-        self.examined.set(self.examined.get() + 1);
-        n
-    }
-
-    /// All visible rows of a relation.
-    pub fn scan(&self, rel: RelId) -> Vec<Row> {
-        let rows = match self.delta_of(rel) {
-            None => self.stores[rel].rows().cloned().collect(),
-            Some(d) => {
-                let mut v: Vec<Row> = self.stores[rel]
-                    .rows()
-                    .filter(|r| d.weight(r) <= 0)
-                    .cloned()
-                    .collect();
-                for (r, w) in d.iter() {
-                    if w < 0 {
-                        v.push(r.clone());
-                    }
+        } else {
+            let arr = store.covering(pattern);
+            let key: Option<Key> = arr.map(|a| {
+                a.cols()
+                    .iter()
+                    .map(|c| pattern[*c].clone().unwrap())
+                    .collect()
+            });
+            let keyed = arr.zip(key.as_ref()).and_then(|(a, k)| a.get(k));
+            let scan = arr.is_none().then(|| store.rows());
+            let candidates = keyed
+                .into_iter()
+                .flatten()
+                .chain(scan.into_iter().flatten());
+            let removed = delta.into_iter().flat_map(ZSet::iter);
+            let removed = removed.filter(|(_, w)| *w < 0).map(|(r, _)| r);
+            for r in candidates.filter(|r| not_added(r)).chain(removed) {
+                if out.examined >= budget {
+                    out.exhausted = true;
+                    break;
                 }
-                v
+                out.examined += 1;
+                if !pattern
+                    .iter()
+                    .zip(r.iter())
+                    .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
+                {
+                    continue;
+                }
+                if out.rows.len() >= cap {
+                    out.capped = true;
+                    break;
+                }
+                out.rows.push(r.clone());
             }
-        };
-        self.examined.set(self.examined.get() + rows.len() as u64);
-        rows
+            out.rows.sort();
+        }
+        self.handed_out
+            .set(self.handed_out.get() + out.rows.len() as u64);
+        out
     }
 }
 
-/// A partially bound environment for driven evaluation.
+/// A partially bound environment.
 struct Env {
     vals: Vec<Value>,
     bound: Vec<bool>,
@@ -133,8 +166,7 @@ impl Env {
     }
 
     /// Bind a slot or, if already bound, check equality. Returns false on
-    /// mismatch; on success returns true and records whether the slot was
-    /// newly bound in `newly`.
+    /// mismatch; a slot it newly binds is recorded in `newly`.
     fn bind_or_check(&mut self, slot: usize, v: &Value, newly: &mut Vec<usize>) -> bool {
         if self.bound[slot] {
             self.vals[slot] == *v
@@ -146,507 +178,431 @@ impl Env {
         }
     }
 
-    fn unbind(&mut self, slots: &[usize]) {
-        for s in slots {
-            self.bound[*s] = false;
+    fn unbind(&mut self, slots: &mut Vec<usize>) {
+        for s in slots.drain(..) {
+            self.bound[s] = false;
         }
     }
 }
 
-/// Pre-bind the environment from a row driving an atom stage. Returns
-/// `None` (after unbinding) if the row is inconsistent with the stage.
-fn prebind(stage: &PStage, row: &Row, env: &mut Env) -> Option<Vec<usize>> {
-    let (key_cols, key_srcs, checks, binds) = match stage {
-        PStage::Atom {
-            key_cols,
-            key_srcs,
-            checks,
-            binds,
-            ..
-        } => (key_cols, key_srcs, checks, binds),
-        _ => unreachable!("driving a non-atom stage"),
-    };
-    let mut newly = Vec::new();
-    let mut ok = checks.iter().all(|(a, b)| row[*a] == row[*b]);
-    if ok {
-        for (col, src) in key_cols.iter().zip(key_srcs) {
-            match src {
-                KeySrc::Const(v) => {
-                    if &row[*col] != v {
-                        ok = false;
-                        break;
-                    }
-                }
-                KeySrc::Slot(s) => {
-                    if !env.bind_or_check(*s, &row[*col], &mut newly) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    if ok {
-        for (col, slot) in binds {
-            if !env.bind_or_check(*slot, &row[*col], &mut newly) {
-                ok = false;
-                break;
-            }
-        }
-    }
-    if ok {
-        Some(newly)
-    } else {
-        env.unbind(&newly);
-        None
-    }
-}
-
-/// Evaluate a rule by driving a delta row through one atom occurrence (or
-/// fully forward when `drive` is `None`), collecting derived head rows.
-///
-/// `init` pre-binds slots (used for backward re-derivation). Rules with
-/// aggregates are rejected at compile time for recursive strata, so this
-/// evaluator never sees one.
-pub fn eval_rule_driven(
-    rule: &CompiledRule,
-    view: &View<'_>,
-    drive: Option<(usize, &Row)>,
-    init: &[(usize, Value)],
-    out: &mut HashSet<Row>,
-) -> Result<()> {
-    debug_assert!(!rule.has_aggregate);
-    let mut env = Env::new(rule.n_slots);
-    let mut init_newly = Vec::new();
-    for (slot, v) in init {
-        if !env.bind_or_check(*slot, v, &mut init_newly) {
-            return Ok(()); // conflicting init bindings (e.g. R(x,x) head)
-        }
-    }
-    if let Some((idx, row)) = drive {
-        if prebind(&rule.stages[idx], row, &mut env).is_none() {
-            return Ok(());
-        }
-    }
-    // Pick the context-specific pipeline: a re-planned order probes
-    // maintained arrangements from the slots this context pre-binds
-    // (see [`crate::plan::DrivePlans`]); without one, fall back to the
-    // original order, skipping the driven stage.
-    let (stages, skip): (&[PStage], Option<usize>) = match drive {
-        Some((idx, _)) => match rule.drive_plans.from.get(idx).and_then(Option::as_ref) {
-            Some(replanned) => (replanned, None),
-            None => (&rule.stages, Some(idx)),
-        },
-        None if !init.is_empty() => match &rule.drive_plans.rederive {
-            Some(replanned) => (replanned, None),
-            None => (&rule.stages, None),
-        },
-        None => (&rule.stages, None),
-    };
-    walk(rule, stages, view, skip, 0, &mut env, out)
-}
-
-fn walk(
-    rule: &CompiledRule,
-    stages: &[PStage],
-    view: &View<'_>,
-    skip: Option<usize>,
-    i: usize,
-    env: &mut Env,
-    out: &mut HashSet<Row>,
-) -> Result<()> {
-    if i == stages.len() {
-        let vals = &env.vals;
-        debug_assert!(env.bound.iter().all(|b| *b), "unbound slot at head");
-        let mut row = Vec::with_capacity(rule.head_exprs.len());
-        for e in &rule.head_exprs {
-            row.push(eval(e, vals)?);
-        }
-        out.insert(std::sync::Arc::new(row));
-        return Ok(());
-    }
-    if skip == Some(i) {
-        return walk(rule, stages, view, skip, i + 1, env, out);
-    }
-    match &stages[i] {
-        PStage::Atom {
-            rel,
-            neg,
-            key_cols,
-            key_srcs,
-            checks,
-            binds,
-        } => {
-            if *neg {
-                let key: Key = key_srcs
-                    .iter()
-                    .map(|s| match s {
-                        KeySrc::Const(v) => v.clone(),
-                        KeySrc::Slot(slot) => env.vals[*slot].clone(),
-                    })
-                    .collect();
-                let absent = if key_cols.is_empty() {
-                    view.scan(*rel).is_empty()
-                } else {
-                    view.count(*rel, key_cols, &key) == 0
-                };
-                if absent {
-                    walk(rule, stages, view, skip, i + 1, env, out)?;
-                }
-                return Ok(());
-            }
-            let rows = if key_cols.is_empty() {
-                view.scan(*rel)
-            } else {
-                let key: Key = key_srcs
-                    .iter()
-                    .map(|s| match s {
-                        KeySrc::Const(v) => v.clone(),
-                        KeySrc::Slot(slot) => env.vals[*slot].clone(),
-                    })
-                    .collect();
-                view.lookup(*rel, key_cols, &key)
-            };
-            for row in rows {
-                if !checks.iter().all(|(a, b)| row[*a] == row[*b]) {
-                    continue;
-                }
-                // When key_cols is empty the Const/Slot constraints were
-                // never applied by the lookup; nothing to re-check since
-                // empty key_cols means no constrained columns.
-                let mut newly = Vec::new();
-                let mut ok = true;
-                for (col, slot) in binds {
-                    if !env.bind_or_check(*slot, &row[*col], &mut newly) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    walk(rule, stages, view, skip, i + 1, env, out)?;
-                }
-                env.unbind(&newly);
-            }
-            Ok(())
-        }
-        PStage::Filter { expr } => {
-            if eval(expr, &env.vals)? == Value::Bool(true) {
-                walk(rule, stages, view, skip, i + 1, env, out)?;
-            }
-            Ok(())
-        }
-        PStage::Assign { slot, expr } => {
-            let v = eval(expr, &env.vals)?;
-            let mut newly = Vec::new();
-            if env.bind_or_check(*slot, &v, &mut newly) {
-                walk(rule, stages, view, skip, i + 1, env, out)?;
-            }
-            env.unbind(&newly);
-            Ok(())
-        }
-        PStage::FlatMap { slot, expr } => {
-            let coll = eval(expr, &env.vals)?;
-            for elem in flatten(&coll)? {
-                let mut newly = Vec::new();
-                if env.bind_or_check(*slot, &elem, &mut newly) {
-                    walk(rule, stages, view, skip, i + 1, env, out)?;
-                }
-                env.unbind(&newly);
-            }
-            Ok(())
-        }
-        PStage::Aggregate { .. } => Err(Error::new(
-            Phase::Eval,
-            "internal: aggregate in recursive stratum".to_string(),
-        )),
-    }
-}
-
-/// Outcome of an explanatory enumeration over a rule pipeline
-/// (provenance queries): the complete environments that satisfy it,
-/// plus the deepest failing literal met while searching — `why` renders
-/// the first, `why_not` the second.
-pub(crate) struct Explain {
-    /// Snapshots of `env.vals` for every valuation that passed all
-    /// stages and the head check, one per derivation (up to the cap).
-    pub envs: Vec<Vec<Value>>,
-    /// The deepest dead-end: (stage index, human description of the
-    /// first failing literal there). `None` when some valuation passed
-    /// every stage or no stage was ever entered.
-    pub fail: Option<(usize, String)>,
-    /// Rows looked at by the probes.
-    pub examined: usize,
-    /// More valuations exist than the cap admitted.
-    pub capped: bool,
-    /// The row-examination budget ran out: the search is incomplete.
-    pub truncated: bool,
-}
-
-/// The head a valuation must reproduce to count, with the relation
-/// name for rendering a mismatch.
-pub(crate) struct HeadCheck<'a> {
-    pub relation: &'a str,
-    pub exprs: &'a [crate::cexpr::CExpr],
-    pub target: &'a [Value],
-}
-
-/// Search state threaded through [`explain_walk`].
-struct ExplainCtx<'a> {
-    stores: &'a [RelationStore],
-    /// Relation id → (name, arity) for patterns and failure texts.
-    describe: &'a dyn Fn(RelId) -> (String, usize),
-    head: Option<HeadCheck<'a>>,
-    budget: usize,
-    env_cap: usize,
-    out: Explain,
-}
-
-impl ExplainCtx<'_> {
-    fn dead_end(&mut self, stage: usize, msg: String) {
-        if self.out.fail.as_ref().is_none_or(|(s, _)| stage >= *s) {
-            self.out.fail = Some((stage, msg));
-        }
-    }
-
-    fn stopped(&self) -> bool {
-        self.out.truncated || self.out.capped
-    }
-}
-
-/// The column pattern of an atom under a complete environment:
-/// constants and slot values become `Some`, wildcards stay `None`.
-pub(crate) fn atom_pattern(stage: &PStage, arity: usize, env: &[Value]) -> Vec<Option<Value>> {
+/// The column pattern of an atom under `vals`: literals and the slots
+/// `known` admits become `Some`; wildcards and the other slots stay
+/// `None`.
+pub(crate) fn atom_pattern(
+    stage: &PStage,
+    arity: usize,
+    vals: &[Value],
+    known: impl Fn(usize) -> bool,
+) -> Vec<Option<Value>> {
     let mut pattern = vec![None; arity];
-    for (col, src) in crate::plan::atom_col_srcs(stage) {
-        pattern[col] = Some(match src {
-            crate::plan::ColSrc::Const(v) => v,
-            crate::plan::ColSrc::Slot(s) => env[s].clone(),
-        });
+    for (col, src) in atom_cols(stage) {
+        match src {
+            ColSrc::Const(v) => pattern[col] = Some(v.clone()),
+            ColSrc::Slot(s) if known(s) => pattern[col] = Some(vals[s].clone()),
+            ColSrc::Slot(_) => {}
+        }
     }
     pattern
 }
 
-/// Render a row as `Rel(v, w)`.
-pub(crate) fn fmt_row(relation: &str, row: &[Value]) -> String {
-    let vals: Vec<String> = row.iter().map(Value::to_string).collect();
-    format!("{}({})", relation, vals.join(", "))
+/// One more than the highest slot `stages` bind: the environment size a
+/// walk over them needs.
+fn slots_of(stages: &[PStage]) -> usize {
+    let bound = stages.iter().flat_map(|s| match s {
+        PStage::Atom { binds, .. } => binds.iter().map(|(_, sl)| *sl).collect(),
+        PStage::Assign { slot, .. } | PStage::FlatMap { slot, .. } => vec![*slot],
+        PStage::Filter { .. } | PStage::Aggregate { .. } => Vec::new(),
+    });
+    bound.max().map_or(0, |m| m + 1)
 }
 
-/// Render a pattern as `Rel(v, _, w)`.
-pub(crate) fn fmt_pattern(relation: &str, pattern: &[Option<Value>]) -> String {
-    let cols: Vec<String> = pattern
-        .iter()
-        .map(|p| p.as_ref().map_or("_".to_string(), Value::to_string))
-        .collect();
-    format!("{}({})", relation, cols.join(", "))
+/// What a [`Walk`] keeps from each valuation that reaches its leaf.
+pub(crate) enum Sink<'a> {
+    /// The head row it evaluates to: the fixpoint and DRed.
+    Heads(&'a mut HashSet<Row>),
+    /// The environment itself, at most `cap` of them: provenance.
+    Envs {
+        /// Environments admitted so far.
+        envs: Vec<Vec<Value>>,
+        /// How many to admit; one more sets [`Walk::capped`].
+        cap: usize,
+    },
 }
 
-/// Enumerate every valuation of `stages` consistent with `init` (and,
-/// when given, reproducing `head`), recording the deepest failing
-/// literal along the way. Atom probes key on every slot bound so far —
-/// `init` included — through [`RelationStore::matching_rows`], not on
-/// the pipeline's compile-time left-to-right keys, so a head-bound
-/// search is O(matches) wherever an arrangement covers the bound
-/// columns and a budgeted scan where none does. Aggregate stages are not
-/// handled here — the caller splits the pipeline at the aggregate and
-/// resolves the group against the chain evaluator's live state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explain_stages<'a>(
-    stages: &[PStage],
+/// The literal that turned a walk away, as a value: relations are named
+/// by id, and only [`crate::provenance`] renders it to text.
+#[derive(Debug)]
+pub(crate) enum DeadEnd {
+    /// The pre-bound head row binds one variable to two values.
+    Conflict,
+    /// No row of `rel` matches `pattern`.
+    NoMatch {
+        /// The probed relation.
+        rel: RelId,
+        /// The known columns.
+        pattern: Vec<Option<Value>>,
+    },
+    /// `row` matches the pattern of a negated atom.
+    Present {
+        /// The negated relation.
+        rel: RelId,
+        /// The row that violates the negation.
+        row: Row,
+        /// The negated pattern.
+        pattern: Vec<Option<Value>>,
+    },
+    /// A filter evaluated to false.
+    Filter,
+    /// An assignment computed a value other than the one pre-bound.
+    Assign {
+        /// What the expression computed.
+        computed: Value,
+        /// What the slot already held.
+        required: Value,
+    },
+    /// A FlatMap over an empty collection.
+    EmptyFlatMap,
+    /// No FlatMap element equals the pre-bound value.
+    NoElement {
+        /// What the slot already held.
+        required: Value,
+    },
+    /// Every stage passed but the head is not the target row.
+    Head {
+        /// The head row the valuation yields.
+        row: Vec<Value>,
+    },
+}
+
+/// The one tuple-at-a-time evaluator of a rule's stages.
+///
+/// A walk visits the stages in a given order from a pre-bound
+/// environment. At each atom it probes the [`View`] on every column
+/// whose value is known so far — literals and bound slots, read off
+/// [`atom_cols`] at run time — and binds the atom's other slots from each
+/// matching row; filters, assignments and FlatMaps evaluate over the
+/// environment. Each valuation that passes every stage (and, when a
+/// target is set, reproduces it) goes to the [`Sink`]. A walk that keeps
+/// environments also records the deepest [`DeadEnd`]; the fixpoint's
+/// walks keep head rows, and pay nothing for dead ends.
+pub(crate) struct Walk<'a> {
+    stages: &'a [PStage],
     n_slots: usize,
-    stores: &'a [RelationStore],
-    describe: &'a dyn Fn(RelId) -> (String, usize),
-    init: &[(usize, Value)],
-    head: Option<HeadCheck<'a>>,
+    view: &'a View<'a>,
+    head: &'a [CExpr],
+    /// The row the head must reproduce at the leaf, if any.
+    target: Option<&'a [Value]>,
+    /// Rows the probes may still look at.
     budget: usize,
-    env_cap: usize,
-) -> Result<Explain> {
-    let mut ctx = ExplainCtx {
-        stores,
-        describe,
-        head,
-        budget,
-        env_cap,
-        out: Explain {
-            envs: Vec::new(),
+    /// What the leaves collect.
+    pub sink: Sink<'a>,
+    /// The deepest dead end: position in the walked order (the stage
+    /// index for a walk in body order) and the failing literal.
+    pub fail: Option<(usize, DeadEnd)>,
+    /// Rows the probes looked at.
+    pub examined: usize,
+    /// More valuations exist than the sink's cap admitted.
+    pub capped: bool,
+    /// The row budget ran out: the walk is incomplete.
+    pub truncated: bool,
+}
+
+impl<'a> Walk<'a> {
+    fn new(
+        stages: &'a [PStage],
+        n_slots: usize,
+        view: &'a View<'a>,
+        head: &'a [CExpr],
+        sink: Sink<'a>,
+    ) -> Walk<'a> {
+        Walk {
+            stages,
+            n_slots,
+            view,
+            head,
+            target: None,
+            budget: usize::MAX,
+            sink,
             fail: None,
             examined: 0,
             capped: false,
             truncated: false,
-        },
-    };
-    let mut env = Env::new(n_slots);
-    let mut newly = Vec::new();
-    if init
-        .iter()
-        .all(|(slot, v)| env.bind_or_check(*slot, v, &mut newly))
-    {
-        explain_walk(stages, 0, &mut env, &mut ctx)?;
-    } else {
-        ctx.out.fail = Some((
-            0,
-            "the target row binds the same variable twice with different values".to_string(),
-        ));
+        }
     }
-    Ok(ctx.out)
+
+    /// An unbounded walk of `rule` that adds every head row it derives to
+    /// `out`: the fixpoint's and DRed's.
+    pub(crate) fn heads(
+        rule: &'a CompiledRule,
+        view: &'a View<'a>,
+        out: &'a mut HashSet<Row>,
+    ) -> Walk<'a> {
+        debug_assert!(!rule.has_aggregate);
+        let sink = Sink::Heads(out);
+        Walk::new(&rule.stages, rule.n_slots, view, &rule.head_exprs, sink)
+    }
+
+    /// A walk over `stages` that keeps up to `cap` environments whose
+    /// `head` reproduces `target` (any environment without one), looks at
+    /// no more than `budget` rows, and records the deepest dead end:
+    /// provenance's.
+    pub(crate) fn explain(
+        stages: &'a [PStage],
+        view: &'a View<'a>,
+        head: &'a [CExpr],
+        target: Option<&'a [Value]>,
+        budget: usize,
+        cap: usize,
+    ) -> Walk<'a> {
+        let sink = Sink::Envs {
+            envs: Vec::new(),
+            cap,
+        };
+        Walk {
+            target,
+            budget,
+            ..Walk::new(stages, slots_of(stages), view, head, sink)
+        }
+    }
+
+    /// Walk the stages in `order` from an environment pre-bound by `init`
+    /// (slot values, e.g. a head row's) and, when given, by a row driving
+    /// atom `drive.0` (which `order` then leaves out).
+    pub(crate) fn run(
+        &mut self,
+        order: &[usize],
+        init: &[(usize, Value)],
+        drive: Option<(usize, &Row)>,
+    ) -> Result<()> {
+        let mut env = Env::new(self.n_slots);
+        let mut newly = Vec::new();
+        if !init
+            .iter()
+            .all(|(slot, v)| env.bind_or_check(*slot, v, &mut newly))
+        {
+            self.dead_end(0, || DeadEnd::Conflict);
+            return Ok(());
+        }
+        if let Some((idx, row)) = drive {
+            let consistent = atom_cols(&self.stages[idx]).all(|(col, src)| match src {
+                ColSrc::Const(v) => row[col] == *v,
+                ColSrc::Slot(s) => env.bind_or_check(s, &row[col], &mut newly),
+            });
+            if !consistent {
+                return Ok(());
+            }
+        }
+        self.step(order, 0, &mut env)
+    }
+
+    fn stopped(&self) -> bool {
+        self.truncated || self.capped
+    }
+
+    fn dead_end(&mut self, depth: usize, what: impl FnOnce() -> DeadEnd) {
+        let explains = matches!(self.sink, Sink::Envs { .. });
+        if explains && self.fail.as_ref().is_none_or(|(d, _)| depth >= *d) {
+            self.fail = Some((depth, what()));
+        }
+    }
+
+    fn step(&mut self, order: &[usize], depth: usize, env: &mut Env) -> Result<()> {
+        if self.stopped() {
+            return Ok(());
+        }
+        let Some(&i) = order.get(depth) else {
+            return self.leaf(depth, env);
+        };
+        let (stages, view) = (self.stages, self.view);
+        let mut newly = Vec::new();
+        match &stages[i] {
+            PStage::Atom { rel, neg, .. } => {
+                let arity = view.stores[*rel].arity();
+                let pattern = atom_pattern(&stages[i], arity, &env.vals, |s| env.bound[s]);
+                let cap = if *neg { 1 } else { usize::MAX };
+                let p = view.probe(*rel, &pattern, cap, self.budget);
+                // An empty probe still costs one unit, so the budget
+                // bounds the number of probes as well as the rows they
+                // return.
+                self.budget = self.budget.saturating_sub(p.examined.max(1));
+                self.examined += p.examined;
+                if p.exhausted {
+                    self.truncated = true;
+                    return Ok(());
+                }
+                if *neg {
+                    match p.rows.first() {
+                        None => self.step(order, depth + 1, env)?,
+                        Some(row) => self.dead_end(depth, || DeadEnd::Present {
+                            rel: *rel,
+                            row: row.clone(),
+                            pattern,
+                        }),
+                    }
+                    return Ok(());
+                }
+                // Bind the slots the pattern left open from each row (a
+                // variable repeated within the atom binds at one column
+                // and checks at the rest).
+                let mut advanced = false;
+                for row in &p.rows {
+                    let fits = atom_cols(&stages[i]).all(|(col, src)| match src {
+                        ColSrc::Slot(s) if pattern[col].is_none() => {
+                            env.bind_or_check(s, &row[col], &mut newly)
+                        }
+                        _ => true,
+                    });
+                    if fits {
+                        advanced = true;
+                        self.step(order, depth + 1, env)?;
+                    }
+                    env.unbind(&mut newly);
+                    if self.stopped() {
+                        return Ok(());
+                    }
+                }
+                if !advanced {
+                    self.dead_end(depth, || DeadEnd::NoMatch { rel: *rel, pattern });
+                }
+            }
+            PStage::Filter { expr } => {
+                if eval(expr, &env.vals)? == Value::Bool(true) {
+                    self.step(order, depth + 1, env)?;
+                } else {
+                    self.dead_end(depth, || DeadEnd::Filter);
+                }
+            }
+            PStage::Assign { slot, expr } => {
+                let v = eval(expr, &env.vals)?;
+                if env.bind_or_check(*slot, &v, &mut newly) {
+                    self.step(order, depth + 1, env)?;
+                    env.unbind(&mut newly);
+                } else {
+                    self.dead_end(depth, || DeadEnd::Assign {
+                        computed: v,
+                        required: env.vals[*slot].clone(),
+                    });
+                }
+            }
+            PStage::FlatMap { slot, expr } => {
+                let elems = flatten(&eval(expr, &env.vals)?)?;
+                if elems.is_empty() {
+                    self.dead_end(depth, || DeadEnd::EmptyFlatMap);
+                    return Ok(());
+                }
+                let mut advanced = false;
+                for elem in elems {
+                    if env.bind_or_check(*slot, &elem, &mut newly) {
+                        advanced = true;
+                        self.step(order, depth + 1, env)?;
+                    }
+                    env.unbind(&mut newly);
+                    if self.stopped() {
+                        return Ok(());
+                    }
+                }
+                if !advanced {
+                    self.dead_end(depth, || DeadEnd::NoElement {
+                        required: env.vals[*slot].clone(),
+                    });
+                }
+            }
+            PStage::Aggregate { .. } => {
+                return Err(Error::new(
+                    Phase::Eval,
+                    "internal: aggregate stage in a tuple-at-a-time walk".to_string(),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    fn leaf(&mut self, depth: usize, env: &Env) -> Result<()> {
+        debug_assert!(env.bound.iter().all(|b| *b), "unbound slot at the leaf");
+        let head_row = |exprs: &[CExpr]| -> Result<Vec<Value>> {
+            exprs.iter().map(|e| eval(e, &env.vals)).collect()
+        };
+        if let Some(target) = self.target {
+            let row = head_row(self.head)?;
+            if row != target {
+                self.dead_end(depth, || DeadEnd::Head { row });
+                return Ok(());
+            }
+        }
+        match &mut self.sink {
+            Sink::Heads(out) => {
+                out.insert(Arc::new(head_row(self.head)?));
+            }
+            Sink::Envs { envs, cap } if envs.len() >= *cap => self.capped = true,
+            Sink::Envs { envs, .. } => envs.push(env.vals.clone()),
+        }
+        Ok(())
+    }
 }
 
-fn explain_walk(
-    stages: &[PStage],
-    i: usize,
-    env: &mut Env,
-    ctx: &mut ExplainCtx<'_>,
+/// Drive `row` through atom `idx` of `rule` in its planned order, adding
+/// the head rows it derives to `out`.
+fn drive(
+    rule: &CompiledRule,
+    view: &View<'_>,
+    idx: usize,
+    row: &Row,
+    out: &mut HashSet<Row>,
 ) -> Result<()> {
-    if ctx.stopped() {
-        return Ok(());
+    Walk::heads(rule, view, out).run(&rule.drive_plans.from[idx], &[], Some((idx, row)))
+}
+
+/// Drive the lower-stratum rows whose weight has sign `sign` through the
+/// positive atoms over their relation, and those of the opposite sign
+/// through the negated ones: the head rows a lower delta can kill
+/// (`sign` −1, over-delete) or enable (+1, insertion).
+fn seed(
+    rules: &[&CompiledRule],
+    scc_rels: &HashSet<RelId>,
+    rel_deltas: &HashMap<RelId, ZSet<Row>>,
+    view: &View<'_>,
+    sign: isize,
+) -> Result<HashSet<(RelId, Row)>> {
+    let mut out = HashSet::new();
+    for rule in rules {
+        for (idx, stage) in rule.stages.iter().enumerate() {
+            let PStage::Atom { rel, neg, .. } = stage else {
+                continue;
+            };
+            // Stratum relations propagate through the frontier instead.
+            let Some(delta) = rel_deltas.get(rel).filter(|_| !scc_rels.contains(rel)) else {
+                continue;
+            };
+            let want = if *neg { -sign } else { sign };
+            let mut heads = HashSet::new();
+            for (row, _) in delta.iter().filter(|(_, w)| w.signum() == want) {
+                drive(rule, view, idx, row, &mut heads)?;
+            }
+            out.extend(heads.into_iter().map(|h| (rule.head_rel, h)));
+        }
     }
-    if i == stages.len() {
-        if let Some(head) = &ctx.head {
-            let mut row = Vec::with_capacity(head.exprs.len());
-            for e in head.exprs {
-                row.push(eval(e, &env.vals)?);
-            }
-            if row != head.target {
-                let msg = format!(
-                    "the rule fires but its head yields {}, not the target",
-                    fmt_row(head.relation, &row)
-                );
-                ctx.dead_end(i, msg);
-                return Ok(());
+    Ok(out)
+}
+
+/// Drive a changed row of stratum relation `rel` through every positive
+/// atom over it: the head rows it derives, per rule.
+fn frontier_step(
+    rules: &[&CompiledRule],
+    view: &View<'_>,
+    rel: RelId,
+    row: &Row,
+) -> Result<Vec<(RelId, Row)>> {
+    let mut out = Vec::new();
+    for rule in rules {
+        for (idx, stage) in rule.stages.iter().enumerate() {
+            if matches!(stage, PStage::Atom { rel: r, neg: false, .. } if *r == rel) {
+                let mut heads = HashSet::new();
+                drive(rule, view, idx, row, &mut heads)?;
+                out.extend(heads.into_iter().map(|h| (rule.head_rel, h)));
             }
         }
-        if ctx.out.envs.len() >= ctx.env_cap {
-            ctx.out.capped = true;
-        } else {
-            ctx.out.envs.push(env.vals.clone());
-        }
-        return Ok(());
     }
-    match &stages[i] {
-        PStage::Atom { rel, neg, .. } => {
-            let (name, arity) = (ctx.describe)(*rel);
-            // Key on every column whose value is known — constants and
-            // the slots bound so far; the atom's other slots bind from
-            // each matching row (a variable repeated within the atom
-            // binds at its first column and checks at the others).
-            let mut pattern = vec![None; arity];
-            let mut free = Vec::new();
-            for (col, src) in crate::plan::atom_col_srcs(&stages[i]) {
-                match src {
-                    crate::plan::ColSrc::Const(v) => pattern[col] = Some(v),
-                    crate::plan::ColSrc::Slot(s) if env.bound[s] => {
-                        pattern[col] = Some(env.vals[s].clone())
-                    }
-                    crate::plan::ColSrc::Slot(s) => free.push((col, s)),
-                }
-            }
-            let cap = if *neg { 1 } else { usize::MAX };
-            let m = ctx.stores[*rel].matching_rows(&pattern, cap, ctx.budget);
-            // An empty probe still costs one unit, so the budget bounds
-            // the number of probes as well as the rows they return.
-            ctx.budget = ctx.budget.saturating_sub(m.examined.max(1));
-            ctx.out.examined += m.examined;
-            if m.exhausted {
-                ctx.out.truncated = true;
-                return Ok(());
-            }
-            if *neg {
-                match m.rows.first() {
-                    None => explain_walk(stages, i + 1, env, ctx)?,
-                    Some(w) => ctx.dead_end(
-                        i,
-                        format!(
-                            "negation violated: {} is present, but the rule requires `not {}`",
-                            fmt_row(&name, w),
-                            fmt_pattern(&name, &pattern)
-                        ),
-                    ),
-                }
-                return Ok(());
-            }
-            let mut advanced = false;
-            for row in &m.rows {
-                let mut newly = Vec::new();
-                if free
-                    .iter()
-                    .all(|(col, s)| env.bind_or_check(*s, &row[*col], &mut newly))
-                {
-                    advanced = true;
-                    explain_walk(stages, i + 1, env, ctx)?;
-                }
-                env.unbind(&newly);
-                if ctx.stopped() {
-                    return Ok(());
-                }
-            }
-            if !advanced {
-                ctx.dead_end(
-                    i,
-                    format!("no row matches {}", fmt_pattern(&name, &pattern)),
-                );
-            }
-            Ok(())
-        }
-        PStage::Filter { expr } => {
-            if eval(expr, &env.vals)? == Value::Bool(true) {
-                explain_walk(stages, i + 1, env, ctx)
-            } else {
-                ctx.dead_end(i, "filter condition evaluates to false".to_string());
-                Ok(())
-            }
-        }
-        PStage::Assign { slot, expr } => {
-            let v = eval(expr, &env.vals)?;
-            let mut newly = Vec::new();
-            if env.bind_or_check(*slot, &v, &mut newly) {
-                explain_walk(stages, i + 1, env, ctx)?;
-            } else {
-                ctx.dead_end(
-                    i,
-                    format!(
-                        "assignment computes {v} but the target row requires {}",
-                        env.vals[*slot]
-                    ),
-                );
-            }
-            env.unbind(&newly);
-            Ok(())
-        }
-        PStage::FlatMap { slot, expr } => {
-            let coll = eval(expr, &env.vals)?;
-            let elems = flatten(&coll)?;
-            if elems.is_empty() {
-                ctx.dead_end(i, "FlatMap collection is empty".to_string());
-                return Ok(());
-            }
-            let mut advanced = false;
-            for elem in elems {
-                let mut newly = Vec::new();
-                if env.bind_or_check(*slot, &elem, &mut newly) {
-                    advanced = true;
-                    explain_walk(stages, i + 1, env, ctx)?;
-                }
-                env.unbind(&newly);
-                if ctx.stopped() {
-                    return Ok(());
-                }
-            }
-            if !advanced {
-                ctx.dead_end(
-                    i,
-                    format!(
-                        "no FlatMap element equals the required value {}",
-                        env.vals[*slot]
-                    ),
-                );
-            }
-            Ok(())
-        }
-        PStage::Aggregate { .. } => Err(Error::new(
-            Phase::Eval,
-            "internal: explain_stages over an aggregate stage".to_string(),
-        )),
-    }
+    Ok(out)
 }
 
 /// Process a recursive stratum for one transaction.
@@ -674,32 +630,7 @@ pub fn process_recursive_stratum(
     let mut frontier: Vec<(RelId, Row)> = Vec::new();
     {
         let old_view = View::old(stores, rel_deltas);
-        let mut candidates: HashSet<(RelId, Row)> = HashSet::new();
-        for rule in rules {
-            for (idx, stage) in rule.stages.iter().enumerate() {
-                let (rel, neg) = match stage {
-                    PStage::Atom { rel, neg, .. } => (*rel, *neg),
-                    _ => continue,
-                };
-                if scc_rels.contains(&rel) {
-                    continue; // SCC deletions propagate via the frontier
-                }
-                let Some(delta) = rel_deltas.get(&rel) else {
-                    continue;
-                };
-                let mut heads = HashSet::new();
-                for (row, w) in delta.iter() {
-                    let kills = if neg { w > 0 } else { w < 0 };
-                    if kills {
-                        eval_rule_driven(rule, &old_view, Some((idx, row)), &[], &mut heads)?;
-                    }
-                }
-                for h in heads {
-                    candidates.insert((rule.head_rel, h));
-                }
-            }
-        }
-        for (rel, row) in candidates {
+        for (rel, row) in seed(rules, scc_rels, rel_deltas, &old_view, -1)? {
             if stores[rel].contains(&row)
                 && over_deleted.entry(rel).or_default().insert(row.clone())
             {
@@ -712,25 +643,11 @@ pub fn process_recursive_stratum(
                 p.observe_frontier(frontier.len() + 1);
                 p.pop();
             }
-            for rule in rules {
-                for (idx, stage) in rule.stages.iter().enumerate() {
-                    match stage {
-                        PStage::Atom {
-                            rel, neg: false, ..
-                        } if *rel == drel => {}
-                        _ => continue,
-                    }
-                    let mut heads = HashSet::new();
-                    eval_rule_driven(rule, &old_view, Some((idx, &drow)), &[], &mut heads)?;
-                    for h in heads {
-                        let hrel = rule.head_rel;
-                        if stores[hrel].contains(&h)
-                            && !over_deleted.get(&hrel).is_some_and(|s| s.contains(&h))
-                        {
-                            over_deleted.entry(hrel).or_default().insert(h.clone());
-                            frontier.push((hrel, h));
-                        }
-                    }
+            for (hrel, h) in frontier_step(rules, &old_view, drel, &drow)? {
+                if stores[hrel].contains(&h)
+                    && over_deleted.entry(hrel).or_default().insert(h.clone())
+                {
+                    frontier.push((hrel, h));
                 }
             }
         }
@@ -751,59 +668,41 @@ pub fn process_recursive_stratum(
 
     // ---- Phase 3: re-derive --------------------------------------------
     // A deleted row survives if some rule still derives it from the
-    // remaining contents.
+    // remaining contents: bind the head backwards (plain variables pin
+    // slots, constants must match, computed arguments are checked by
+    // comparing the derived heads) and walk the re-derive order.
     let mut pending: Vec<(RelId, Row)> = Vec::new();
     {
         let new_view = View::new(stores);
-        // Forward fallback caches for rules with complex heads.
-        let mut forward_cache: HashMap<usize, HashSet<Row>> = HashMap::new();
+        // A head that binds no slot enumerates its rule forward, once
+        // per commit.
+        let mut forward: HashMap<usize, HashSet<Row>> = HashMap::new();
         for (rel, rows) in &over_deleted {
             for row in rows {
                 let mut rederived = false;
-                for rule in rules {
-                    if rule.head_rel != *rel {
-                        continue;
-                    }
-                    match &rule.head_binds {
-                        Some(binds) => {
-                            let mut init = Vec::new();
-                            let mut feasible = true;
-                            for (hb, v) in binds.iter().zip(row.iter()) {
-                                match hb {
-                                    HeadBind::Slot(s) => init.push((*s, v.clone())),
-                                    HeadBind::Const(c) => {
-                                        if c != v {
-                                            feasible = false;
-                                            break;
-                                        }
-                                    }
-                                }
+                for rule in rules.iter().filter(|r| r.head_rel == *rel) {
+                    let Ok((init, _)) = head_init(rule, row, None) else {
+                        continue; // a head constant rules the row out
+                    };
+                    let order = &rule.drive_plans.rederive;
+                    let derives = if init.is_empty() {
+                        let heads = match forward.entry(rule.rule_index) {
+                            Entry::Occupied(o) => o.into_mut(),
+                            Entry::Vacant(v) => {
+                                let mut heads = HashSet::new();
+                                Walk::heads(rule, &new_view, &mut heads).run(order, &[], None)?;
+                                v.insert(heads)
                             }
-                            if !feasible {
-                                continue;
-                            }
-                            let mut heads = HashSet::new();
-                            eval_rule_driven(rule, &new_view, None, &init, &mut heads)?;
-                            if heads.contains(row) {
-                                rederived = true;
-                                break;
-                            }
-                        }
-                        None => {
-                            let heads = match forward_cache.get(&rule.rule_index) {
-                                Some(h) => h,
-                                None => {
-                                    let mut h = HashSet::new();
-                                    eval_rule_driven(rule, &new_view, None, &[], &mut h)?;
-                                    forward_cache.insert(rule.rule_index, h);
-                                    &forward_cache[&rule.rule_index]
-                                }
-                            };
-                            if heads.contains(row) {
-                                rederived = true;
-                                break;
-                            }
-                        }
+                        };
+                        heads.contains(row)
+                    } else {
+                        let mut heads = HashSet::new();
+                        Walk::heads(rule, &new_view, &mut heads).run(order, &init, None)?;
+                        heads.contains(row)
+                    };
+                    if derives {
+                        rederived = true;
+                        break;
                     }
                 }
                 if rederived {
@@ -839,37 +738,14 @@ pub fn process_recursive_stratum(
             }
         }
         // Seed from external deltas.
-        let mut seed_heads: HashSet<(RelId, Row)> = HashSet::new();
-        {
+        let seed_heads = {
             let new_view = View::new(stores);
-            for rule in rules {
-                for (idx, stage) in rule.stages.iter().enumerate() {
-                    let (rel, neg) = match stage {
-                        PStage::Atom { rel, neg, .. } => (*rel, *neg),
-                        _ => continue,
-                    };
-                    if scc_rels.contains(&rel) {
-                        continue;
-                    }
-                    let Some(delta) = rel_deltas.get(&rel) else {
-                        continue;
-                    };
-                    let mut heads = HashSet::new();
-                    for (row, w) in delta.iter() {
-                        let enables = if neg { w < 0 } else { w > 0 };
-                        if enables {
-                            eval_rule_driven(rule, &new_view, Some((idx, row)), &[], &mut heads)?;
-                        }
-                    }
-                    for h in heads {
-                        seed_heads.insert((rule.head_rel, h));
-                    }
-                }
-            }
+            let heads = seed(rules, scc_rels, rel_deltas, &new_view, 1)?;
             if let Some(p) = probe.as_deref_mut() {
                 p.examine(new_view.take_examined());
             }
-        }
+            heads
+        };
         for (rel, row) in seed_heads {
             if !stores[rel].contains(&row) {
                 let sd = stores[rel].apply_derivation_delta(&ZSet::singleton(row.clone(), 1));
@@ -884,28 +760,14 @@ pub fn process_recursive_stratum(
                 p.observe_frontier(pending.len() + 1);
                 p.pop();
             }
-            let mut derived: Vec<(RelId, Row)> = Vec::new();
-            {
+            let derived = {
                 let new_view = View::new(stores);
-                for rule in rules {
-                    for (idx, stage) in rule.stages.iter().enumerate() {
-                        match stage {
-                            PStage::Atom {
-                                rel, neg: false, ..
-                            } if *rel == drel => {}
-                            _ => continue,
-                        }
-                        let mut heads = HashSet::new();
-                        eval_rule_driven(rule, &new_view, Some((idx, &drow)), &[], &mut heads)?;
-                        for h in heads {
-                            derived.push((rule.head_rel, h));
-                        }
-                    }
-                }
+                let derived = frontier_step(rules, &new_view, drel, &drow)?;
                 if let Some(p) = probe.as_deref_mut() {
                     p.examine(new_view.take_examined());
                 }
-            }
+                derived
+            };
             for (rel, row) in derived {
                 if !stores[rel].contains(&row) {
                     let sd = stores[rel].apply_derivation_delta(&ZSet::singleton(row.clone(), 1));
@@ -918,4 +780,68 @@ pub fn process_recursive_stratum(
 
     net.retain(|_, z| !z.is_empty());
     Ok(net)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::row;
+
+    fn r(vals: &[i128]) -> Row {
+        row(vals.iter().map(|v| Value::Int(*v)).collect())
+    }
+
+    fn store(rows: impl IntoIterator<Item = Row>) -> RelationStore {
+        let mut s = RelationStore::new("R", 3);
+        s.register_arrangement(&[0], None);
+        s.apply_derivation_delta(&rows.into_iter().map(|r| (r, 1)).collect());
+        s
+    }
+
+    #[test]
+    fn probe_uses_the_widest_covering_arrangement_else_scans() {
+        let stores = [store((0..10).map(|i| r(&[i % 2, i, i * i])))];
+        let view = View::new(&stores);
+        let int = |v| Some(Value::Int(v));
+        // Fully determined: one membership test.
+        let p = view.probe(0, &[int(1), int(3), int(9)], 8, 100);
+        assert_eq!((p.rows.len(), p.examined), (1, 1));
+        // Column 0 is arranged: only its 5 matches are looked at.
+        let p = view.probe(0, &[int(1), None, int(9)], 8, 100);
+        assert_eq!((p.rows, p.examined), (vec![r(&[1, 3, 9])], 5));
+        // Column 1 is not: a scan, which a small budget cuts short.
+        let p = view.probe(0, &[None, int(3), None], 8, 100);
+        assert_eq!((p.rows.len(), p.examined, p.exhausted), (1, 10, false));
+        // The rows handed out so far: one per probe.
+        assert_eq!(view.take_examined(), 3);
+        assert!(view.probe(0, &[None, int(3), None], 8, 4).exhausted);
+        let p = view.probe(0, &[int(0), None, None], 2, 100);
+        assert!(p.capped && p.rows.len() == 2);
+    }
+
+    #[test]
+    fn old_view_probe_rewinds_the_transaction() {
+        let mut stores = [store([r(&[1, 1, 1]), r(&[1, 2, 4])])];
+        let delta = [r(&[1, 3, 9]), r(&[1, 2, 4])]
+            .into_iter()
+            .zip([1, -1])
+            .collect::<ZSet<Row>>();
+        stores[0].apply_derivation_delta(&delta);
+        let deltas = HashMap::from([(0, delta)]);
+        let old = View::old(&stores, &deltas);
+        let int = |v| Some(Value::Int(v));
+        // Keyed: the added row is skipped, the removed one is back.
+        let p = old.probe(0, &[int(1), None, None], usize::MAX, usize::MAX);
+        assert_eq!(p.rows, vec![r(&[1, 1, 1]), r(&[1, 2, 4])]);
+        // Membership, both ways.
+        assert_eq!(old.probe(0, &[int(1), int(2), int(4)], 1, 1).rows.len(), 1);
+        assert!(old
+            .probe(0, &[int(1), int(3), int(9)], 1, 1)
+            .rows
+            .is_empty());
+        // The new view sees the opposite.
+        let new = View::new(&stores);
+        let p = new.probe(0, &[int(1), None, None], usize::MAX, usize::MAX);
+        assert_eq!(p.rows, vec![r(&[1, 1, 1]), r(&[1, 3, 9])]);
+    }
 }

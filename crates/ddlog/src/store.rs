@@ -53,24 +53,13 @@ struct RowEntry {
     touch: Touch,
 }
 
-/// The outcome of [`RelationStore::matching_rows`].
-#[derive(Debug, Default)]
-pub struct Matches {
-    /// The matching visible rows, sorted.
-    pub rows: Vec<Row>,
-    /// Rows looked at to find them (1 for a direct membership test).
-    pub examined: usize,
-    /// More rows matched than the caller's cap.
-    pub capped: bool,
-    /// The examination budget ran out before every candidate was seen.
-    pub exhausted: bool,
-}
-
 /// Storage for one relation.
 #[derive(Debug, Default, Clone)]
 pub struct RelationStore {
     /// Relation name, for diagnostics.
     pub name: String,
+    /// Number of columns.
+    arity: usize,
     /// Row → derivation count and last-touch stamp. Only rows with
     /// count != 0 are present; counts are never negative.
     derivations: HashMap<Row, RowEntry>,
@@ -93,12 +82,18 @@ pub struct RelationStore {
 }
 
 impl RelationStore {
-    /// Create an empty store.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Create an empty store for rows of `arity` columns.
+    pub fn new(name: impl Into<String>, arity: usize) -> Self {
         RelationStore {
             name: name.into(),
+            arity,
             ..Default::default()
         }
+    }
+
+    /// Number of columns.
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
     /// Register an arrangement over `cols` with a catalog id (idempotent
@@ -114,11 +109,6 @@ impl RelationStore {
         }
         self.by_cols.insert(cols.to_vec(), self.arrangements.len());
         self.arrangements.push(Arrangement::new(cols, global));
-    }
-
-    /// Register an uncataloged index over `cols` (idempotent).
-    pub fn register_index(&mut self, cols: &[usize]) {
-        self.register_arrangement(cols, None);
     }
 
     /// True if an arrangement over exactly `cols` exists.
@@ -139,6 +129,12 @@ impl RelationStore {
     /// True if `row` is visible.
     pub fn contains(&self, row: &Row) -> bool {
         self.derivation_count(row) > 0
+    }
+
+    /// The stored row equal to `vals`, when it is visible.
+    pub(crate) fn visible(&self, vals: &Vec<Value>) -> Option<&Row> {
+        let (row, e) = self.derivations.get_key_value(vals)?;
+        (e.count > 0).then_some(row)
     }
 
     /// The derivation count of `row`.
@@ -249,58 +245,18 @@ impl RelationStore {
         self.arrangement(cols).len_of(key)
     }
 
-    /// Visible rows matching a column pattern (`Some(v)` = must equal
-    /// `v`, `None` = wildcard): at most `cap` of them, looking at no
-    /// more than `budget` rows. A fully determined pattern is a direct
-    /// membership test; otherwise the widest registered arrangement
-    /// whose key columns are all constrained is probed and the rest
-    /// post-filtered, and only when no arrangement applies is the
-    /// relation scanned. This is how provenance queries find the rows an
-    /// environment bound, in O(matches) wherever an index covers the
-    /// constrained columns.
-    pub fn matching_rows(&self, pattern: &[Option<Value>], cap: usize, budget: usize) -> Matches {
-        let mut out = Matches::default();
-        if pattern.iter().all(Option::is_some) {
-            let row: Row = std::sync::Arc::new(pattern.iter().flatten().cloned().collect());
-            out.examined = 1;
-            if self.contains(&row) {
-                out.rows.push(row);
+    /// The widest registered arrangement whose key columns `pattern`
+    /// all fixes (`Some`), the earliest registered among equals — what
+    /// [`crate::recursive::View::probe`] keys on.
+    pub(crate) fn covering(&self, pattern: &[Option<Value>]) -> Option<&Arrangement> {
+        let covers = |a: &&Arrangement| a.cols().iter().all(|c| pattern[*c].is_some());
+        let mut best: Option<&Arrangement> = None;
+        for a in self.arrangements.iter().filter(covers) {
+            if best.is_none_or(|b| a.cols().len() > b.cols().len()) {
+                best = Some(a);
             }
-            return out;
         }
-        let best = self
-            .by_cols
-            .keys()
-            .filter(|cols| cols.iter().all(|c| pattern[*c].is_some()))
-            .max_by_key(|cols| cols.len());
-        let candidates: Box<dyn Iterator<Item = &Row>> = match best {
-            Some(cols) => {
-                let key: Key = cols.iter().map(|c| pattern[*c].clone().unwrap()).collect();
-                self.lookup(cols, &key)
-            }
-            None => Box::new(self.rows()),
-        };
-        for r in candidates {
-            if out.examined >= budget {
-                out.exhausted = true;
-                break;
-            }
-            out.examined += 1;
-            if !pattern
-                .iter()
-                .zip(r.iter())
-                .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
-            {
-                continue;
-            }
-            if out.rows.len() >= cap {
-                out.capped = true;
-                break;
-            }
-            out.rows.push(r.clone());
-        }
-        out.rows.sort();
-        out
+        best
     }
 
     fn arrangement(&self, cols: &[usize]) -> &Arrangement {
@@ -365,7 +321,7 @@ mod tests {
 
     #[test]
     fn derivation_counting_and_set_delta() {
-        let mut s = RelationStore::new("R");
+        let mut s = RelationStore::new("R", 1);
         let mut d = ZSet::new();
         d.add(r(&[1]), 2); // two derivations of the same row
         let sd = s.apply_derivation_delta(&d);
@@ -385,8 +341,8 @@ mod tests {
 
     #[test]
     fn index_maintenance() {
-        let mut s = RelationStore::new("R");
-        s.register_index(&[0]);
+        let mut s = RelationStore::new("R", 2);
+        s.register_arrangement(&[0], None);
         let mut d = ZSet::new();
         d.add(r(&[1, 10]), 1);
         d.add(r(&[1, 20]), 1);
@@ -405,7 +361,7 @@ mod tests {
 
     #[test]
     fn touch_stamp_lives_and_dies_with_the_row_entry() {
-        let mut s = RelationStore::new("R");
+        let mut s = RelationStore::new("R", 1);
         s.set_touch((7, 1));
         s.apply_derivation_delta(&ZSet::singleton(r(&[1]), 1));
         s.set_touch((8, 2));
@@ -420,35 +376,11 @@ mod tests {
     }
 
     #[test]
-    fn matching_rows_probes_the_widest_covering_index_else_scans() {
-        let mut s = RelationStore::new("R");
-        s.register_index(&[0]);
-        let mut d = ZSet::new();
-        for i in 0..10 {
-            d.add(r(&[i % 2, i, i * i]), 1);
-        }
-        s.apply_derivation_delta(&d);
-        let int = |v| Some(Value::Int(v));
-        // Fully determined: one membership test.
-        let m = s.matching_rows(&[int(1), int(3), int(9)], 8, 100);
-        assert_eq!((m.rows.len(), m.examined), (1, 1));
-        // Column 0 is indexed: only its 5 matches are looked at.
-        let m = s.matching_rows(&[int(1), None, int(9)], 8, 100);
-        assert_eq!((m.rows, m.examined), (vec![r(&[1, 3, 9])], 5));
-        // Column 1 is not: a scan, which a small budget cuts short.
-        let m = s.matching_rows(&[None, int(3), None], 8, 100);
-        assert_eq!((m.rows.len(), m.examined, m.exhausted), (1, 10, false));
-        assert!(s.matching_rows(&[None, int(3), None], 8, 4).exhausted);
-        let m = s.matching_rows(&[int(0), None, None], 2, 100);
-        assert!(m.capped && m.rows.len() == 2);
-    }
-
-    #[test]
     fn late_registered_index_only_sees_new_rows() {
         // Contract: register indexes before inserting (compile time).
-        let mut s = RelationStore::new("R");
+        let mut s = RelationStore::new("R", 2);
         s.apply_derivation_delta(&ZSet::singleton(r(&[5, 1]), 1));
-        s.register_index(&[0]);
+        s.register_arrangement(&[0], None);
         // The pre-existing row is not in the late index — this documents
         // why registration must precede data.
         assert_eq!(s.lookup(&[0], &vec![Value::Int(5)]).count(), 0);
@@ -456,8 +388,8 @@ mod tests {
 
     #[test]
     fn stale_retractions_leave_ghost_rows() {
-        let mut s = RelationStore::new("R");
-        s.register_index(&[0]);
+        let mut s = RelationStore::new("R", 2);
+        s.register_arrangement(&[0], None);
         s.apply_derivation_delta(&ZSet::singleton(r(&[1, 10]), 1));
         s.set_stale_retractions(true);
         s.apply_derivation_delta(&ZSet::singleton(r(&[1, 10]), -1));
@@ -470,9 +402,9 @@ mod tests {
 
     #[test]
     fn incremental_bytes_match_recompute_after_churn() {
-        let mut s = RelationStore::new("R");
-        s.register_index(&[0]);
-        s.register_index(&[1]);
+        let mut s = RelationStore::new("R", 2);
+        s.register_arrangement(&[0], None);
+        s.register_arrangement(&[1], None);
         for i in 0..50 {
             s.apply_derivation_delta(&ZSet::singleton(r(&[i % 7, i]), 1));
         }
@@ -499,10 +431,10 @@ mod tests {
 
     #[test]
     fn approx_bytes_grows_with_indexes() {
-        let mut a = RelationStore::new("A");
-        let mut b = RelationStore::new("B");
-        b.register_index(&[0]);
-        b.register_index(&[1]);
+        let mut a = RelationStore::new("A", 2);
+        let mut b = RelationStore::new("B", 2);
+        b.register_arrangement(&[0], None);
+        b.register_arrangement(&[1], None);
         let mut d = ZSet::new();
         for i in 0..100 {
             d.add(r(&[i, i * 2]), 1);
@@ -514,9 +446,9 @@ mod tests {
 
     #[test]
     fn arrangement_stats_flow_to_cataloged_ids() {
-        let mut s = RelationStore::new("R");
+        let mut s = RelationStore::new("R", 2);
         s.register_arrangement(&[0], Some(7));
-        s.register_index(&[1]); // uncataloged: no stats reported
+        s.register_arrangement(&[1], None); // uncataloged: no stats reported
         s.apply_derivation_delta(&ZSet::singleton(r(&[1, 2]), 1));
         let stats = s.take_arrangement_stats();
         assert_eq!(stats.len(), 1);

@@ -1102,24 +1102,19 @@ fn apply_mutation(
                 Some(Atom::Integer(i)) => *i,
                 _ => return Err("arithmetic mutators need an integer argument".to_string()),
             };
+            // Checked: a result outside the integer range fails the
+            // operation (RFC 7047's range error), like division by zero.
             let apply = |v: i64| -> Result<i64, String> {
-                Ok(match mutator {
-                    "+=" => v.wrapping_add(x),
-                    "-=" => v.wrapping_sub(x),
-                    "*=" => v.wrapping_mul(x),
-                    "/=" => {
-                        if x == 0 {
-                            return Err("division by zero".to_string());
-                        }
-                        v / x
-                    }
-                    _ => {
-                        if x == 0 {
-                            return Err("modulo by zero".to_string());
-                        }
-                        v % x
-                    }
-                })
+                let out = match mutator {
+                    "+=" => v.checked_add(x),
+                    "-=" => v.checked_sub(x),
+                    "*=" => v.checked_mul(x),
+                    "/=" if x == 0 => return Err("division by zero".to_string()),
+                    "/=" => v.checked_div(x),
+                    _ if x == 0 => return Err("modulo by zero".to_string()),
+                    _ => v.checked_rem(x),
+                };
+                out.ok_or_else(|| format!("range error: {v} {mutator} {x} overflows"))
             };
             match cur {
                 Datum::Set(s) => {

@@ -153,7 +153,6 @@ impl Server {
         overload: MonitorOverload,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
             db: Mutex::new(db),
@@ -164,19 +163,15 @@ impl Server {
             overload,
         });
         let accept_state = state.clone();
-        let accept_thread = std::thread::spawn(move || loop {
-            if accept_state.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let st = accept_state.clone();
-                    std::thread::spawn(move || serve_connection(st, stream));
+        let accept_thread = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                // After shutdown the next connection is the wake-up call.
+                if accept_state.shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
+                let Ok(stream) = stream else { break };
+                let st = accept_state.clone();
+                std::thread::spawn(move || serve_connection(st, stream));
             }
         });
         Ok(Server {
@@ -232,9 +227,11 @@ impl Server {
 
     /// Stop accepting connections and sever the live ones.
     pub fn shutdown(&mut self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
+        self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+            if telemetry::server::wake_accept(self.addr) {
+                let _ = h.join();
+            }
         }
         self.disconnect_all();
     }

@@ -145,6 +145,44 @@ fn mutate_constraint_violation_aborts() {
     assert!(res[0]["error"].is_string());
 }
 
+/// An arithmetic mutator whose result leaves the integer range fails
+/// its operation (a range error), like division by zero, instead of
+/// wrapping or panicking — and the table keeps its contents.
+#[test]
+fn arithmetic_mutator_overflow_fails_the_operation() {
+    let mut db = simple_db();
+    db.transact(&json!([
+        {"op": "insert", "table": "Port",
+         "row": {"name": "p", "trunks": ["set", [i64::MIN + 1, 7]]}}
+    ]));
+    let mutate = |mutator: &str, x: i64| {
+        json!([{"op": "mutate", "table": "Port", "where": [],
+                "mutations": [["trunks", mutator, x]]}])
+    };
+    let (res, changes) = db.transact(&mutate("-=", 1));
+    assert!(res[0].get("error").is_none(), "{res}");
+    assert_eq!(changes.len(), 1);
+    let before = db.monitor_snapshot(&["Port"]).unwrap();
+    assert!(
+        before.to_string().contains(&i64::MIN.to_string()),
+        "{before}"
+    );
+    for (mutator, x) in [
+        ("/=", -1),
+        ("%=", -1),
+        ("-=", 1),
+        ("+=", i64::MAX),
+        ("*=", 2),
+        ("/=", 0),
+        ("%=", 0),
+    ] {
+        let (res, changes) = db.transact(&mutate(mutator, x));
+        assert!(changes.is_empty(), "{mutator} {x}");
+        assert!(res[0]["error"].is_string(), "{mutator} {x}: {res}");
+        assert_eq!(db.monitor_snapshot(&["Port"]).unwrap(), before);
+    }
+}
+
 #[test]
 fn delete_and_where_operators() {
     let mut db = simple_db();

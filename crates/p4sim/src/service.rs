@@ -263,28 +263,23 @@ impl ControlService {
         per_entry: Duration,
     ) -> std::io::Result<ControlService> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let sd = shutdown.clone();
         let cn = conns.clone();
-        let accept_thread = std::thread::spawn(move || loop {
-            if sd.load(Ordering::Relaxed) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let dev = device.clone();
-                    if let Ok(handle) = stream.try_clone() {
-                        cn.lock().push(handle);
-                    }
-                    std::thread::spawn(move || serve_conn(dev, stream, per_entry));
+        let accept_thread = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                // After shutdown the next connection is the wake-up call.
+                if sd.load(Ordering::SeqCst) {
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                let Ok(stream) = stream else { break };
+                let dev = device.clone();
+                if let Ok(handle) = stream.try_clone() {
+                    cn.lock().push(handle);
                 }
-                Err(_) => break,
+                std::thread::spawn(move || serve_conn(dev, stream, per_entry));
             }
         });
         Ok(ControlService {
@@ -312,9 +307,11 @@ impl ControlService {
 
     /// Stop accepting connections and sever the live ones.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+            if telemetry::server::wake_accept(self.addr) {
+                let _ = h.join();
+            }
         }
         self.disconnect_all();
     }

@@ -18,7 +18,7 @@
 //! bounds both thread count and memory.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,36 +42,32 @@ impl IntrospectionServer {
     pub fn start(addr: impl ToSocketAddrs, telemetry: Arc<Telemetry>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stop = shutdown.clone();
         let handle = std::thread::spawn(move || {
             let active = Arc::new(AtomicUsize::new(0));
-            while !stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        // Serve each connection on its own thread so a
-                        // stalled client only occupies one slot; past
-                        // the cap, shed load immediately.
-                        if active.load(Ordering::SeqCst) >= MAX_CONNS {
-                            let _ = stream.write_all(
-                                b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-                            );
-                            continue;
-                        }
-                        active.fetch_add(1, Ordering::SeqCst);
-                        let tel = telemetry.clone();
-                        let slots = active.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_conn(stream, &tel);
-                            slots.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            for stream in listener.incoming() {
+                // After shutdown the next connection is the wake-up call.
+                if stop.load(Ordering::SeqCst) {
+                    break;
                 }
+                let Ok(mut stream) = stream else { break };
+                // Serve each connection on its own thread so a stalled
+                // client only occupies one slot; past the cap, shed load
+                // immediately.
+                if active.load(Ordering::SeqCst) >= MAX_CONNS {
+                    let _ = stream.write_all(
+                        b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+                    );
+                    continue;
+                }
+                active.fetch_add(1, Ordering::SeqCst);
+                let tel = telemetry.clone();
+                let slots = active.clone();
+                std::thread::spawn(move || {
+                    let _ = serve_conn(stream, &tel);
+                    slots.fetch_sub(1, Ordering::SeqCst);
+                });
             }
         });
         Ok(IntrospectionServer {
@@ -90,7 +86,9 @@ impl IntrospectionServer {
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
-            let _ = h.join();
+            if wake_accept(self.addr) {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -101,8 +99,23 @@ impl Drop for IntrospectionServer {
     }
 }
 
+/// Wake a thread blocked in `accept` on `addr` by connecting to it
+/// (through 127.0.0.1 when `addr` is unspecified). Every accept loop in
+/// the stack blocks, and stops this way: its owner sets a stop flag,
+/// wakes it, and the loop sees the flag and exits without serving or
+/// counting the connection. Returns false when the connect failed — the
+/// loop has already exited or cannot be reached — so the owner must not
+/// wait for it.
+pub fn wake_accept(addr: SocketAddr) -> bool {
+    let ip = if addr.ip().is_unspecified() {
+        IpAddr::V4(Ipv4Addr::LOCALHOST)
+    } else {
+        addr.ip()
+    };
+    TcpStream::connect((ip, addr.port())).is_ok()
+}
+
 fn serve_conn(mut stream: TcpStream, telemetry: &Telemetry) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
