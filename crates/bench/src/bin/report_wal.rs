@@ -1,23 +1,48 @@
 //! WAL-append throughput: the cost the durability layer adds to every
-//! committed management-plane transaction, across fsync policies.
+//! committed management-plane transaction, across fsync policies — and
+//! what replaying a record costs on recovery.
 //!
-//! Each run opens a durable [`ovsdb::Database`] in a scratch directory
-//! and drives port upserts straight into `transact` (no TCP), so the
-//! measured latency is exactly validate + WAL append (+ fsync per
-//! policy) + overlay apply. `EveryN(64)` is the default shipped policy;
-//! `Never` shows the raw append ceiling; `Always` the per-txn fsync
-//! floor. Wall time is machine-dependent and informational; what
+//! Each append run opens a durable [`ovsdb::Database`] in a scratch
+//! directory and drives port upserts straight into `transact` (no TCP),
+//! so the measured latency is exactly validate + WAL append (+ fsync per
+//! policy) + apply. `EveryN(64)` is the default shipped policy; `Never`
+//! shows the raw append ceiling; `Always` the per-txn fsync floor.
+//!
+//! Each replay run preloads a table of 2 000 or 20 000 ports into the
+//! snapshot, logs one-row `["id","==",n]` updates after it, and times
+//! recovery with the snapshot's own time subtracted: the cost of
+//! replaying one record. A record holds the commit's row changes, so
+//! that cost must not grow with the table; `wal_replay/rows_20000`
+//! carries a same-process wall budget of 1.5x `wal_replay/rows_2000`.
+//! The updates cycle over [`UPDATED_PORTS`] ports; spread over the
+//! whole table, the 20 000-row log also pays a few cache misses per
+//! record (1.25–1.9x, median 1.4x, in five runs on a 2-vCPU host),
+//! which is the memory hierarchy, not replay work.
+//!
+//! Absolute wall time is machine-dependent and informational; what
 //! `compare` gates against `baselines/BENCH_wal.json` is the
-//! deterministic log bytes per committed transaction.
+//! deterministic log bytes per transaction (or per replayed record) and
+//! the replay wall ratio.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bench::BenchEntry;
 use ovsdb::{DurabilityConfig, FsyncPolicy};
-use serde_json::json;
+use serde_json::{json, Value as Json};
 
 const TXNS: usize = 4000;
 const TXNS_QUICK: usize = 400;
+
+/// Table sizes the replay cost is measured at.
+const REPLAY_ROWS: [usize; 2] = [2_000, 20_000];
+/// One-row update records in the longer of the two replayed logs.
+const REPLAYED: usize = 1000;
+/// The ports those updates cycle over: few enough that the rows they
+/// touch stay in cache at either table size, so the replay ratio
+/// measures work per record rather than the memory hierarchy.
+const UPDATED_PORTS: usize = 64;
+/// Recoveries timed per log (the fastest one counts).
+const RECOVERIES: usize = 9;
 
 struct Scratch(std::path::PathBuf);
 
@@ -39,13 +64,12 @@ impl Drop for Scratch {
 
 fn run_policy(tag: &str, fsync: FsyncPolicy, txns: usize) -> (Vec<u64>, u64) {
     let scratch = Scratch::new(tag);
-    let schema = ovsdb::Schema::parse(snvs::assets::SNVS_SCHEMA).expect("schema");
     let cfg = DurabilityConfig {
         fsync,
         // Pure append measurement: never compact mid-run.
         snapshot_after_bytes: u64::MAX,
     };
-    let (mut db, _) = ovsdb::Database::open(&scratch.0, schema, cfg).expect("open durable db");
+    let (mut db, _) = ovsdb::Database::open(&scratch.0, schema(), cfg).expect("open durable db");
     let mut lat_ns = Vec::with_capacity(txns);
     for i in 0..txns {
         let port = (i % 512) as u16;
@@ -55,16 +79,103 @@ fn run_policy(tag: &str, fsync: FsyncPolicy, txns: usize) -> (Vec<u64>, u64) {
              "row": {"id": port, "vlan_mode": "access", "tag": 10 + (i % 64)}}
         ]);
         let t = Instant::now();
-        let (results, _) = db.transact(&ops);
+        commit(&mut db, &ops);
         lat_ns.push(t.elapsed().as_nanos() as u64);
-        assert!(
-            results
-                .as_array()
-                .is_some_and(|r| r.iter().all(|e| e.get("error").is_none())),
-            "txn {i} failed: {results}"
-        );
     }
     (lat_ns, db.wal_bytes())
+}
+
+fn schema() -> ovsdb::Schema {
+    ovsdb::Schema::parse(snvs::assets::SNVS_SCHEMA).expect("schema")
+}
+
+/// Commit `ops`, asserting every operation succeeded.
+fn commit(db: &mut ovsdb::Database, ops: &Json) {
+    let (results, _) = db.transact(ops);
+    assert!(
+        results
+            .as_array()
+            .is_some_and(|r| r.iter().all(|e| e.get("error").is_none())),
+        "txn failed: {results}"
+    );
+}
+
+/// A preloaded table of `rows` ports (the snapshot) and two logs of
+/// one-row updates after it.
+struct ReplayLogs {
+    rows: usize,
+    /// The snapshot and the first half of the records.
+    half: Scratch,
+    /// The snapshot and all of them.
+    full: Scratch,
+    /// Log bytes per record.
+    record_bytes: u64,
+}
+
+const REPLAY_CONFIG: DurabilityConfig = DurabilityConfig {
+    fsync: FsyncPolicy::Never,
+    snapshot_after_bytes: u64::MAX,
+};
+
+fn build_logs(rows: usize, records: usize) -> ReplayLogs {
+    let half = Scratch::new(&format!("replay-half-{rows}"));
+    let full = Scratch::new(&format!("replay-full-{rows}"));
+    let (mut db, _) =
+        ovsdb::Database::open(&full.0, schema(), REPLAY_CONFIG).expect("open durable db");
+    let ids: Vec<usize> = (0..rows).collect();
+    for chunk in ids.chunks(500) {
+        let inserts = chunk.iter().map(|id| {
+            json!({"op": "insert", "table": "Port",
+                   "row": {"id": id, "vlan_mode": "access", "tag": 10 + id % 64}})
+        });
+        commit(&mut db, &Json::Array(inserts.collect()));
+    }
+    db.compact().expect("compact");
+    for i in 0..records {
+        if i == records / 2 {
+            for file in [ovsdb::snapshot::SNAPSHOT_FILE, ovsdb::wal::WAL_FILE] {
+                std::fs::copy(full.0.join(file), half.0.join(file)).expect("copy");
+            }
+        }
+        // Every visit to a port gives it a tag its last visit did not.
+        let (id, visit) = (i % UPDATED_PORTS, i / UPDATED_PORTS);
+        commit(
+            &mut db,
+            &json!([{"op": "update", "table": "Port", "where": [["id", "==", id]],
+                     "row": {"tag": 100 + visit % 64}}]),
+        );
+    }
+    let record_bytes = db.wal_bytes() / records as u64;
+    ReplayLogs {
+        rows,
+        half,
+        full,
+        record_bytes,
+    }
+}
+
+/// Nanoseconds per replayed record for each of `logs`. Each recovery's
+/// snapshot time is subtracted from its total, and the cost per record
+/// is the slope between the half and the full log, so what a recovery
+/// pays once (reading the log, freeing the decoded snapshot) cancels
+/// out. Recoveries go round every log in turn, so a slow stretch of the
+/// host hits all of them alike; the fastest of [`RECOVERIES`] counts.
+fn replay_costs(logs: &[ReplayLogs], records: usize) -> Vec<u64> {
+    let mut fastest = vec![[Duration::MAX; 2]; logs.len()];
+    for _ in 0..RECOVERIES {
+        for (log, best) in logs.iter().zip(&mut fastest) {
+            for (dir, best) in [&log.half.0, &log.full.0].into_iter().zip(best) {
+                let (_, report) =
+                    ovsdb::Database::open(dir, schema(), REPLAY_CONFIG).expect("recover");
+                *best = (*best).min(report.replay_duration - report.snapshot_duration);
+            }
+        }
+    }
+    let slope_records = (records - records / 2) as u32;
+    fastest
+        .iter()
+        .map(|[half, full]| (full.saturating_sub(*half) / slope_records).as_nanos() as u64)
+        .collect()
 }
 
 fn main() {
@@ -132,6 +243,41 @@ fn main() {
         "\nshape check: Never bounds the raw append cost, Always pays an fsync per \
          commit, and the shipped EveryN(64) should sit near Never with a 64-commit \
          loss window."
+    );
+
+    let logs: Vec<ReplayLogs> = REPLAY_ROWS
+        .iter()
+        .map(|&rows| build_logs(rows, REPLAYED))
+        .collect();
+    let costs = replay_costs(&logs, REPLAYED);
+    let mut rows = Vec::new();
+    for (log, &ns) in logs.iter().zip(&costs) {
+        rows.push(vec![
+            log.rows.to_string(),
+            REPLAYED.to_string(),
+            format!("{:.2}", ns as f64 / 1e3),
+            log.record_bytes.to_string(),
+        ]);
+        let entry = BenchEntry::new(
+            &format!("wal_replay/rows_{}", log.rows),
+            ns,
+            log.record_bytes,
+        );
+        entries.push(if log.rows == REPLAY_ROWS[0] {
+            entry
+        } else {
+            entry.with_wall_budget(&format!("wal_replay/rows_{}", REPLAY_ROWS[0]), 1.5)
+        });
+    }
+    bench::print_table(
+        "WAL replay per record (one-row update over a preloaded table)",
+        &["rows", "records", "us/record", "log bytes/record"],
+        &rows,
+    );
+    println!(
+        "\nshape check: a record holds the commit's row changes, so replaying it \
+         costs the same at 20 000 rows as at 2 000 ({:.2}x; budget 1.5x).",
+        costs[1] as f64 / costs[0].max(1) as f64
     );
 
     if let Some(path) = out {

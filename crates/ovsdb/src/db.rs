@@ -6,7 +6,10 @@
 //! Committed changes are reported as [`RowChange`]s, the feed for
 //! [`crate::monitor`] streams — the property Nerpa's controller relies on
 //! ("OVSDB ... can stream a database's ongoing series of changes, grouped
-//! into transactions, to a subscriber", §4.1 of the paper).
+//! into transactions, to a subscriber", §4.1 of the paper). A durable
+//! database logs that same stream: each WAL record is a commit's changes
+//! in the monitor format, and one apply path serves a live commit, a
+//! replayed record and a restored snapshot.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -16,6 +19,7 @@ use std::sync::Arc;
 use serde_json::{json, Map, Value as Json};
 
 use crate::datum::{Atom, Datum, Uuid};
+use crate::monitor::{decode_table_updates, Monitor};
 use crate::schema::{ColumnType, Schema, TableSchema};
 use crate::snapshot;
 use crate::wal::{self, DurabilityConfig, Wal, WalError, WalRecord, WAL_FILE};
@@ -58,6 +62,9 @@ struct Durability {
     dir: PathBuf,
     wal: Wal,
     cfg: DurabilityConfig,
+    /// The monitor on every table and column: formats each commit's
+    /// record and the snapshot's rows.
+    log: Monitor,
 }
 
 /// What [`Database::open`] found and did while recovering.
@@ -73,6 +80,9 @@ pub struct RecoveryReport {
     pub wal_bytes: u64,
     /// Wall time spent loading + replaying.
     pub replay_duration: std::time::Duration,
+    /// The part of `replay_duration` spent loading and applying the
+    /// snapshot (zero without one).
+    pub snapshot_duration: std::time::Duration,
 }
 
 /// An OVSDB-style transactional database.
@@ -184,14 +194,9 @@ impl Database {
         cfg: DurabilityConfig,
     ) -> Result<(Database, RecoveryReport), WalError> {
         let started = std::time::Instant::now();
-        let mut db = Database::new(schema);
         let mut report = RecoveryReport::default();
-
-        if let Some(snap) = snapshot::load(dir, db.schema())? {
-            report.snapshot_commit_index = snap.commit_index;
-            db.restore(snap)?;
-        }
-
+        // The log's framing first: a damaged log is refused before the
+        // snapshot is read.
         let wal_path = dir.join(WAL_FILE);
         let image = match std::fs::read(&wal_path) {
             Ok(b) => b,
@@ -199,32 +204,40 @@ impl Database {
             Err(e) => return Err(WalError::Io(e)),
         };
         let scan = wal::scan(&image)?;
+        drop(image);
+
+        let mut db = Database::new(schema);
+        let snapshot_started = std::time::Instant::now();
+        if let Some(snap) = snapshot::load(dir, db.schema())? {
+            db.replay(&snap.tables).map_err(WalError::CorruptSnapshot)?;
+            db.uuid_counter = snap.uuid_counter;
+            db.txn_counter = snap.commit_index;
+            report.snapshot_commit_index = snap.commit_index;
+        }
+        report.snapshot_duration = snapshot_started.elapsed();
+
         report.truncated_tail = scan.torn_at.is_some();
-        for record in &scan.records {
+        for (offset, record) in &scan.records {
             if record.commit_index <= report.snapshot_commit_index {
                 // The snapshot already covers this record (a crash
                 // between snapshot rename and log truncation leaves an
                 // overlapping prefix).
                 continue;
             }
-            if record.commit_index != db.txn_counter + 1 {
-                return Err(WalError::CorruptRecord {
-                    offset: 0,
-                    reason: format!(
-                        "gap between snapshot (commit {}) and WAL record {}",
-                        db.txn_counter, record.commit_index
-                    ),
-                });
+            let corrupt = |reason: String| WalError::CorruptRecord {
+                offset: *offset,
+                reason,
+            };
+            if db.txn_counter.checked_add(1) != Some(record.commit_index) {
+                return Err(corrupt(format!(
+                    "gap between snapshot (commit {}) and WAL record {}",
+                    db.txn_counter, record.commit_index
+                )));
             }
+            db.replay(&record.ops)
+                .map_err(|e| corrupt(format!("commit {}: {e}", record.commit_index)))?;
             db.uuid_counter = record.uuid_counter;
-            let before = db.txn_counter;
-            let (results, _changes) = db.transact(&record.ops);
-            if db.txn_counter != before + 1 {
-                return Err(WalError::Replay {
-                    index: record.commit_index,
-                    reason: results.to_string(),
-                });
-            }
+            db.txn_counter = record.commit_index;
             report.replayed_records += 1;
         }
         let wal = Wal::open(&wal_path, cfg.fsync, scan.valid_bytes)?;
@@ -234,6 +247,7 @@ impl Database {
             dir: dir.to_path_buf(),
             wal,
             cfg,
+            log: Monitor::all(db.schema()),
         });
         telemetry::log_info!(
             "ovsdb",
@@ -250,24 +264,74 @@ impl Database {
         Ok((db, report))
     }
 
-    /// Restore a decoded snapshot into this (empty) database.
-    fn restore(&mut self, snap: snapshot::SnapshotState) -> Result<(), WalError> {
-        for (tname, uuid, row) in snap.rows {
-            let Some(table) = self.tables.get_mut(&tname) else {
-                return Err(WalError::CorruptSnapshot(format!(
-                    "no table {tname:?} in schema"
-                )));
-            };
-            let row = Arc::new(row);
-            let cols: Vec<Vec<String>> = table.unique.keys().cloned().collect();
-            for c in cols {
-                let proj = Table::project(&c, &row);
-                table.unique.get_mut(&c).unwrap().insert(proj, uuid);
+    /// Apply a logged `table-updates` object — a WAL record's or the
+    /// snapshot's rows. The monitor decoder skips tables and columns the
+    /// schema lacks, so names are checked here first: a log naming one
+    /// was written against another schema.
+    fn replay(&mut self, updates: &Json) -> Result<(), String> {
+        for (tname, rows) in updates.as_object().into_iter().flatten() {
+            let ts = self
+                .schema
+                .table(tname)
+                .ok_or_else(|| format!("unknown table {tname:?}"))?;
+            for update in rows.as_object().into_iter().flat_map(|r| r.values()) {
+                for half in ["old", "new"] {
+                    let row = update.get(half).and_then(Json::as_object);
+                    for cname in row.into_iter().flat_map(|r| r.keys()) {
+                        if !ts.columns.contains_key(cname) {
+                            return Err(format!("unknown column {tname}.{cname}"));
+                        }
+                    }
+                }
             }
-            table.rows.insert(uuid, row);
         }
-        self.uuid_counter = snap.uuid_counter;
-        self.txn_counter = snap.commit_index;
+        let changes = decode_table_updates(updates, &self.schema)?.changes;
+        self.apply(&changes)
+    }
+
+    /// Apply committed row changes. This is the one writer of
+    /// `Table::rows` and `Table::unique` after [`Database::new`]: a live
+    /// commit, a replayed WAL record and a restored snapshot all come
+    /// through here. Each change must start from the row the table
+    /// holds — none for an insert, otherwise one equal to `change.old`;
+    /// a change that does not was computed against another state (a
+    /// corrupt log), and is refused before it is applied.
+    fn apply(&mut self, changes: &[RowChange]) -> Result<(), String> {
+        for change in changes {
+            let (tname, uuid) = (&change.table, change.uuid);
+            let table = self
+                .tables
+                .get_mut(tname)
+                .ok_or_else(|| format!("unknown table {tname:?}"))?;
+            match (table.rows.get(&uuid), &change.old) {
+                (None, None) => {}
+                (Some(cur), Some(old)) if Arc::ptr_eq(cur, old) || cur == old => {}
+                (Some(_), None) => return Err(format!("insert of existing {tname} row {uuid}")),
+                (None, Some(_)) => return Err(format!("change of absent {tname} row {uuid}")),
+                (Some(_), Some(_)) => {
+                    return Err(format!(
+                        "{tname} row {uuid} does not hold the change's old row"
+                    ))
+                }
+            }
+            for (cols, index) in table.unique.iter_mut() {
+                if let Some(old) = &change.old {
+                    // Only this row's own entry: another row of the same
+                    // commit may already have taken the projection over.
+                    let proj = Table::project(cols, old);
+                    if index.get(&proj) == Some(&uuid) {
+                        index.remove(&proj);
+                    }
+                }
+                if let Some(new) = &change.new {
+                    index.insert(Table::project(cols, new), uuid);
+                }
+            }
+            match &change.new {
+                Some(row) => table.rows.insert(uuid, row.clone()),
+                None => table.rows.remove(&uuid),
+            };
+        }
         Ok(())
     }
 
@@ -307,7 +371,7 @@ impl Database {
         };
         // Detach while encoding so `encode` sees a plain database; the
         // layer is restored no matter how the write goes.
-        let result = snapshot::write_atomic(&d.dir, self);
+        let result = snapshot::write_atomic(&d.dir, self, &d.log);
         self.durability = Some(d);
         result?;
         self.durability.as_mut().unwrap().wal.reset()?;
@@ -362,12 +426,6 @@ impl Database {
     /// the transaction aborted — the results array then contains the
     /// error).
     pub fn transact(&mut self, ops: &Json) -> (Json, Vec<RowChange>) {
-        // UUID counter before any op runs: replaying the logged ops from
-        // this value reproduces the exact same minted UUIDs, even though
-        // aborted transactions in between consumed counter values without
-        // being logged.
-        let uuid_pre = self.uuid_counter;
-        let ops_json = ops;
         let ops = match ops.as_array() {
             Some(a) => a,
             None => {
@@ -413,16 +471,18 @@ impl Database {
             return (Json::Array(results), vec![]);
         }
         let overlay = std::mem::take(&mut txn.overlay);
+        let changes = self.changes_of(overlay);
         // Write-ahead: the record must be durable before the state
         // mutates, so a crash at any instant leaves either (a) no
         // record and no state change — the client never got a reply —
         // or (b) a full record that recovery replays. A torn tail is
-        // case (a) by construction.
+        // case (a) by construction. A commit that changed no row still
+        // logs `{}`, so commit indices stay contiguous.
         if let Some(d) = self.durability.as_mut() {
             let record = WalRecord {
                 commit_index: self.txn_counter + 1,
-                uuid_counter: uuid_pre,
-                ops: ops_json.clone(),
+                uuid_counter: self.uuid_counter,
+                ops: d.log.format_changes(&changes).unwrap_or_else(|| json!({})),
             };
             if let Err(e) = d.wal.append(&record) {
                 telemetry::log_warn!("ovsdb", "WAL append failed, aborting txn: {e}");
@@ -432,7 +492,8 @@ impl Database {
                 );
             }
         }
-        let changes = self.apply_overlay(overlay);
+        self.apply(&changes)
+            .expect("a commit's changes are read from the state they apply to");
         self.txn_counter += 1;
         self.maybe_compact();
         (Json::Array(results), changes)
@@ -453,47 +514,22 @@ impl Database {
         }
     }
 
-    fn apply_overlay(
-        &mut self,
-        overlay: HashMap<(String, Uuid), Option<Arc<RowData>>>,
-    ) -> Vec<RowChange> {
-        let mut changes = Vec::new();
-        for ((tname, uuid), new) in overlay {
-            let table = self
-                .tables
-                .get_mut(&tname)
-                .expect("overlay on unknown table");
-            let old = table.rows.get(&uuid).cloned();
-            if old == new {
-                continue;
-            }
-            // Maintain unique indexes.
-            let unique_keys: Vec<Vec<String>> = table.unique.keys().cloned().collect();
-            for cols in unique_keys {
-                if let Some(o) = &old {
-                    let proj = Table::project(&cols, o);
-                    table.unique.get_mut(&cols).unwrap().remove(&proj);
-                }
-                if let Some(n) = &new {
-                    let proj = Table::project(&cols, n);
-                    table.unique.get_mut(&cols).unwrap().insert(proj, uuid);
-                }
-            }
-            match &new {
-                Some(row) => {
-                    table.rows.insert(uuid, row.clone());
-                }
-                None => {
-                    table.rows.remove(&uuid);
-                }
-            }
-            changes.push(RowChange {
-                table: tname,
-                uuid,
-                old,
-                new,
-            });
-        }
+    /// The row changes a transaction's overlay commits, each `old` read
+    /// from the table; the database itself is not touched. An overlay
+    /// entry that leaves its row as it was is no change.
+    fn changes_of(&self, overlay: HashMap<(String, Uuid), Option<Arc<RowData>>>) -> Vec<RowChange> {
+        let mut changes: Vec<RowChange> = overlay
+            .into_iter()
+            .filter_map(|((table, uuid), new)| {
+                let old = self.tables[&table].rows.get(&uuid).cloned();
+                (old != new).then_some(RowChange {
+                    table,
+                    uuid,
+                    old,
+                    new,
+                })
+            })
+            .collect();
         // Deterministic order for downstream consumers.
         changes.sort_by(|a, b| (&a.table, a.uuid).cmp(&(&b.table, b.uuid)));
         changes

@@ -56,6 +56,19 @@ pub struct Monitor {
 }
 
 impl Monitor {
+    /// Every table of `schema`, every column, every change kind: the
+    /// monitor whose `table-updates` the durability layer logs and
+    /// snapshots.
+    pub fn all(schema: &Schema) -> Monitor {
+        let tables = schema
+            .tables
+            .keys()
+            .map(|t| (t.clone(), MonitorTable::default()));
+        Monitor {
+            tables: tables.collect(),
+        }
+    }
+
     /// Parse the `monitor` request's third parameter:
     /// `{table: {columns: [...], select: {...}} | [...alternatives...]}`.
     pub fn parse(requests: &Json, db: &Database) -> Result<Monitor, String> {
@@ -211,11 +224,14 @@ pub fn decode_table_updates(updates: &Json, schema: &Schema) -> Result<TableUpda
 /// rows all at once unless the sink keeps them); returns the embedded
 /// trace. The inverse of [`Monitor::initial_state`] /
 /// [`Monitor::format_changes`], and the only reader of that wire
-/// format. A modify reports only its changed columns under `old`; the
+/// format — on the wire and on disk alike: the durable database's WAL
+/// records and snapshot hold the same format and recovery decodes them
+/// here. A modify reports only its changed columns under `old`; the
 /// full old row is rebuilt here by patching them over `new`. Tables
-/// unknown to `schema` are skipped (a peer may monitor more than this
-/// consumer models); anything malformed inside a known table is an
-/// error naming it.
+/// and columns unknown to `schema` are skipped (a peer may monitor more
+/// than this consumer models; recovery, which must not skip, checks
+/// names before it calls this); anything malformed inside a known table
+/// is an error naming it.
 pub fn decode_table_updates_into(
     updates: &Json,
     schema: &Schema,

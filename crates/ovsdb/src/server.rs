@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam_channel::{bounded, unbounded, Sender, TrySendError};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde_json::{json, Value as Json};
 
 use crate::db::Database;
@@ -188,16 +188,7 @@ impl Server {
 
     /// Run a transaction directly (in-process), still notifying monitors.
     pub fn transact_local(&self, ops: &Json) -> Json {
-        let started = std::time::Instant::now();
-        let (results, changes) = self.state.db.lock().transact(ops);
-        let commit_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        record_commit(commit_ns);
-        notify(
-            &self.state,
-            &changes,
-            Some((telemetry::next_trace_id(), commit_ns)),
-        );
-        results
+        commit(&self.state, self.state.db.lock(), ops)
     }
 
     /// Read-only access to the database.
@@ -243,127 +234,137 @@ impl Drop for Server {
     }
 }
 
-fn record_commit(commit_ns: u64) {
+/// Run `ops` on the locked database and fan the committed changes out
+/// to every subscriber. The subscription lock is taken before the
+/// database lock is released (db → subs, the order `monitor` takes them
+/// in too), so concurrent commits reach every outbox in commit order.
+fn commit(state: &ServerState, mut db: MutexGuard<'_, Database>, ops: &Json) -> Json {
+    let started = std::time::Instant::now();
+    let (results, changes) = db.transact(ops);
+    let commit_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     let m = server_metrics();
     m.commits.inc();
     m.commit_us.record(commit_ns / 1_000);
+    if !changes.is_empty() {
+        let subs = state.subs.lock();
+        drop(db);
+        notify(
+            state,
+            subs,
+            &changes,
+            (telemetry::next_trace_id(), commit_ns),
+        );
+    }
+    results
 }
 
-fn notify(state: &ServerState, changes: &[crate::db::RowChange], trace: Option<(u64, u64)>) {
-    if changes.is_empty() {
-        return;
-    }
-    if let Some((id, commit_ns)) = trace {
-        // The flight recorder sees every acknowledged commit, and the
-        // convergence clock starts here: lag is measured from this ack
-        // to the switch writes that settle the trace.
-        telemetry::record_event(
-            telemetry::Plane::Management,
-            "ovsdb.commit",
-            id,
-            &[("rows", changes.len() as u64), ("commit_ns", commit_ns)],
-        );
-        telemetry::global().convergence_begin(id);
-    }
+fn notify(
+    state: &ServerState,
+    mut subs: MutexGuard<'_, Vec<Subscription>>,
+    changes: &[crate::db::RowChange],
+    (id, commit_ns): (u64, u64),
+) {
+    // The flight recorder sees every acknowledged commit, and the
+    // convergence clock starts here: lag is measured from this ack to
+    // the switch writes that settle the trace.
+    telemetry::record_event(
+        telemetry::Plane::Management,
+        "ovsdb.commit",
+        id,
+        &[("rows", changes.len() as u64), ("commit_ns", commit_ns)],
+    );
+    telemetry::global().convergence_begin(id);
     let mut evicted: Vec<u64> = Vec::new();
     let mut dead: Vec<u64> = Vec::new();
-    {
-        let subs = state.subs.lock();
-        let mut max_depth = 0usize;
-        for sub in subs.iter() {
-            if evicted.contains(&sub.conn_id) || dead.contains(&sub.conn_id) {
+    let mut max_depth = 0usize;
+    for sub in subs.iter() {
+        if evicted.contains(&sub.conn_id) || dead.contains(&sub.conn_id) {
+            continue;
+        }
+        let Some(mut updates) = sub.monitor.format_changes(changes) else {
+            continue;
+        };
+        if let Some(obj) = updates.as_object_mut() {
+            obj.insert(
+                TRACE_KEY.to_string(),
+                json!({"id": id, "commit_ns": commit_ns}),
+            );
+        }
+        server_metrics().fanout.inc();
+        telemetry::log_debug!(
+            "ovsdb",
+            "monitor update to conn {} (trace {id})",
+            sub.conn_id
+        );
+        let msg = Message::Notification {
+            method: "update".to_string(),
+            params: json!([sub.mon_id, updates]),
+        };
+        // Fast path first; only a full outbox pays the blocking
+        // wait, and only up to the eviction deadline.
+        let sent = match sub.tx.try_send(msg) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Disconnected(_)) => {
+                dead.push(sub.conn_id);
                 continue;
             }
-            let Some(mut updates) = sub.monitor.format_changes(changes) else {
-                continue;
-            };
-            if let (Some((id, commit_ns)), Some(obj)) = (trace, updates.as_object_mut()) {
-                obj.insert(
-                    TRACE_KEY.to_string(),
-                    json!({"id": id, "commit_ns": commit_ns}),
+            Err(TrySendError::Full(msg)) => sub
+                .tx
+                .send_timeout(msg, state.overload.evict_deadline)
+                .map_err(|e| e.is_timeout()),
+        };
+        match sent {
+            Ok(()) => {
+                max_depth = max_depth.max(sub.tx.len());
+                telemetry::record_event(
+                    telemetry::Plane::Management,
+                    "ovsdb.monitor_fanout",
+                    id,
+                    &[("conn", sub.conn_id), ("rows", changes.len() as u64)],
                 );
             }
-            server_metrics().fanout.inc();
-            telemetry::log_debug!(
-                "ovsdb",
-                "monitor update to conn {} (trace {:?})",
-                sub.conn_id,
-                trace.map(|t| t.0)
-            );
-            let msg = Message::Notification {
-                method: "update".to_string(),
-                params: json!([sub.mon_id, updates]),
-            };
-            // Fast path first; only a full outbox pays the blocking
-            // wait, and only up to the eviction deadline.
-            let sent = match sub.tx.try_send(msg) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Disconnected(_)) => {
-                    dead.push(sub.conn_id);
-                    continue;
-                }
-                Err(TrySendError::Full(msg)) => sub
-                    .tx
-                    .send_timeout(msg, state.overload.evict_deadline)
-                    .map_err(|e| e.is_timeout()),
-            };
-            match sent {
-                Ok(()) => {
-                    max_depth = max_depth.max(sub.tx.len());
-                    telemetry::record_event(
-                        telemetry::Plane::Management,
-                        "ovsdb.monitor_fanout",
-                        trace.map(|t| t.0).unwrap_or(0),
-                        &[("conn", sub.conn_id), ("rows", changes.len() as u64)],
-                    );
-                }
-                Err(true) => {
-                    // Slow consumer: could not drain one slot within
-                    // the deadline. Evict the whole connection; its
-                    // reconnect + re-monitor resync makes this safe.
-                    server_metrics().evictions.inc();
-                    telemetry::record_event(
-                        telemetry::Plane::Management,
-                        "ovsdb.monitor_evict",
-                        trace.map(|t| t.0).unwrap_or(0),
-                        &[
-                            ("conn", sub.conn_id),
-                            ("outbox", sub.tx.len() as u64),
-                            (
-                                "deadline_ms",
-                                state.overload.evict_deadline.as_millis() as u64,
-                            ),
-                        ],
-                    );
-                    telemetry::log_warn!(
-                        "ovsdb",
-                        "evicting slow monitor subscriber on conn {} (outbox {} full past {:?})",
-                        sub.conn_id,
-                        sub.tx.len(),
-                        state.overload.evict_deadline
-                    );
-                    evicted.push(sub.conn_id);
-                }
-                Err(false) => {
-                    dead.push(sub.conn_id);
-                }
+            Err(true) => {
+                // Slow consumer: could not drain one slot within
+                // the deadline. Evict the whole connection; its
+                // reconnect + re-monitor resync makes this safe.
+                server_metrics().evictions.inc();
+                telemetry::record_event(
+                    telemetry::Plane::Management,
+                    "ovsdb.monitor_evict",
+                    id,
+                    &[
+                        ("conn", sub.conn_id),
+                        ("outbox", sub.tx.len() as u64),
+                        (
+                            "deadline_ms",
+                            state.overload.evict_deadline.as_millis() as u64,
+                        ),
+                    ],
+                );
+                telemetry::log_warn!(
+                    "ovsdb",
+                    "evicting slow monitor subscriber on conn {} (outbox {} full past {:?})",
+                    sub.conn_id,
+                    sub.tx.len(),
+                    state.overload.evict_deadline
+                );
+                evicted.push(sub.conn_id);
+            }
+            Err(false) => {
+                dead.push(sub.conn_id);
             }
         }
-        let m = server_metrics();
-        m.outbox_depth.set(max_depth as i64);
-        m.outbox_depth_hwm.set_max(max_depth as i64);
     }
-    // Tear evicted/dead connections down outside the subs iteration:
-    // drop every subscription of theirs now (not when their reader
-    // notices) and sever the socket so the client observes the close.
-    if !evicted.is_empty() || !dead.is_empty() {
-        state
-            .subs
-            .lock()
-            .retain(|s| !evicted.contains(&s.conn_id) && !dead.contains(&s.conn_id));
-        for conn_id in evicted.iter().chain(dead.iter()) {
-            state.sever_conn(*conn_id);
-        }
+    let m = server_metrics();
+    m.outbox_depth.set(max_depth as i64);
+    m.outbox_depth_hwm.set_max(max_depth as i64);
+    // Tear evicted/dead connections down now (not when their reader
+    // notices): drop every subscription of theirs, then sever the
+    // socket so the client observes the close.
+    subs.retain(|s| !evicted.contains(&s.conn_id) && !dead.contains(&s.conn_id));
+    drop(subs);
+    for conn_id in evicted.iter().chain(dead.iter()) {
+        state.sever_conn(*conn_id);
     }
 }
 
@@ -453,22 +454,12 @@ fn handle_request(
                 Some(a) if !a.is_empty() => a,
                 _ => return err("transact needs [db, op...]".to_string()),
             };
-            let mut db = state.db.lock();
+            let db = state.db.lock();
             if arr[0].as_str() != Some(db.schema().name.as_str()) {
                 return err(format!("no database {}", arr[0]));
             }
             let ops = Json::Array(arr[1..].to_vec());
-            let started = std::time::Instant::now();
-            let (results, changes) = db.transact(&ops);
-            drop(db);
-            let commit_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            record_commit(commit_ns);
-            notify(
-                state,
-                &changes,
-                Some((telemetry::next_trace_id(), commit_ns)),
-            );
-            (results, Json::Null)
+            (commit(state, db, &ops), Json::Null)
         }
         "monitor" => {
             let arr = match params.as_array() {

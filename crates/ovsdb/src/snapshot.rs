@@ -9,15 +9,20 @@
 //! snapshot covers is then truncated; recovery loads the snapshot and
 //! replays only the suffix, which is byte-equivalent to replaying the
 //! full log from genesis.
+//!
+//! The rows are stored in the one format the log also uses: the initial
+//! `table-updates` of a monitor on every table and column (every row an
+//! insert). Recovery decodes and applies them exactly as it does a WAL
+//! record, so this module only frames the document.
 
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
-use serde_json::{json, Map, Value as Json};
+use serde_json::{json, Value as Json};
 
-use crate::datum::Uuid;
-use crate::db::{datum_from_json, Database, RowData};
+use crate::db::Database;
+use crate::monitor::Monitor;
 use crate::schema::Schema;
 use crate::wal::WalError;
 
@@ -25,50 +30,41 @@ use crate::wal::WalError;
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 
 /// Format tag embedded in (and required of) every snapshot document.
-pub const SNAPSHOT_FORMAT: &str = "nerpa-ovsdb-snapshot-v1";
+pub const SNAPSHOT_FORMAT: &str = "nerpa-ovsdb-snapshot-v2";
 
-/// A decoded snapshot, ready to restore into a fresh [`Database`].
+/// A snapshot document, checked for its framing and ready to apply to a
+/// fresh [`Database`].
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotState {
     /// Commit index (== transaction counter) at snapshot time.
     pub commit_index: u64,
     /// UUID counter at snapshot time.
     pub uuid_counter: u64,
-    /// Every row: `(table, uuid, contents)`.
-    pub rows: Vec<(String, Uuid, RowData)>,
+    /// Every row, as the `table-updates` object [`encode`] wrote.
+    pub tables: Json,
 }
 
-/// Encode the full state of `db` as a snapshot document.
-pub fn encode(db: &Database) -> Json {
-    let mut tables = Map::new();
-    for tname in db.schema().tables.keys() {
-        let mut rows = Map::new();
-        for (uuid, row) in db.rows(tname) {
-            let mut obj = Map::new();
-            for (c, d) in row.iter() {
-                obj.insert(c.clone(), d.to_json());
-            }
-            rows.insert(uuid.to_string(), Json::Object(obj));
-        }
-        if !rows.is_empty() {
-            tables.insert(tname.clone(), Json::Object(rows));
-        }
-    }
-    json!({
+/// Encode the full state of `db` as a snapshot document; `log` is the
+/// monitor on every table and column ([`Monitor::all`]).
+pub fn encode(db: &Database, log: &Monitor) -> Json {
+    let mut doc = json!({
         "format": SNAPSHOT_FORMAT,
         "schema": db.schema().name,
         "commit_index": db.commit_index(),
         "uuid_counter": db.uuid_counter(),
-        "tables": tables,
-    })
+    });
+    if let Some(obj) = doc.as_object_mut() {
+        obj.insert("tables".to_string(), log.initial_state(db));
+    }
+    doc
 }
 
 /// Atomically write `db`'s state as `dir/snapshot.json`:
 /// write `snapshot.json.tmp`, fsync it, rename over the live name, fsync
 /// the directory. A crash at any point leaves a complete snapshot (old
 /// or new) on disk.
-pub fn write_atomic(dir: &Path, db: &Database) -> Result<(), WalError> {
-    let doc = encode(db);
+pub fn write_atomic(dir: &Path, db: &Database, log: &Monitor) -> Result<(), WalError> {
+    let doc = encode(db, log);
     let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
     let live = dir.join(SNAPSHOT_FILE);
     let bytes = serde_json::to_vec(&doc).expect("snapshot serializes");
@@ -84,7 +80,8 @@ pub fn write_atomic(dir: &Path, db: &Database) -> Result<(), WalError> {
     Ok(())
 }
 
-/// Load `dir/snapshot.json` if present, validating it against `schema`.
+/// Load `dir/snapshot.json` if present, checking its format tag, schema
+/// name and counters; the rows are checked when they are applied.
 /// Returns `Ok(None)` when no snapshot exists.
 pub fn load(dir: &Path, schema: &Schema) -> Result<Option<SnapshotState>, WalError> {
     let path = dir.join(SNAPSHOT_FILE);
@@ -96,6 +93,9 @@ pub fn load(dir: &Path, schema: &Schema) -> Result<Option<SnapshotState>, WalErr
     let doc: Json = serde_json::from_slice(&raw)
         .map_err(|e| WalError::CorruptSnapshot(format!("bad json: {e}")))?;
     let fail = |reason: String| Err(WalError::CorruptSnapshot(reason));
+    let Json::Object(mut doc) = doc else {
+        return fail("not an object".to_string());
+    };
     if doc.get("format").and_then(Json::as_str) != Some(SNAPSHOT_FORMAT) {
         return fail(format!("missing format tag {SNAPSHOT_FORMAT:?}"));
     }
@@ -106,49 +106,18 @@ pub fn load(dir: &Path, schema: &Schema) -> Result<Option<SnapshotState>, WalErr
             schema.name
         ));
     }
-    let commit_index = match doc.get("commit_index").and_then(Json::as_u64) {
-        Some(v) => v,
-        None => return fail("missing commit_index".to_string()),
+    let Some(commit_index) = doc.get("commit_index").and_then(Json::as_u64) else {
+        return fail("missing commit_index".to_string());
     };
-    let uuid_counter = match doc.get("uuid_counter").and_then(Json::as_u64) {
-        Some(v) => v,
-        None => return fail("missing uuid_counter".to_string()),
+    let Some(uuid_counter) = doc.get("uuid_counter").and_then(Json::as_u64) else {
+        return fail("missing uuid_counter".to_string());
     };
-    let tables = match doc.get("tables").and_then(Json::as_object) {
-        Some(t) => t,
-        None => return fail("missing tables".to_string()),
+    let Some(tables) = doc.remove("tables") else {
+        return fail("missing tables".to_string());
     };
-    let mut rows = Vec::new();
-    let no_named = |_: &str| None;
-    for (tname, trows) in tables {
-        let Some(ts) = schema.tables.get(tname) else {
-            return fail(format!("unknown table {tname:?}"));
-        };
-        let Some(trows) = trows.as_object() else {
-            return fail(format!("table {tname:?} is not an object"));
-        };
-        for (uuid_str, row_json) in trows {
-            let Some(uuid) = Uuid::parse(uuid_str) else {
-                return fail(format!("bad row uuid {uuid_str:?}"));
-            };
-            let Some(obj) = row_json.as_object() else {
-                return fail(format!("row {uuid_str} is not an object"));
-            };
-            let mut row = RowData::new();
-            for (cname, cval) in obj {
-                let Some(cs) = ts.columns.get(cname) else {
-                    return fail(format!("unknown column {tname}.{cname}"));
-                };
-                let datum = datum_from_json(cval, &cs.ty, &no_named)
-                    .map_err(|e| WalError::CorruptSnapshot(format!("{tname}.{cname}: {e}")))?;
-                row.insert(cname.clone(), datum);
-            }
-            rows.push((tname.clone(), uuid, row));
-        }
-    }
     Ok(Some(SnapshotState {
         commit_index,
         uuid_counter,
-        rows,
+        tables,
     }))
 }

@@ -4,7 +4,7 @@
 //! Real OVSDB persists every committed transaction to an append-only
 //! file log so configuration survives daemon restarts; this module is
 //! that layer for [`crate::db::Database`]. One record is appended per
-//! committed transaction, *before* the transaction's overlay is applied
+//! committed transaction, *before* the transaction's changes are applied
 //! (write-ahead semantics: a transaction whose record cannot be made
 //! durable is aborted, never half-committed).
 //!
@@ -16,10 +16,12 @@
 //!
 //! All integers little-endian. The CRC covers the commit index and the
 //! payload, so a record is self-validating. The payload is the JSON
-//! `{"uuid_counter": <pre-transaction value>, "ops": [...]}` — replay
-//! re-executes the ops against the recovered state, which is fully
-//! deterministic once the UUID counter is restored (UUIDs are minted
-//! from counters, never from entropy).
+//! `{"updates": <table-updates>, "uuid_counter": <post-commit value>}`.
+//! This module only frames records: it checks length, index and CRC and
+//! hands the payload back. What `updates` holds is [`crate::db`]'s
+//! business: the commit's row changes in the monitor wire format, which
+//! replay decodes with [`crate::monitor::decode_table_updates_into`] and
+//! applies.
 //!
 //! ## Recovery rules
 //!
@@ -29,16 +31,17 @@
 //!   truncated and recovery proceeds; at most that single record (whose
 //!   transaction was never acknowledged) is lost.
 //! * A record that fails its CRC *with valid data after it*, carries a
-//!   non-contiguous commit index, or holds unparseable JSON is a
-//!   **corrupt interior** — recovery refuses with a typed
-//!   [`WalError::CorruptRecord`] rather than silently dropping
-//!   acknowledged transactions.
+//!   non-contiguous commit index, or holds a payload that is not the
+//!   JSON object above is a **corrupt interior** — recovery refuses with
+//!   a typed [`WalError::CorruptRecord`] rather than silently dropping
+//!   acknowledged transactions. So does a record whose changes do not
+//!   apply to the state before it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use serde_json::{json, Value as Json};
+use serde_json::Value as Json;
 
 /// Size of the fixed per-record header: length + commit index + CRC.
 pub const RECORD_HEADER_LEN: usize = 4 + 8 + 4;
@@ -91,14 +94,6 @@ pub enum WalError {
         /// What failed.
         reason: String,
     },
-    /// Replaying a logged transaction against the recovered state did
-    /// not commit — the log and the snapshot disagree.
-    Replay {
-        /// Commit index of the failing record.
-        index: u64,
-        /// The transaction error.
-        reason: String,
-    },
     /// The snapshot file exists but cannot be decoded.
     CorruptSnapshot(String),
 }
@@ -109,9 +104,6 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "wal io error: {e}"),
             WalError::CorruptRecord { offset, reason } => {
                 write!(f, "corrupt WAL record at offset {offset}: {reason}")
-            }
-            WalError::Replay { index, reason } => {
-                write!(f, "replay of commit {index} failed: {reason}")
             }
             WalError::CorruptSnapshot(reason) => write!(f, "corrupt snapshot: {reason}"),
         }
@@ -213,19 +205,30 @@ pub struct WalRecord {
     /// Monotonic commit index (1-based; equals the database's
     /// transaction counter after this commit).
     pub commit_index: u64,
-    /// The database's UUID counter immediately before the transaction
-    /// executed (restored before replay so minted UUIDs match).
+    /// The database's UUID counter after the transaction, restored by
+    /// replay so the next insert mints the UUID it would have minted
+    /// had the process not stopped.
     pub uuid_counter: u64,
-    /// The transaction's operations array.
+    /// The payload's `updates`: what the commit changed, as the
+    /// `table-updates` object of a monitor on every table and column
+    /// (`{}` for a commit that changed no row). Logging the result
+    /// rather than the request means replay applies rows: it never
+    /// re-runs a `where` clause and never depends on minting the same
+    /// UUIDs again. The name predates that and is kept for callers that
+    /// build records. This module does not look inside it.
     pub ops: Json,
 }
 
 impl WalRecord {
     /// Encode to on-disk bytes (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let payload =
-            serde_json::to_vec(&json!({"uuid_counter": self.uuid_counter, "ops": self.ops}))
-                .expect("record payload serializes");
+        // Written by hand so the (possibly large) updates object is
+        // serialized in place rather than copied into a wrapper value.
+        let payload = format!(
+            "{{\"updates\":{},\"uuid_counter\":{}}}",
+            self.ops, self.uuid_counter
+        )
+        .into_bytes();
         let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.commit_index.to_le_bytes());
@@ -238,8 +241,9 @@ impl WalRecord {
 /// What happened while scanning a log file.
 #[derive(Debug, Clone, Default)]
 pub struct ScanReport {
-    /// Fully-valid records decoded.
-    pub records: Vec<WalRecord>,
+    /// Fully-valid records decoded, each with the byte offset it
+    /// starts at.
+    pub records: Vec<(u64, WalRecord)>,
     /// Byte offset of a torn tail, if one was found (everything from
     /// here on should be truncated).
     pub torn_at: Option<u64>,
@@ -284,31 +288,33 @@ pub fn scan(data: &[u8]) -> Result<ScanReport, WalError> {
             }
             return fail("crc mismatch".to_string());
         }
-        let doc: Json = match serde_json::from_slice(payload) {
-            Ok(v) => v,
+        let mut doc = match serde_json::from_slice(payload) {
+            Ok(Json::Object(doc)) => doc,
+            Ok(_) => return fail("payload is not an object".to_string()),
             Err(e) => return fail(format!("bad payload json: {e}")),
         };
-        let uuid_counter = match doc.get("uuid_counter").and_then(Json::as_u64) {
-            Some(u) => u,
-            None => return fail("payload missing uuid_counter".to_string()),
+        let Some(uuid_counter) = doc.get("uuid_counter").and_then(Json::as_u64) else {
+            return fail("payload missing uuid_counter".to_string());
         };
-        let ops = match doc.get("ops") {
-            Some(o) if o.is_array() => o.clone(),
-            _ => return fail("payload missing ops array".to_string()),
+        let Some(ops) = doc.remove("updates") else {
+            return fail("payload missing updates".to_string());
         };
-        if let Some(prev) = report.records.last() {
-            if commit_index != prev.commit_index + 1 {
+        if let Some((_, prev)) = report.records.last() {
+            if prev.commit_index.checked_add(1) != Some(commit_index) {
                 return fail(format!(
                     "non-contiguous commit index {commit_index} after {}",
                     prev.commit_index
                 ));
             }
         }
-        report.records.push(WalRecord {
-            commit_index,
-            uuid_counter,
-            ops,
-        });
+        report.records.push((
+            off as u64,
+            WalRecord {
+                commit_index,
+                uuid_counter,
+                ops,
+            },
+        ));
         off = end;
         report.valid_bytes = off as u64;
     }
@@ -436,13 +442,8 @@ pub(crate) fn record_compaction() {
 /// injection to tear exactly (and only) the final record.
 pub fn final_record_span(data: &[u8]) -> Option<(u64, u64)> {
     let report = scan(data).ok()?;
-    let last = report.records.last()?;
-    let payload_len =
-        serde_json::to_vec(&json!({"uuid_counter": last.uuid_counter, "ops": last.ops}))
-            .ok()?
-            .len() as u64;
-    let end = report.valid_bytes;
-    Some((end - RECORD_HEADER_LEN as u64 - payload_len, end))
+    let (start, _) = report.records.last()?;
+    Some((*start, report.valid_bytes))
 }
 
 /// Simulate a crash mid-write of the log's final record: chop up to
@@ -472,12 +473,13 @@ pub fn tear_tail(path: &Path, chop_request: u64) -> Result<u64, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     fn rec(i: u64) -> WalRecord {
         WalRecord {
             commit_index: i,
             uuid_counter: 10 * i,
-            ops: json!([{"op": "comment"}]),
+            ops: json!({"Port": {}}),
         }
     }
 
@@ -495,7 +497,8 @@ mod tests {
             image.extend_from_slice(&rec(i).encode());
         }
         let report = scan(&image).unwrap();
-        assert_eq!(report.records, vec![rec(1), rec(2), rec(3)]);
+        let records: Vec<WalRecord> = report.records.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(records, vec![rec(1), rec(2), rec(3)]);
         assert_eq!(report.torn_at, None);
         assert_eq!(report.valid_bytes, image.len() as u64);
     }
