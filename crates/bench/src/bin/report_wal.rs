@@ -19,10 +19,18 @@
 //! record (1.25–1.9x, median 1.4x, in five runs on a 2-vCPU host),
 //! which is the memory hierarchy, not replay work.
 //!
+//! Each transact run preloads an in-memory (not durable) table of 2 000
+//! or 20 000 ports and times the same one-row updates through
+//! `Database::transact` alone. The `where` is answered from the `id`
+//! index, so a transaction examines one row at either size;
+//! `transact/rows_20000` carries a same-process wall budget of 1.5x
+//! `transact/rows_2000`.
+//!
 //! Absolute wall time is machine-dependent and informational; what
 //! `compare` gates against `baselines/BENCH_wal.json` is the
-//! deterministic log bytes per transaction (or per replayed record) and
-//! the replay wall ratio.
+//! deterministic log bytes per transaction (or per replayed record),
+//! the rows a transact examines, and the replay and transact wall
+//! ratios.
 
 use std::time::{Duration, Instant};
 
@@ -43,6 +51,9 @@ const REPLAYED: usize = 1000;
 const UPDATED_PORTS: usize = 64;
 /// Recoveries timed per log (the fastest one counts).
 const RECOVERIES: usize = 9;
+/// Rounds of [`UPDATED_PORTS`] updates timed per in-memory table (the
+/// fastest one counts).
+const TRANSACT_ROUNDS: usize = 25;
 
 struct Scratch(std::path::PathBuf);
 
@@ -100,6 +111,24 @@ fn commit(db: &mut ovsdb::Database, ops: &Json) {
     );
 }
 
+/// Insert ports `0..rows`.
+fn preload(db: &mut ovsdb::Database, rows: usize) {
+    let ids: Vec<usize> = (0..rows).collect();
+    for chunk in ids.chunks(500) {
+        let inserts = chunk.iter().map(|id| {
+            json!({"op": "insert", "table": "Port",
+                   "row": {"id": id, "vlan_mode": "access", "tag": 10 + id % 64}})
+        });
+        commit(db, &Json::Array(inserts.collect()));
+    }
+}
+
+/// The one-row update of port `id` that gives it tag `100 + visit % 64`.
+fn update(id: usize, visit: usize) -> Json {
+    json!([{"op": "update", "table": "Port", "where": [["id", "==", id]],
+            "row": {"tag": 100 + visit % 64}}])
+}
+
 /// A preloaded table of `rows` ports (the snapshot) and two logs of
 /// one-row updates after it.
 struct ReplayLogs {
@@ -122,14 +151,7 @@ fn build_logs(rows: usize, records: usize) -> ReplayLogs {
     let full = Scratch::new(&format!("replay-full-{rows}"));
     let (mut db, _) =
         ovsdb::Database::open(&full.0, schema(), REPLAY_CONFIG).expect("open durable db");
-    let ids: Vec<usize> = (0..rows).collect();
-    for chunk in ids.chunks(500) {
-        let inserts = chunk.iter().map(|id| {
-            json!({"op": "insert", "table": "Port",
-                   "row": {"id": id, "vlan_mode": "access", "tag": 10 + id % 64}})
-        });
-        commit(&mut db, &Json::Array(inserts.collect()));
-    }
+    preload(&mut db, rows);
     db.compact().expect("compact");
     for i in 0..records {
         if i == records / 2 {
@@ -138,12 +160,7 @@ fn build_logs(rows: usize, records: usize) -> ReplayLogs {
             }
         }
         // Every visit to a port gives it a tag its last visit did not.
-        let (id, visit) = (i % UPDATED_PORTS, i / UPDATED_PORTS);
-        commit(
-            &mut db,
-            &json!([{"op": "update", "table": "Port", "where": [["id", "==", id]],
-                     "row": {"tag": 100 + visit % 64}}]),
-        );
+        commit(&mut db, &update(i % UPDATED_PORTS, i / UPDATED_PORTS));
     }
     let record_bytes = db.wal_bytes() / records as u64;
     ReplayLogs {
@@ -176,6 +193,36 @@ fn replay_costs(logs: &[ReplayLogs], records: usize) -> Vec<u64> {
         .iter()
         .map(|[half, full]| (full.saturating_sub(*half) / slope_records).as_nanos() as u64)
         .collect()
+}
+
+/// Nanoseconds and rows examined per one-row update on an in-memory
+/// table of each of `sizes` ports. Each round updates every one of
+/// [`UPDATED_PORTS`] once; rounds go round the tables in turn, so a slow
+/// stretch of the host hits all of them alike, and the fastest of
+/// [`TRANSACT_ROUNDS`] counts.
+fn transact_costs(sizes: &[usize]) -> Vec<(u64, u64)> {
+    let mut dbs: Vec<ovsdb::Database> = sizes
+        .iter()
+        .map(|&rows| {
+            let mut db = ovsdb::Database::new(schema());
+            preload(&mut db, rows);
+            db
+        })
+        .collect();
+    let mut costs = vec![(u64::MAX, 0); dbs.len()];
+    for round in 0..TRANSACT_ROUNDS {
+        let ops: Vec<Json> = (0..UPDATED_PORTS).map(|id| update(id, round)).collect();
+        for (db, (best, examined)) in dbs.iter_mut().zip(&mut costs) {
+            let before = db.rows_examined();
+            let t = Instant::now();
+            for op in &ops {
+                commit(db, op);
+            }
+            *best = (*best).min(t.elapsed().as_nanos() as u64 / UPDATED_PORTS as u64);
+            *examined = (db.rows_examined() - before) / UPDATED_PORTS as u64;
+        }
+    }
+    costs
 }
 
 fn main() {
@@ -278,6 +325,33 @@ fn main() {
         "\nshape check: a record holds the commit's row changes, so replaying it \
          costs the same at 20 000 rows as at 2 000 ({:.2}x; budget 1.5x).",
         costs[1] as f64 / costs[0].max(1) as f64
+    );
+
+    let costs = transact_costs(&REPLAY_ROWS);
+    let mut rows = Vec::new();
+    for (&size, &(ns, examined)) in REPLAY_ROWS.iter().zip(&costs) {
+        rows.push(vec![
+            size.to_string(),
+            format!("{:.2}", ns as f64 / 1e3),
+            examined.to_string(),
+        ]);
+        // tuples_per_op carries rows examined per transaction.
+        let entry = BenchEntry::new(&format!("transact/rows_{size}"), ns, examined);
+        entries.push(if size == REPLAY_ROWS[0] {
+            entry
+        } else {
+            entry.with_wall_budget(&format!("transact/rows_{}", REPLAY_ROWS[0]), 1.5)
+        });
+    }
+    bench::print_table(
+        "In-memory transact per one-row update (`where` on the id index)",
+        &["rows", "us/txn", "rows examined/txn"],
+        &rows,
+    );
+    println!(
+        "\nshape check: the `where` reads the one row the index names, so a \
+         transaction costs the same at 20 000 rows as at 2 000 ({:.2}x; budget 1.5x).",
+        costs[1].0 as f64 / costs[0].0.max(1) as f64
     );
 
     if let Some(path) = out {

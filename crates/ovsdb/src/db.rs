@@ -95,6 +95,8 @@ pub struct Database {
     needs_gc: bool,
     /// Monotonic transaction counter.
     pub txn_counter: u64,
+    /// Rows transactions have read so far (see [`Database::rows_examined`]).
+    rows_examined: u64,
     /// Write-ahead log, when this database is durable.
     durability: Option<Durability>,
 }
@@ -126,6 +128,7 @@ impl Database {
             uuid_counter: 0,
             needs_gc,
             txn_counter: 0,
+            rows_examined: 0,
             durability: None,
         }
     }
@@ -341,6 +344,16 @@ impl Database {
     /// supervisors use to detect an epoch reset.
     pub fn commit_index(&self) -> u64 {
         self.txn_counter
+    }
+
+    /// The rows transactions have examined, cumulative over every
+    /// transaction (aborted ones too): each candidate a `where` tested
+    /// plus each row the integrity pass visited. A transaction's work is
+    /// the difference across it; a one-row `where` over a declared index
+    /// examines that row and the rows the transaction already touched,
+    /// whatever the table's size.
+    pub fn rows_examined(&self) -> u64 {
+        self.rows_examined
     }
 
     /// The UUID counter (exposed for snapshot encoding).
@@ -688,12 +701,14 @@ impl<'a> Txn<'a> {
         Ok(json!({"uuid": ["uuid", uuid.to_string()]}))
     }
 
-    /// Evaluate a `where` clause, returning matching row uuids.
-    fn eval_where(&self, ts: &TableSchema, where_json: &Json) -> Result<Vec<Uuid>, String> {
+    /// Evaluate a `where` clause, returning the matching row uuids in
+    /// ascending order.
+    fn eval_where(&mut self, ts: &TableSchema, where_json: &Json) -> Result<Vec<Uuid>, String> {
         let conds = where_json.as_array().ok_or("\"where\" must be an array")?;
-        // Validate every condition's shape, then parse every argument,
-        // once and before the scan — so an empty table still reports bad
-        // conditions and the scan itself only compares datums.
+        // Validate every condition's shape against the column type, then
+        // parse every argument, once and before any row is read — so
+        // whether a `where` fails never depends on the rows it reaches,
+        // and testing a row only compares datums.
         let mut shapes = Vec::with_capacity(conds.len());
         for cond in conds {
             let c = cond
@@ -720,24 +735,85 @@ impl<'a> Txn<'a> {
         let named = |n: &str| self.named.get(n).copied();
         let parsed = shapes
             .into_iter()
-            .map(|(col, func, cty, arg)| Ok((col, func, datum_from_json(arg, &cty, &named)?)))
-            .collect::<Result<Vec<(&str, &str, Datum)>, String>>()?;
-        let mut out = Vec::new();
-        'rows: for uuid in self.all_uuids(&ts.name) {
-            let row = self.get(&ts.name, uuid).expect("visible row");
-            for (col, func, arg) in &parsed {
-                let datum = match row.get(*col) {
-                    _ if *col == "_uuid" => Cow::Owned(Datum::scalar(Atom::Uuid(uuid))),
-                    Some(d) => Cow::Borrowed(d),
-                    None => Cow::Owned(Datum::empty()),
-                };
-                if !eval_condition(&datum, func, arg)? {
-                    continue 'rows;
+            .map(|(col, func, cty, arg)| {
+                let arg = datum_from_json(arg, &cty, &named)?;
+                match func {
+                    "<" | "<=" | ">" | ">=" if !cty.is_scalar() || arg.as_scalar().is_none() => {
+                        Err(format!("{func} requires a scalar column and argument"))
+                    }
+                    "includes" | "excludes" if cty.is_map() != matches!(arg, Datum::Map(_)) => Err(
+                        format!("{func} requires an argument of column {col}'s kind"),
+                    ),
+                    _ => Ok((col, func, arg)),
                 }
-            }
-            out.push(uuid);
-        }
+            })
+            .collect::<Result<Vec<(&str, &str, Datum)>, String>>()?;
+        let mut examined = 0;
+        let mut out: Vec<Uuid> = self
+            .candidates(ts, &parsed)
+            .inspect(|_| examined += 1)
+            .filter(|(uuid, row)| {
+                parsed.iter().all(|(col, func, arg)| {
+                    let datum = match row.get(*col) {
+                        _ if *col == "_uuid" => Cow::Owned(Datum::scalar(Atom::Uuid(*uuid))),
+                        Some(d) => Cow::Borrowed(d),
+                        None => Cow::Owned(Datum::empty()),
+                    };
+                    eval_condition(&datum, func, arg)
+                })
+            })
+            .map(|(uuid, _)| uuid)
+            .collect();
+        out.sort_unstable();
+        self.db.rows_examined += examined;
         Ok(out)
+    }
+
+    /// The visible rows a `where` must test. When its `==` conditions
+    /// cover `_uuid` or every column of a declared index, the base table
+    /// holds at most one matching row — the one `Table::unique` maps the
+    /// projection to — else every base row is a candidate. Either way the
+    /// base rows the overlay shadows give way to the overlay's visible
+    /// rows. The plan only narrows which rows are tested, never decides a
+    /// match: the caller tests every candidate against every condition.
+    fn candidates<'s>(
+        &'s self,
+        ts: &TableSchema,
+        conds: &[(&str, &str, Datum)],
+    ) -> impl Iterator<Item = (Uuid, &'s Arc<RowData>)> + 's {
+        let eq = |col: &str| {
+            conds
+                .iter()
+                .find(|(c, f, _)| *c == col && *f == "==")
+                .map(|(_, _, arg)| arg)
+        };
+        let table = &self.db.tables[&ts.name];
+        // `None`: scan; `Some(hit)`: the one base row that can match.
+        let planned: Option<Option<Uuid>> = match eq("_uuid") {
+            Some(arg) => Some(match arg.as_scalar() {
+                Some(Atom::Uuid(u)) => Some(*u),
+                _ => None,
+            }),
+            None => ts.indexes.iter().find_map(|cols| {
+                let key = cols
+                    .iter()
+                    .map(|c| eq(c).cloned())
+                    .collect::<Option<Vec<_>>>()?;
+                Some(table.unique[cols].get(&key).copied())
+            }),
+        };
+        let (hit, scan) = match planned {
+            Some(hit) => (hit.and_then(|u| table.rows.get_key_value(&u)), None),
+            None => (None, Some(table.rows.iter())),
+        };
+        let name = ts.name.clone();
+        let overlay = self.overlay.iter().filter(move |((t, _), _)| *t == name);
+        let shadowed: HashSet<Uuid> = overlay.clone().map(|((_, u), _)| *u).collect();
+        hit.into_iter()
+            .chain(scan.into_iter().flatten())
+            .filter(move |(u, _)| !shadowed.contains(u))
+            .map(|(u, row)| (*u, row))
+            .chain(overlay.filter_map(|((_, u), row)| Some((*u, row.as_ref()?))))
     }
 
     fn op_select(&mut self, o: &Map<String, Json>) -> Result<Json, String> {
@@ -910,6 +986,7 @@ impl<'a> Txn<'a> {
             for t in &table_names {
                 universe.insert(t.clone(), self.all_uuids(t));
             }
+            self.db.rows_examined += universe.values().map(|u| u.len() as u64).sum::<u64>();
             let exists = |table: &str, u: Uuid, me: &Self| -> bool { me.get(table, u).is_some() };
             // Strong-reference targets per table, and weak purges.
             let mut strong_refs: HashMap<(String, Uuid), usize> = HashMap::new();
@@ -1092,34 +1169,31 @@ pub fn datum_from_json(
     Ok(Datum::scalar(atom))
 }
 
-/// Evaluate an RFC 7047 condition function.
-fn eval_condition(datum: &Datum, func: &str, arg: &Datum) -> Result<bool, String> {
-    match func {
-        "==" => Ok(datum == arg),
-        "!=" => Ok(datum != arg),
-        "<" | "<=" | ">" | ">=" => {
-            let (a, b) = match (datum.as_scalar(), arg.as_scalar()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err(format!("{func} requires scalar operands")),
-            };
-            Ok(match func {
+/// Evaluate an RFC 7047 condition function whose column type and
+/// argument `eval_where` has already checked, so no row makes it fail:
+/// an ordering against an empty optional value is false, and so is a
+/// row whose value is not of its column's kind.
+fn eval_condition(datum: &Datum, func: &str, arg: &Datum) -> bool {
+    let wanted = |present: bool| present == (func == "includes");
+    match (func, datum, arg) {
+        ("==", ..) => datum == arg,
+        ("!=", ..) => datum != arg,
+        ("includes" | "excludes", Datum::Set(s), Datum::Set(sub)) => {
+            sub.iter().all(|a| wanted(s.contains(a)))
+        }
+        ("includes" | "excludes", Datum::Map(m), Datum::Map(sub)) => {
+            sub.iter().all(|(k, v)| wanted(m.get(k) == Some(v)))
+        }
+        ("includes" | "excludes", ..) => false,
+        _ => match (datum.as_scalar(), arg.as_scalar()) {
+            (Some(a), Some(b)) => match func {
                 "<" => a < b,
                 "<=" => a <= b,
                 ">" => a > b,
                 _ => a >= b,
-            })
-        }
-        "includes" => match (datum, arg) {
-            (Datum::Set(s), Datum::Set(sub)) => Ok(sub.iter().all(|a| s.contains(a))),
-            (Datum::Map(m), Datum::Map(sub)) => Ok(sub.iter().all(|(k, v)| m.get(k) == Some(v))),
-            _ => Err("includes requires matching collection kinds".to_string()),
+            },
+            _ => false,
         },
-        "excludes" => match (datum, arg) {
-            (Datum::Set(s), Datum::Set(sub)) => Ok(sub.iter().all(|a| !s.contains(a))),
-            (Datum::Map(m), Datum::Map(sub)) => Ok(sub.iter().all(|(k, v)| m.get(k) != Some(v))),
-            _ => Err("excludes requires matching collection kinds".to_string()),
-        },
-        other => Err(format!("unknown condition function {other:?}")),
     }
 }
 

@@ -240,8 +240,10 @@ impl Drop for Server {
 /// in too), so concurrent commits reach every outbox in commit order.
 fn commit(state: &ServerState, mut db: MutexGuard<'_, Database>, ops: &Json) -> Json {
     let started = std::time::Instant::now();
+    let examined = db.rows_examined();
     let (results, changes) = db.transact(ops);
     let commit_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    let examined = db.rows_examined() - examined;
     let m = server_metrics();
     m.commits.inc();
     m.commit_us.record(commit_ns / 1_000);
@@ -252,7 +254,7 @@ fn commit(state: &ServerState, mut db: MutexGuard<'_, Database>, ops: &Json) -> 
             state,
             subs,
             &changes,
-            (telemetry::next_trace_id(), commit_ns),
+            (telemetry::next_trace_id(), commit_ns, examined),
         );
     }
     results
@@ -262,16 +264,22 @@ fn notify(
     state: &ServerState,
     mut subs: MutexGuard<'_, Vec<Subscription>>,
     changes: &[crate::db::RowChange],
-    (id, commit_ns): (u64, u64),
+    (id, commit_ns, examined): (u64, u64, u64),
 ) {
     // The flight recorder sees every acknowledged commit, and the
     // convergence clock starts here: lag is measured from this ack to
-    // the switch writes that settle the trace.
+    // the switch writes that settle the trace. `examined` (rows the
+    // transaction read) against `rows` (rows it changed) is the hop's
+    // work per change.
     telemetry::record_event(
         telemetry::Plane::Management,
         "ovsdb.commit",
         id,
-        &[("rows", changes.len() as u64), ("commit_ns", commit_ns)],
+        &[
+            ("rows", changes.len() as u64),
+            ("commit_ns", commit_ns),
+            ("examined", examined),
+        ],
     );
     telemetry::global().convergence_begin(id);
     let mut evicted: Vec<u64> = Vec::new();

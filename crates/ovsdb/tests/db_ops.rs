@@ -207,6 +207,87 @@ fn delete_and_where_operators() {
     assert_eq!(db.table_len("Port"), 1);
 }
 
+/// Whether a condition fails is decided by its column type and argument
+/// before any row is read: an ordering reaching an untagged port is
+/// false for that port, and an ill-typed condition fails on an empty
+/// table as on a full one.
+#[test]
+fn condition_errors_do_not_depend_on_rows() {
+    let mut db = simple_db();
+    db.transact(&json!([
+        {"op": "insert", "table": "Port", "row": {"name": "a", "tag": 1}},
+        {"op": "insert", "table": "Port", "row": {"name": "b", "tag": 2}},
+        {"op": "insert", "table": "Port", "row": {"name": "c", "tag": 3}},
+        {"op": "insert", "table": "Port", "row": {"name": "untagged"}}
+    ]));
+    let (res, changes) = db.transact(&json!([
+        {"op": "delete", "table": "Port", "where": [["tag", "<", 3]]},
+        {"op": "select", "table": "Port", "where": [], "columns": ["name"]}
+    ]));
+    assert_eq!(res[0]["count"], json!(2), "{res}");
+    assert_eq!(changes.len(), 2);
+    let mut left: Vec<&str> = res[1]["rows"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|r| r["name"].as_str().unwrap())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["c", "untagged"]);
+
+    let mut empty = simple_db();
+    for cond in [
+        json!(["trunks", "<", 3]),
+        json!(["tag", ">=", ["set", []]]),
+        json!(["tag", "<", ["set", [1, 2]]]),
+        json!(["options", "includes", ["set", ["speed"]]]),
+        json!(["options", "excludes", "speed"]),
+        json!(["trunks", "includes", ["map", [[1, 2]]]]),
+    ] {
+        for db in [&mut empty, &mut db] {
+            let (res, _) = db.transact(&json!([
+                {"op": "select", "table": "Port", "where": [cond]}
+            ]));
+            assert!(res[0]["error"].is_string(), "{cond}: {res}");
+        }
+    }
+}
+
+/// A `where` whose `==` conditions cover a declared index examines the
+/// row the index names plus the rows the transaction already touched,
+/// whatever the table's size; one on an unindexed column examines every
+/// row.
+#[test]
+fn indexed_where_examines_the_change_not_the_table() {
+    let mut db = simple_db();
+    let inserts = (0..2000).map(|i| {
+        json!({"op": "insert", "table": "Port",
+               "row": {"name": format!("p{i}"), "tag": i % 100}})
+    });
+    db.transact(&Json::Array(inserts.collect()));
+    let mut examined = |ops: Json| {
+        let before = db.rows_examined();
+        let (res, changes) = db.transact(&ops);
+        assert!(!changes.is_empty(), "{res}");
+        db.rows_examined() - before
+    };
+    let update = |name: &str| {
+        json!({"op": "update", "table": "Port", "where": [["name", "==", name]],
+               "row": {"tag": 5}})
+    };
+    assert_eq!(examined(json!([update("p17")])), 1);
+    let scanned = examined(json!([
+        {"op": "update", "table": "Port", "where": [["tag", "==", 7]], "row": {"tag": 8}}
+    ]));
+    assert_eq!(scanned, 2000);
+    let overlay = 1;
+    let touched = examined(json!([
+        {"op": "insert", "table": "Port", "row": {"name": "new"}},
+        update("p18")
+    ]));
+    assert!(touched <= 1 + overlay, "{touched}");
+}
+
 #[test]
 fn includes_excludes_on_sets() {
     let mut db = simple_db();

@@ -119,6 +119,10 @@ cargo run --release -q -p bench --bin compare -- \
 # the per-policy wall times stay informational. Replaying one record
 # over a 20 000-row table must cost ≤ 1.5x what it costs over 2 000
 # rows (same process): a record is the commit's rows, not its `where`.
+# Likewise an in-memory one-row `["id","==",n]` transact at 20 000 rows
+# must cost ≤ 1.5x its cost at 2 000 (transact/rows_20000 vs
+# transact/rows_2000), and the rows it examines (1, answered from the
+# `id` index) are gated like the log bytes.
 cargo run --release -q -p bench --bin compare -- \
     crates/bench/baselines/BENCH_wal.json BENCH_wal.json
 
