@@ -11,7 +11,7 @@
 //!
 //! The proxy understands both wire framings used in the stack —
 //! newline-delimited JSON (OVSDB's JSON-RPC) and 4-byte length-prefixed
-//! JSON (the P4Runtime-style control protocol) — so "messages" are
+//! binary frames (the P4Runtime-style control protocol) — so "messages" are
 //! protocol messages, not TCP segments, and fault points are exact.
 
 #![warn(missing_docs)]

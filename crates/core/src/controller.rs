@@ -96,11 +96,11 @@ impl DataPlane for SwitchDevice {
 
 impl DataPlane for p4sim::service::ControlClient {
     fn write_updates(&self, updates: &[Update]) -> Result<(), String> {
-        self.write(updates.to_vec())
+        self.write(updates)
     }
 
     fn write_updates_traced(&self, updates: &[Update], trace: u64) -> Result<(), String> {
-        self.write_traced(updates.to_vec(), (trace != 0).then_some(trace))
+        self.write_traced(updates, (trace != 0).then_some(trace))
     }
 
     fn set_mcast_group(&self, group: u16, ports: Vec<u16>) -> Result<(), String> {

@@ -298,8 +298,13 @@ impl Database {
     /// through here. Each change must start from the row the table
     /// holds — none for an insert, otherwise one equal to `change.old`;
     /// a change that does not was computed against another state (a
-    /// corrupt log), and is refused before it is applied.
+    /// corrupt log), and is refused before it is applied. So is a commit
+    /// that leaves two rows with one index value: an insert that takes
+    /// over another row's entry is checked once the whole commit is in,
+    /// since the order of changes within a commit does not matter (two
+    /// rows may swap values).
     fn apply(&mut self, changes: &[RowChange]) -> Result<(), String> {
+        let mut displaced = Vec::new();
         for change in changes {
             let (tname, uuid) = (&change.table, change.uuid);
             let table = self
@@ -327,13 +332,32 @@ impl Database {
                     }
                 }
                 if let Some(new) = &change.new {
-                    index.insert(Table::project(cols, new), uuid);
+                    match index.insert(Table::project(cols, new), uuid) {
+                        Some(other) if other != uuid => displaced.push((
+                            tname,
+                            cols.clone(),
+                            Table::project(cols, new),
+                            other,
+                            uuid,
+                        )),
+                        _ => {}
+                    }
                 }
             }
             match &change.new {
                 Some(row) => table.rows.insert(uuid, row.clone()),
                 None => table.rows.remove(&uuid),
             };
+        }
+        for (tname, cols, proj, other, uuid) in displaced {
+            let table = &self.tables[tname];
+            if let Some(row) = table.rows.get(&other) {
+                if Table::project(&cols, row) == proj {
+                    return Err(format!(
+                        "{tname} rows {other} and {uuid} share index {cols:?} value"
+                    ));
+                }
+            }
         }
         Ok(())
     }

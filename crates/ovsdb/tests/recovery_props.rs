@@ -207,6 +207,62 @@ fn valid_frames_with_wrong_changes_are_corrupt_records() {
     }
 }
 
+/// A record that inserts a second row with an existing index value
+/// (here `b` renamed to `a`) is refused at that record, not applied so
+/// that `where name==a` finds only the newer row.
+#[test]
+fn a_record_giving_a_second_row_an_index_value_is_corrupt() {
+    let log = valid_log();
+    let (image, offset) = rewrite(&log, 1, |u| {
+        some_half(first_update(u)).insert("name".to_string(), json!("a"));
+    });
+    match open_with(Some(&image), None) {
+        Err(WalError::CorruptRecord { offset: o, reason }) => {
+            assert_eq!(o, offset, "{reason}");
+            assert!(
+                reason.contains("commit 2") && reason.contains("index"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected CorruptRecord, got {:?}", other.err()),
+    }
+}
+
+/// Two rows swapping their index values in one commit replay cleanly,
+/// whichever of the two changes the record lists first (changes are
+/// listed by uuid, and uuids follow insertion order).
+#[test]
+fn an_in_commit_index_swap_replays() {
+    for order in [["a", "b"], ["b", "a"]] {
+        let scratch = Scratch::new("swap");
+        let (mut db, _) = Database::open(scratch.path(), schema(), config()).unwrap();
+        let mut uuids = Vec::new();
+        for name in order {
+            let (results, _) =
+                db.transact(&json!([{"op": "insert", "table": "Port", "row": {"name": name}}]));
+            uuids.push(results[0]["uuid"].clone());
+        }
+        let rename = |i: usize, name: &str| {
+            json!({"op": "update", "table": "Port", "where": [["_uuid", "==", uuids[i]]],
+                   "row": {"name": name}})
+        };
+        let (results, changes) = db.transact(&json!([rename(0, order[1]), rename(1, order[0])]));
+        assert_eq!(changes.len(), 2, "{results}");
+        let rows = |db: &Database| {
+            let mut rows: Vec<String> = db
+                .rows("Port")
+                .map(|(uuid, row)| format!("{uuid}={:?}", row.get("name")))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let expected = rows(&db);
+        drop(db);
+        let (db, _) = Database::open(scratch.path(), schema(), config()).expect("the swap replays");
+        assert_eq!(rows(&db), expected, "inserted {order:?}");
+    }
+}
+
 /// A record in the format that logged the request's operations (or any
 /// payload without `updates`) is refused, not re-executed.
 #[test]

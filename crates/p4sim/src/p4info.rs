@@ -1,4 +1,4 @@
-//! P4Info: a serializable description of a program's control surface —
+//! P4Info: a wire-encodable description of a program's control surface —
 //! tables, keys, actions, and digests. This is what Nerpa's
 //! `p4info2ddlog` codegen consumes to generate control-plane relations
 //! (§4.2 of the paper).
@@ -157,140 +157,16 @@ impl P4Info {
     }
 }
 
-// ----------------------------------------------------- JSON wire codec
+// ---------------------------------------------------------- wire codec
 
-use crate::runtime::codec::{decode_vec, get_str, get_u64, obj};
-use serde_json::{FromJson, ToJson, Value as Json};
+use crate::runtime::wire;
 
-impl ToJson for ParamInfo {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("name", Json::from(&self.name)),
-            ("width", Json::from(self.width)),
-        ])
-    }
-}
-impl FromJson for ParamInfo {
-    fn from_json_value(v: &Json) -> serde_json::Result<ParamInfo> {
-        Ok(ParamInfo {
-            name: get_str(v, "name")?,
-            width: get_u64(v, "width")? as u16,
-        })
-    }
-}
-
-impl ToJson for KeyInfo {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("name", Json::from(&self.name)),
-            ("width", Json::from(self.width)),
-            ("match_kind", Json::from(&self.match_kind)),
-        ])
-    }
-}
-impl FromJson for KeyInfo {
-    fn from_json_value(v: &Json) -> serde_json::Result<KeyInfo> {
-        Ok(KeyInfo {
-            name: get_str(v, "name")?,
-            width: get_u64(v, "width")? as u16,
-            match_kind: get_str(v, "match_kind")?,
-        })
-    }
-}
-
-impl ToJson for ActionInfo {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("name", Json::from(&self.name)),
-            (
-                "params",
-                Json::Array(self.params.iter().map(ToJson::to_json_value).collect()),
-            ),
-        ])
-    }
-}
-impl FromJson for ActionInfo {
-    fn from_json_value(v: &Json) -> serde_json::Result<ActionInfo> {
-        Ok(ActionInfo {
-            name: get_str(v, "name")?,
-            params: decode_vec(v, "params", ParamInfo::from_json_value)?,
-        })
-    }
-}
-
-impl ToJson for TableInfo {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("name", Json::from(&self.name)),
-            ("control", Json::from(&self.control)),
-            (
-                "keys",
-                Json::Array(self.keys.iter().map(ToJson::to_json_value).collect()),
-            ),
-            (
-                "actions",
-                Json::Array(self.actions.iter().map(ToJson::to_json_value).collect()),
-            ),
-            ("size", Json::from(self.size)),
-        ])
-    }
-}
-impl FromJson for TableInfo {
-    fn from_json_value(v: &Json) -> serde_json::Result<TableInfo> {
-        Ok(TableInfo {
-            name: get_str(v, "name")?,
-            control: get_str(v, "control")?,
-            keys: decode_vec(v, "keys", KeyInfo::from_json_value)?,
-            actions: decode_vec(v, "actions", ActionInfo::from_json_value)?,
-            size: get_u64(v, "size")? as usize,
-        })
-    }
-}
-
-impl ToJson for DigestInfo {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("name", Json::from(&self.name)),
-            (
-                "fields",
-                Json::Array(self.fields.iter().map(ToJson::to_json_value).collect()),
-            ),
-        ])
-    }
-}
-impl FromJson for DigestInfo {
-    fn from_json_value(v: &Json) -> serde_json::Result<DigestInfo> {
-        Ok(DigestInfo {
-            name: get_str(v, "name")?,
-            fields: decode_vec(v, "fields", ParamInfo::from_json_value)?,
-        })
-    }
-}
-
-impl ToJson for P4Info {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("program", Json::from(&self.program)),
-            (
-                "tables",
-                Json::Array(self.tables.iter().map(ToJson::to_json_value).collect()),
-            ),
-            (
-                "digests",
-                Json::Array(self.digests.iter().map(ToJson::to_json_value).collect()),
-            ),
-        ])
-    }
-}
-impl FromJson for P4Info {
-    fn from_json_value(v: &Json) -> serde_json::Result<P4Info> {
-        Ok(P4Info {
-            program: get_str(v, "program")?,
-            tables: decode_vec(v, "tables", TableInfo::from_json_value)?,
-            digests: decode_vec(v, "digests", DigestInfo::from_json_value)?,
-        })
-    }
-}
+wire!(struct KeyInfo { name, width, match_kind });
+wire!(struct ParamInfo { name, width });
+wire!(struct ActionInfo { name, params });
+wire!(struct TableInfo { name, control, keys, actions, size });
+wire!(struct DigestInfo { name, fields });
+wire!(struct P4Info { program, tables, digests });
 
 #[cfg(test)]
 mod tests {
@@ -321,10 +197,5 @@ mod tests {
         );
         assert_eq!(info.digests.len(), 1);
         assert_eq!(info.digests[0].fields.len(), 3);
-
-        // Serde round trip (it travels over the control protocol).
-        let s = serde_json::to_string(&info).unwrap();
-        let back: P4Info = serde_json::from_str(&s).unwrap();
-        assert_eq!(info, back);
     }
 }

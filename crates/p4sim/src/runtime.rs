@@ -1,97 +1,27 @@
 //! P4Runtime-style control messages: table entries, write requests,
 //! digests, and packet-in/out. These are the wire objects the Nerpa
 //! controller exchanges with switches.
+//!
+//! # Wire format
+//!
+//! A control frame's body (the length prefix is
+//! [`crate::service::write_frame`]'s) is one [`ControlRequest`] or
+//! [`ControlResponse`] in a compact binary encoding, the shape of a
+//! protobuf message without field numbers:
+//!
+//! - an enum is one tag byte, its variant's position, then the variant's
+//!   fields in declaration order (`Option`: 0 = `None`, 1 = `Some`);
+//! - an unsigned integer is an LEB128 varint; an `i32` is zigzag-mapped
+//!   to a `u32` first;
+//! - a string, a byte string or a list is its length as a varint, then
+//!   its bytes or elements; a struct or a pair is its fields in order.
+//!
+//! [`Wire::from_bytes`] refuses with [`io::ErrorKind::InvalidData`] an
+//! unknown tag, a varint that overflows its field's width, non-UTF-8
+//! text, a count larger than the bytes left (before allocating for it),
+//! a body that ends inside a field, and trailing bytes.
 
-use serde_json::{FromJson, ToJson, Value as Json};
-
-/// JSON codec helpers shared by the wire types in this crate. `u128`
-/// values travel as decimal strings — JSON numbers cannot carry 128-bit
-/// values portably.
-pub(crate) mod codec {
-    use serde_json::{Error, Map, Result, Value as Json};
-
-    /// Build an object from key/value pairs.
-    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        let mut m = Map::new();
-        for (k, v) in pairs {
-            m.insert(k.to_string(), v);
-        }
-        Json::Object(m)
-    }
-
-    /// Encode a `u128` as a decimal string.
-    pub fn u128_to_json(v: u128) -> Json {
-        Json::String(v.to_string())
-    }
-
-    /// Required-field lookup.
-    pub fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json> {
-        v.get(key)
-            .ok_or_else(|| Error::msg(format!("missing field `{key}`")))
-    }
-
-    /// Required string field.
-    pub fn get_str(v: &Json, key: &str) -> Result<String> {
-        get(v, key)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::msg(format!("field `{key}` is not a string")))
-    }
-
-    /// Required `u64` field.
-    pub fn get_u64(v: &Json, key: &str) -> Result<u64> {
-        get(v, key)?
-            .as_u64()
-            .ok_or_else(|| Error::msg(format!("field `{key}` is not an unsigned integer")))
-    }
-
-    /// Required array field.
-    pub fn get_array<'a>(v: &'a Json, key: &str) -> Result<&'a Vec<Json>> {
-        get(v, key)?
-            .as_array()
-            .ok_or_else(|| Error::msg(format!("field `{key}` is not an array")))
-    }
-
-    /// Decode a decimal-string-encoded `u128`.
-    pub fn u128_from_json(v: &Json) -> Result<u128> {
-        v.as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| Error::msg("expected a decimal u128 string"))
-    }
-
-    /// Required decimal-`u128`-string field.
-    pub fn get_u128(v: &Json, key: &str) -> Result<u128> {
-        u128_from_json(get(v, key)?)
-    }
-
-    /// The `"type"`/`"kind"` style tag of a tagged-enum object.
-    pub fn tag<'a>(v: &'a Json, key: &str) -> Result<&'a str> {
-        get(v, key)?
-            .as_str()
-            .ok_or_else(|| Error::msg(format!("enum tag `{key}` is not a string")))
-    }
-
-    /// Decode each array element with `f`.
-    pub fn decode_vec<T>(v: &Json, key: &str, f: impl Fn(&Json) -> Result<T>) -> Result<Vec<T>> {
-        get_array(v, key)?.iter().map(f).collect()
-    }
-
-    /// Map builder used by tagged enums: `{"type": tag, ...fields}`.
-    pub fn tagged(
-        tag_key: &str,
-        tag: &str,
-        pairs: impl IntoIterator<Item = (&'static str, Json)>,
-    ) -> Json {
-        let mut m = Map::new();
-        m.insert(tag_key.to_string(), Json::String(tag.to_string()));
-        for (k, v) in pairs {
-            m.insert(k.to_string(), v);
-        }
-        Json::Object(m)
-    }
-}
-
-use codec::*;
+use std::io;
 
 /// A single key-field match of a table entry.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -219,7 +149,7 @@ pub enum ControlResponse {
     },
     /// The program description.
     P4Info {
-        /// JSON-encoded [`crate::p4info::P4Info`].
+        /// The switch program's control surface.
         info: crate::p4info::P4Info,
     },
     /// Table contents.
@@ -252,427 +182,327 @@ pub enum ControlResponse {
     },
 }
 
-// ----------------------------------------------------- JSON wire codec
+// ---------------------------------------------------------- wire codec
 
-impl ToJson for FieldMatch {
-    fn to_json_value(&self) -> Json {
-        match self {
-            FieldMatch::Exact { value } => {
-                tagged("kind", "exact", [("value", u128_to_json(*value))])
+/// A value with a binary wire encoding (see the [module docs](self)).
+pub trait Wire: Sized {
+    /// Append this value's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Decode one value from the front of `r`.
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self>;
+
+    /// Decode a whole body: exactly one value and no trailing bytes.
+    fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
+        let mut r = Reader { rest: bytes };
+        let value = Self::decode(&mut r)?;
+        match r.rest.len() {
+            0 => Ok(value),
+            n => Err(invalid(format!("{n} trailing bytes"))),
+        }
+    }
+}
+
+/// The unread rest of a body being decoded.
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+#[cold]
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+fn unknown_tag(ty: &str, tag: u8) -> io::Error {
+    invalid(format!("unknown {ty} tag {tag}"))
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if n > self.rest.len() {
+            return Err(invalid("body ends inside a field"));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn byte(&mut self) -> io::Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn varint(&mut self) -> io::Result<u128> {
+        let mut v = 0u128;
+        for (i, &b) in self.rest.iter().enumerate().take(19) {
+            // The 19th byte holds bits 126 and 127 only.
+            if i == 18 && b > 0b11 {
+                break;
             }
-            FieldMatch::Lpm { value, prefix_len } => tagged(
-                "kind",
-                "lpm",
-                [
-                    ("value", u128_to_json(*value)),
-                    ("prefix_len", Json::from(*prefix_len)),
-                ],
-            ),
-            FieldMatch::Ternary { value, mask } => tagged(
-                "kind",
-                "ternary",
-                [
-                    ("value", u128_to_json(*value)),
-                    ("mask", u128_to_json(*mask)),
-                ],
-            ),
+            v |= u128::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                self.rest = &self.rest[i + 1..];
+                return Ok(v);
+            }
         }
+        Err(invalid(if self.rest.len() < 19 {
+            "body ends inside a varint"
+        } else {
+            "varint overflows 128 bits"
+        }))
     }
-}
 
-impl FromJson for FieldMatch {
-    fn from_json_value(v: &Json) -> serde_json::Result<FieldMatch> {
-        match tag(v, "kind")? {
-            "exact" => Ok(FieldMatch::Exact {
-                value: get_u128(v, "value")?,
-            }),
-            "lpm" => Ok(FieldMatch::Lpm {
-                value: get_u128(v, "value")?,
-                prefix_len: get_u64(v, "prefix_len")? as u16,
-            }),
-            "ternary" => Ok(FieldMatch::Ternary {
-                value: get_u128(v, "value")?,
-                mask: get_u128(v, "mask")?,
-            }),
-            other => Err(serde_json::Error::msg(format!(
-                "unknown FieldMatch kind `{other}`"
-            ))),
+    /// A length or element count. Every element takes at least one
+    /// byte, so a count above the bytes left is refused before anything
+    /// is allocated for it.
+    fn count(&mut self) -> io::Result<usize> {
+        let n = usize::decode(self)?;
+        if n > self.rest.len() {
+            return Err(invalid(format!(
+                "count {n} exceeds the {} bytes left",
+                self.rest.len()
+            )));
         }
+        Ok(n)
     }
 }
 
-impl ToJson for TableEntry {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("table", Json::from(&self.table)),
-            (
-                "matches",
-                Json::Array(self.matches.iter().map(ToJson::to_json_value).collect()),
-            ),
-            ("priority", Json::from(self.priority)),
-            ("action", Json::from(&self.action)),
-            (
-                "params",
-                Json::Array(self.params.iter().map(|p| u128_to_json(*p)).collect()),
-            ),
-        ])
+fn put_varint(out: &mut Vec<u8>, mut v: u128) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+macro_rules! wire_uint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                put_varint(out, *self as u128);
+            }
+
+            fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+                <$t>::try_from(r.varint()?)
+                    .map_err(|_| invalid(concat!("varint overflows ", stringify!($t))))
+            }
+        }
+    )*};
+}
+wire_uint!(u16, u64, u128, usize);
+
+/// A byte is itself, so a `Vec<u8>` is a length-prefixed byte string.
+impl Wire for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        r.byte()
     }
 }
 
-impl FromJson for TableEntry {
-    fn from_json_value(v: &Json) -> serde_json::Result<TableEntry> {
-        Ok(TableEntry {
-            table: get_str(v, "table")?,
-            matches: decode_vec(v, "matches", FieldMatch::from_json_value)?,
-            priority: get(v, "priority")?
-                .as_i64()
-                .ok_or_else(|| serde_json::Error::msg("priority is not an integer"))?
-                as i32,
-            action: get_str(v, "action")?,
-            params: decode_vec(v, "params", u128_from_json)?,
-        })
+impl Wire for i32 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, ((self << 1) ^ (self >> 31)) as u32 as u128);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        let n = u32::try_from(r.varint()?).map_err(|_| invalid("varint overflows i32"))?;
+        Ok((n >> 1) as i32 ^ -((n & 1) as i32))
     }
 }
 
-impl WriteOp {
-    fn wire_name(self) -> &'static str {
+impl Wire for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        let n = r.count()?;
+        std::str::from_utf8(r.take(n)?)
+            .map(str::to_owned)
+            .map_err(|_| invalid("string is not UTF-8"))
+    }
+}
+
+fn encode_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    items.len().encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_slice(self, out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        let n = r.count()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::decode(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            WriteOp::Insert => "insert",
-            WriteOp::Modify => "modify",
-            WriteOp::Delete => "delete",
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.encode(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        match r.byte()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(r)?)),
+            t => Err(unknown_tag("Option", t)),
         }
     }
 }
 
-impl ToJson for WriteOp {
-    fn to_json_value(&self) -> Json {
-        Json::String(self.wire_name().to_string())
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
-impl FromJson for WriteOp {
-    fn from_json_value(v: &Json) -> serde_json::Result<WriteOp> {
-        match v.as_str() {
-            Some("insert") => Ok(WriteOp::Insert),
-            Some("modify") => Ok(WriteOp::Modify),
-            Some("delete") => Ok(WriteOp::Delete),
-            _ => Err(serde_json::Error::msg("unknown WriteOp")),
+/// Implement [`Wire`] for a struct (its fields in the order listed,
+/// which is their declaration order) or an enum (one tag byte, then the
+/// variant's fields).
+macro_rules! wire {
+    (struct $ty:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::runtime::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::runtime::Wire::encode(&self.$f, out);)*
+            }
+
+            fn decode(r: &mut $crate::runtime::Reader<'_>) -> std::io::Result<Self> {
+                Ok($ty { $($f: $crate::runtime::Wire::decode(r)?),* })
+            }
         }
+    };
+    (enum $ty:ident { $($tag:literal => $var:ident $({ $($f:ident),* })?),* $(,)? }) => {
+        impl Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$var $({ $($f),* })? => {
+                        out.push($tag);
+                        $($($f.encode(out);)*)?
+                    })*
+                }
+            }
+
+            fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+                Ok(match r.byte()? {
+                    $($tag => $ty::$var $({ $($f: Wire::decode(r)?),* })?,)*
+                    t => return Err(unknown_tag(stringify!($ty), t)),
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire;
+
+wire!(enum FieldMatch {
+    0 => Exact { value },
+    1 => Lpm { value, prefix_len },
+    2 => Ternary { value, mask },
+});
+wire!(struct TableEntry { table, matches, priority, action, params });
+wire!(enum WriteOp { 0 => Insert, 1 => Modify, 2 => Delete });
+wire!(struct Update { op, entry });
+wire!(struct Digest { name, fields });
+
+impl ControlRequest {
+    /// Encode `ControlRequest::Write { updates, trace }` from borrowed
+    /// updates: the same bytes, without copying the batch into a request.
+    pub fn encode_write(updates: &[Update], trace: Option<u64>, out: &mut Vec<u8>) {
+        out.push(0);
+        encode_slice(updates, out);
+        trace.encode(out);
     }
 }
 
-impl ToJson for Update {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("op", self.op.to_json_value()),
-            ("entry", self.entry.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for Update {
-    fn from_json_value(v: &Json) -> serde_json::Result<Update> {
-        Ok(Update {
-            op: WriteOp::from_json_value(get(v, "op")?)?,
-            entry: TableEntry::from_json_value(get(v, "entry")?)?,
-        })
-    }
-}
-
-impl ToJson for Digest {
-    fn to_json_value(&self) -> Json {
-        obj([
-            ("name", Json::from(&self.name)),
-            (
-                "fields",
-                Json::Array(
-                    self.fields
-                        .iter()
-                        .map(|(n, x)| Json::Array(vec![Json::from(n), u128_to_json(*x)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl FromJson for Digest {
-    fn from_json_value(v: &Json) -> serde_json::Result<Digest> {
-        Ok(Digest {
-            name: get_str(v, "name")?,
-            fields: decode_vec(v, "fields", |pair| {
-                let a = pair
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| serde_json::Error::msg("digest field is not a pair"))?;
-                let n = a[0]
-                    .as_str()
-                    .ok_or_else(|| serde_json::Error::msg("digest field name"))?;
-                Ok((n.to_string(), u128_from_json(&a[1])?))
-            })?,
-        })
-    }
-}
-
-impl ToJson for ControlRequest {
-    fn to_json_value(&self) -> Json {
+impl Wire for ControlRequest {
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ControlRequest::Write { updates, trace } => tagged(
-                "type",
-                "write",
-                [
-                    (
-                        "updates",
-                        Json::Array(updates.iter().map(ToJson::to_json_value).collect()),
-                    ),
-                    ("trace", trace.map(Json::from).unwrap_or(Json::Null)),
-                ],
-            ),
-            ControlRequest::GetP4Info => tagged("type", "get_p4_info", []),
+            ControlRequest::Write { updates, trace } => {
+                ControlRequest::encode_write(updates, *trace, out)
+            }
+            ControlRequest::GetP4Info => out.push(1),
             ControlRequest::ReadTable { table } => {
-                tagged("type", "read_table", [("table", Json::from(table))])
+                out.push(2);
+                table.encode(out);
             }
-            ControlRequest::ReadAllTables => tagged("type", "read_all_tables", []),
-            ControlRequest::SubscribeDigests => tagged("type", "subscribe_digests", []),
-            ControlRequest::PacketOut { port, bytes } => tagged(
-                "type",
-                "packet_out",
-                [("port", Json::from(*port)), ("bytes", Json::from(bytes))],
-            ),
-            ControlRequest::ReadCounters => tagged("type", "read_counters", []),
-            ControlRequest::SetMcastGroup { group, ports } => tagged(
-                "type",
-                "set_mcast_group",
-                [("group", Json::from(*group)), ("ports", Json::from(ports))],
-            ),
+            ControlRequest::ReadAllTables => out.push(3),
+            ControlRequest::SubscribeDigests => out.push(4),
+            ControlRequest::PacketOut { port, bytes } => {
+                out.push(5);
+                port.encode(out);
+                bytes.encode(out);
+            }
+            ControlRequest::ReadCounters => out.push(6),
+            ControlRequest::SetMcastGroup { group, ports } => {
+                out.push(7);
+                group.encode(out);
+                ports.encode(out);
+            }
         }
     }
-}
 
-impl FromJson for ControlRequest {
-    fn from_json_value(v: &Json) -> serde_json::Result<ControlRequest> {
-        Ok(match tag(v, "type")? {
-            "write" => ControlRequest::Write {
-                updates: decode_vec(v, "updates", Update::from_json_value)?,
-                trace: match v.get("trace") {
-                    None | Some(Json::Null) => None,
-                    Some(j) => Some(
-                        j.as_u64()
-                            .ok_or_else(|| serde_json::Error::msg("trace is not an integer"))?,
-                    ),
-                },
+    fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        Ok(match r.byte()? {
+            0 => ControlRequest::Write {
+                updates: Wire::decode(r)?,
+                trace: Wire::decode(r)?,
             },
-            "get_p4_info" => ControlRequest::GetP4Info,
-            "read_table" => ControlRequest::ReadTable {
-                table: get_str(v, "table")?,
+            1 => ControlRequest::GetP4Info,
+            2 => ControlRequest::ReadTable {
+                table: Wire::decode(r)?,
             },
-            "read_all_tables" => ControlRequest::ReadAllTables,
-            "subscribe_digests" => ControlRequest::SubscribeDigests,
-            "packet_out" => ControlRequest::PacketOut {
-                port: get_u64(v, "port")? as u16,
-                bytes: decode_vec(v, "bytes", |b| {
-                    b.as_u64()
-                        .map(|x| x as u8)
-                        .ok_or_else(|| serde_json::Error::msg("byte"))
-                })?,
+            3 => ControlRequest::ReadAllTables,
+            4 => ControlRequest::SubscribeDigests,
+            5 => ControlRequest::PacketOut {
+                port: Wire::decode(r)?,
+                bytes: Wire::decode(r)?,
             },
-            "read_counters" => ControlRequest::ReadCounters,
-            "set_mcast_group" => ControlRequest::SetMcastGroup {
-                group: get_u64(v, "group")? as u16,
-                ports: decode_vec(v, "ports", |p| {
-                    p.as_u64()
-                        .map(|x| x as u16)
-                        .ok_or_else(|| serde_json::Error::msg("port"))
-                })?,
+            6 => ControlRequest::ReadCounters,
+            7 => ControlRequest::SetMcastGroup {
+                group: Wire::decode(r)?,
+                ports: Wire::decode(r)?,
             },
-            other => {
-                return Err(serde_json::Error::msg(format!(
-                    "unknown ControlRequest type `{other}`"
-                )))
-            }
+            t => return Err(unknown_tag("ControlRequest", t)),
         })
     }
 }
 
-impl ToJson for ControlResponse {
-    fn to_json_value(&self) -> Json {
-        match self {
-            ControlResponse::WriteResult { error } => tagged(
-                "type",
-                "write_result",
-                [("error", Json::from(error.as_deref()))],
-            ),
-            ControlResponse::P4Info { info } => {
-                tagged("type", "p4_info", [("info", info.to_json_value())])
-            }
-            ControlResponse::TableEntries { entries } => tagged(
-                "type",
-                "table_entries",
-                [(
-                    "entries",
-                    Json::Array(entries.iter().map(ToJson::to_json_value).collect()),
-                )],
-            ),
-            ControlResponse::AllTables { tables } => tagged(
-                "type",
-                "all_tables",
-                [(
-                    "tables",
-                    Json::Array(
-                        tables
-                            .iter()
-                            .map(|(name, entries)| {
-                                Json::Array(vec![
-                                    Json::from(name),
-                                    Json::Array(
-                                        entries.iter().map(ToJson::to_json_value).collect(),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )],
-            ),
-            ControlResponse::DigestList { digests } => tagged(
-                "type",
-                "digest_list",
-                [(
-                    "digests",
-                    Json::Array(digests.iter().map(ToJson::to_json_value).collect()),
-                )],
-            ),
-            ControlResponse::Counters { counters } => tagged(
-                "type",
-                "counters",
-                [(
-                    "counters",
-                    Json::Array(
-                        counters
-                            .iter()
-                            .map(|(n, c)| Json::Array(vec![Json::from(n), Json::from(*c)]))
-                            .collect(),
-                    ),
-                )],
-            ),
-            ControlResponse::Ok => tagged("type", "ok", []),
-            ControlResponse::Error { message } => {
-                tagged("type", "error", [("message", Json::from(message))])
-            }
-        }
-    }
-}
-
-impl FromJson for ControlResponse {
-    fn from_json_value(v: &Json) -> serde_json::Result<ControlResponse> {
-        Ok(match tag(v, "type")? {
-            "write_result" => ControlResponse::WriteResult {
-                error: match get(v, "error")? {
-                    Json::Null => None,
-                    s => Some(
-                        s.as_str()
-                            .ok_or_else(|| serde_json::Error::msg("error message"))?
-                            .to_string(),
-                    ),
-                },
-            },
-            "p4_info" => ControlResponse::P4Info {
-                info: crate::p4info::P4Info::from_json_value(get(v, "info")?)?,
-            },
-            "table_entries" => ControlResponse::TableEntries {
-                entries: decode_vec(v, "entries", TableEntry::from_json_value)?,
-            },
-            "all_tables" => ControlResponse::AllTables {
-                tables: decode_vec(v, "tables", |pair| {
-                    let a = pair
-                        .as_array()
-                        .filter(|a| a.len() == 2)
-                        .ok_or_else(|| serde_json::Error::msg("table pair"))?;
-                    let name = a[0]
-                        .as_str()
-                        .ok_or_else(|| serde_json::Error::msg("table name"))?;
-                    let entries = a[1]
-                        .as_array()
-                        .ok_or_else(|| serde_json::Error::msg("table entries"))?
-                        .iter()
-                        .map(TableEntry::from_json_value)
-                        .collect::<serde_json::Result<Vec<_>>>()?;
-                    Ok((name.to_string(), entries))
-                })?,
-            },
-            "digest_list" => ControlResponse::DigestList {
-                digests: decode_vec(v, "digests", Digest::from_json_value)?,
-            },
-            "counters" => ControlResponse::Counters {
-                counters: decode_vec(v, "counters", |pair| {
-                    let a = pair
-                        .as_array()
-                        .filter(|a| a.len() == 2)
-                        .ok_or_else(|| serde_json::Error::msg("counter pair"))?;
-                    let n = a[0]
-                        .as_str()
-                        .ok_or_else(|| serde_json::Error::msg("counter name"))?;
-                    let c = a[1]
-                        .as_u64()
-                        .ok_or_else(|| serde_json::Error::msg("counter value"))?;
-                    Ok((n.to_string(), c))
-                })?,
-            },
-            "ok" => ControlResponse::Ok,
-            "error" => ControlResponse::Error {
-                message: get_str(v, "message")?,
-            },
-            other => {
-                return Err(serde_json::Error::msg(format!(
-                    "unknown ControlResponse type `{other}`"
-                )))
-            }
-        })
-    }
-}
+wire!(enum ControlResponse {
+    0 => WriteResult { error },
+    1 => P4Info { info },
+    2 => TableEntries { entries },
+    3 => AllTables { tables },
+    4 => DigestList { digests },
+    5 => Counters { counters },
+    6 => Ok,
+    7 => Error { message },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serde_roundtrip() {
-        let req = ControlRequest::Write {
-            updates: vec![Update {
-                op: WriteOp::Insert,
-                entry: TableEntry {
-                    table: "InVlan".into(),
-                    matches: vec![
-                        FieldMatch::Exact { value: 3 },
-                        FieldMatch::Ternary {
-                            value: 0x10,
-                            mask: 0xf0,
-                        },
-                        FieldMatch::Lpm {
-                            value: 0x0a000000,
-                            prefix_len: 8,
-                        },
-                    ],
-                    priority: 10,
-                    action: "set_vlan".into(),
-                    params: vec![100],
-                },
-            }],
-            trace: Some(77),
-        };
-        let s = serde_json::to_string(&req).unwrap();
-        let back: ControlRequest = serde_json::from_str(&s).unwrap();
-        assert_eq!(req, back);
-
-        let resp = ControlResponse::DigestList {
-            digests: vec![Digest {
-                name: "mac_learn_digest_t".into(),
-                fields: vec![("port".into(), 2), ("mac".into(), 0xaabb)],
-            }],
-        };
-        let s = serde_json::to_string(&resp).unwrap();
-        let back: ControlResponse = serde_json::from_str(&s).unwrap();
-        assert_eq!(resp, back);
-    }
 
     #[test]
     fn digest_field_lookup() {

@@ -1,19 +1,19 @@
 //! The switch control service: a P4Runtime-style protocol over TCP with
-//! length-prefixed JSON framing, plus the in-process device wrapper that
+//! length-prefixed binary frames (the body codec is
+//! [`crate::runtime::Wire`]), plus the in-process device wrapper that
 //! the packet substrate drives.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{BufMut, BytesMut};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::p4info::P4Info;
-use crate::runtime::{ControlRequest, ControlResponse, Digest, Update};
+use crate::runtime::{ControlRequest, ControlResponse, Digest, Update, Wire};
 use crate::switch::{ProcessResult, Switch};
 
 struct DeviceMetrics {
@@ -191,20 +191,36 @@ impl SwitchDevice {
 
 // ------------------------------------------------------------- framing
 
-/// Write one length-prefixed JSON message.
-pub fn write_frame<T: serde_json::ToJson>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
-    let body = serde_json::to_vec(msg)?;
-    let mut buf = BytesMut::with_capacity(4 + body.len());
-    buf.put_u32(body.len() as u32);
-    buf.put_slice(&body);
+/// The largest body a frame may declare.
+const MAX_FRAME: usize = 64 * 1024 * 1024;
+
+/// Write one length-prefixed message: the body's length as 4 big-endian
+/// bytes, then the body, built in one buffer and sent with one
+/// `write_all`.
+pub fn write_frame<T: Wire>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
+    send(w, |out| msg.encode(out))
+}
+
+/// Frame the body `encode` appends and send it.
+fn send(w: &mut impl Write, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+    let mut buf = vec![0; 4];
+    encode(&mut buf);
+    let len = buf.len() - 4;
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a {len}-byte body exceeds the frame cap"),
+        ));
+    }
+    buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
     w.write_all(&buf)?;
     w.flush()
 }
 
-/// Read one length-prefixed JSON message; `Ok(None)` on clean EOF. The
+/// Read one length-prefixed message; `Ok(None)` on clean EOF. The
 /// body is read through `take(len)`, so a length prefix the peer never
 /// backs with bytes costs only what actually arrived.
-pub fn read_frame<T: serde_json::FromJson>(r: &mut impl Read) -> std::io::Result<Option<T>> {
+pub fn read_frame<T: Wire>(r: &mut impl Read) -> std::io::Result<Option<T>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -212,7 +228,7 @@ pub fn read_frame<T: serde_json::FromJson>(r: &mut impl Read) -> std::io::Result
         Err(e) => return Err(e),
     }
     let len = u32::from_be_bytes(len_buf) as usize;
-    if len > 64 * 1024 * 1024 {
+    if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "frame too large",
@@ -225,9 +241,7 @@ pub fn read_frame<T: serde_json::FromJson>(r: &mut impl Read) -> std::io::Result
             "frame truncated",
         ));
     }
-    let msg = serde_json::from_slice(&body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(Some(msg))
+    T::from_bytes(&body).map(Some)
 }
 
 // ------------------------------------------------------------- service
@@ -326,7 +340,7 @@ impl Drop for ControlService {
 fn serve_conn(device: SwitchDevice, stream: TcpStream, write_delay_per_entry: Duration) {
     let _ = stream.set_nodelay(true);
     let mut read_half = match stream.try_clone() {
-        Ok(s) => s,
+        Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let write_half = Arc::new(Mutex::new(stream));
@@ -401,8 +415,9 @@ fn serve_conn(device: SwitchDevice, stream: TcpStream, write_delay_per_entry: Du
 
 /// A blocking control client for a remote switch.
 pub struct ControlClient {
-    stream: Mutex<TcpStream>,
-    digest_rx: Option<Receiver<Vec<Digest>>>,
+    /// The connection's write half, and its read half behind a buffer so
+    /// that a response usually costs one `read` call, not one per part.
+    conn: Mutex<(TcpStream, BufReader<TcpStream>)>,
 }
 
 impl ControlClient {
@@ -410,17 +425,23 @@ impl ControlClient {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<ControlClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        let reader = BufReader::new(stream.try_clone()?);
         Ok(ControlClient {
-            stream: Mutex::new(stream),
-            digest_rx: None,
+            conn: Mutex::new((stream, reader)),
         })
     }
 
     fn roundtrip(&self, req: &ControlRequest) -> Result<ControlResponse, String> {
-        let mut s = self.stream.lock();
-        write_frame(&mut *s, req).map_err(|e| e.to_string())?;
+        self.exchange(|out| req.encode(out))
+    }
+
+    /// Send the request body `encode` appends and wait for its response.
+    fn exchange(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<ControlResponse, String> {
+        let mut conn = self.conn.lock();
+        let (stream, reader) = &mut *conn;
+        send(stream, encode).map_err(|e| e.to_string())?;
         loop {
-            match read_frame::<ControlResponse>(&mut *s) {
+            match read_frame::<ControlResponse>(reader) {
                 Ok(Some(ControlResponse::DigestList { .. })) => {
                     // Digests are handled by subscribe(); a synchronous
                     // caller skips any interleaved notification.
@@ -434,14 +455,14 @@ impl ControlClient {
     }
 
     /// Apply table updates atomically.
-    pub fn write(&self, updates: Vec<Update>) -> Result<(), String> {
+    pub fn write(&self, updates: &[Update]) -> Result<(), String> {
         self.write_traced(updates, None)
     }
 
     /// Apply table updates atomically, carrying the causal trace id
     /// across the wire so the switch can attribute the write.
-    pub fn write_traced(&self, updates: Vec<Update>, trace: Option<u64>) -> Result<(), String> {
-        match self.roundtrip(&ControlRequest::Write { updates, trace })? {
+    pub fn write_traced(&self, updates: &[Update], trace: Option<u64>) -> Result<(), String> {
+        match self.exchange(|out| ControlRequest::encode_write(updates, trace, out))? {
             ControlResponse::WriteResult { error: None } => Ok(()),
             ControlResponse::WriteResult { error: Some(e) } => Err(e),
             other => Err(format!("unexpected response {other:?}")),
@@ -498,37 +519,26 @@ impl ControlClient {
     /// Subscribe to digest notifications. After this call the connection
     /// is dedicated to the digest stream; use a separate client for
     /// synchronous requests.
-    pub fn subscribe_digests(mut self) -> Result<Receiver<Vec<Digest>>, String> {
-        {
-            let mut s = self.stream.lock();
-            write_frame(&mut *s, &ControlRequest::SubscribeDigests).map_err(|e| e.to_string())?;
-            // Consume the Ok ack.
-            match read_frame::<ControlResponse>(&mut *s) {
-                Ok(Some(ControlResponse::Ok)) => {}
-                other => return Err(format!("unexpected subscribe response {other:?}")),
-            }
+    pub fn subscribe_digests(self) -> Result<Receiver<Vec<Digest>>, String> {
+        let (mut stream, mut reader) = self.conn.into_inner();
+        write_frame(&mut stream, &ControlRequest::SubscribeDigests).map_err(|e| e.to_string())?;
+        // Consume the Ok ack.
+        match read_frame::<ControlResponse>(&mut reader) {
+            Ok(Some(ControlResponse::Ok)) => {}
+            other => return Err(format!("unexpected subscribe response {other:?}")),
         }
         let (tx, rx) = unbounded();
-        let stream = self
-            .stream
-            .get_mut()
-            .try_clone()
-            .map_err(|e| e.to_string())?;
-        std::thread::spawn(move || {
-            let mut s = stream;
-            loop {
-                match read_frame::<ControlResponse>(&mut s) {
-                    Ok(Some(ControlResponse::DigestList { digests })) => {
-                        if tx.send(digests).is_err() {
-                            break;
-                        }
+        std::thread::spawn(move || loop {
+            match read_frame::<ControlResponse>(&mut reader) {
+                Ok(Some(ControlResponse::DigestList { digests })) => {
+                    if tx.send(digests).is_err() {
+                        break;
                     }
-                    Ok(Some(_)) => continue,
-                    Ok(None) | Err(_) => break,
                 }
+                Ok(Some(_)) => continue,
+                Ok(None) | Err(_) => break,
             }
         });
-        self.digest_rx = Some(rx.clone());
         Ok(rx)
     }
 }
@@ -553,7 +563,7 @@ mod tests {
         assert_eq!(info.tables.len(), 2);
 
         client
-            .write(vec![Update {
+            .write(&[Update {
                 op: WriteOp::Insert,
                 entry: TableEntry {
                     table: "InVlan".into(),
@@ -580,7 +590,7 @@ mod tests {
 
         // Invalid write reports the error without closing the stream.
         let err = client
-            .write(vec![Update {
+            .write(&[Update {
                 op: WriteOp::Insert,
                 entry: TableEntry {
                     table: "InVlan".into(),

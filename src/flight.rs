@@ -245,13 +245,25 @@ impl Timeline {
         Ok(())
     }
 
-    /// Causally order the merged stream: absolute wall-clock time
-    /// interleaves processes; within one dump the sequence number (the
-    /// true causal order there) breaks ties.
+    /// Causally order the merged stream: within one dump the sequence
+    /// number is the causal order; absolute wall-clock time interleaves
+    /// dumps. A recorder takes an event's number and its clock reading
+    /// one after the other, so a thread preempted between the two stamps
+    /// its event later than events numbered after it: each event sorts
+    /// at the latest time its dump reached up to its number.
     pub fn sort(&mut self) {
-        let headers = self.dumps.clone();
-        self.events
-            .sort_by_key(|e| (e.abs_ns(&headers), e.dump, e.seq));
+        self.events.sort_by_key(|e| (e.dump, e.seq));
+        let mut reached = (usize::MAX, 0);
+        let mut keyed: Vec<_> = std::mem::take(&mut self.events)
+            .into_iter()
+            .map(|e| {
+                let floor = if reached.0 == e.dump { reached.1 } else { 0 };
+                reached = (e.dump, floor.max(e.abs_ns(&self.dumps)));
+                ((reached.1, e.dump, e.seq), e)
+            })
+            .collect();
+        keyed.sort_by_key(|(key, _)| *key);
+        self.events = keyed.into_iter().map(|(_, e)| e).collect();
     }
 
     /// The timeline restricted to one trace id (header set unchanged).
@@ -424,6 +436,28 @@ mod tests {
         t.sort();
         let kinds: Vec<&str> = t.events.iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds, ["ovsdb.commit", "chaos.fault", "p4.write"]);
+    }
+
+    #[test]
+    fn a_clock_read_behind_its_sequence_number_keeps_causal_order() {
+        // Event 2's thread read the clock late: it stamps 30, event 3
+        // stamps 20. Event 3 still follows event 2, and dump B's event
+        // at 25 sorts before both.
+        let a = sample(
+            1000,
+            &[
+                (1, 10, "management", "ovsdb.commit", 1),
+                (2, 30, "data", "p4.write", 1),
+                (3, 20, "data", "p4.write", 2),
+            ],
+        );
+        let b = sample(1000, &[(1, 25, "chaos", "chaos.fault", 0)]);
+        let mut t = Timeline::default();
+        t.push_dump("a.nfr", &a).unwrap();
+        t.push_dump("b.nfr", &b).unwrap();
+        t.sort();
+        let order: Vec<(usize, u64)> = t.events.iter().map(|e| (e.dump, e.seq)).collect();
+        assert_eq!(order, [(0, 1), (1, 1), (0, 2), (0, 3)]);
     }
 
     #[test]

@@ -247,12 +247,12 @@ fn p4_link_truncation_fails_cleanly_and_atomically() {
     };
 
     // First write flows through the proxy untouched.
-    client.write(vec![entry(1)]).unwrap();
+    client.write(&[entry(1)]).unwrap();
     assert_eq!(device.read_table("InVlan").unwrap().len(), 1);
 
     // The second request is torn: the switch sees a broken frame and
     // drops the connection; the client gets a prompt error.
-    client.write(vec![entry(2)]).unwrap_err();
+    client.write(&[entry(2)]).unwrap_err();
     assert_eq!(proxy.stats().truncations, 1);
     assert_eq!(proxy.stats().kills, 1);
     assert_eq!(
@@ -263,6 +263,6 @@ fn p4_link_truncation_fails_cleanly_and_atomically() {
 
     // Recovery: a fresh, direct connection retries the same write.
     let direct = ControlClient::connect(svc.local_addr()).unwrap();
-    direct.write(vec![entry(2)]).unwrap();
+    direct.write(&[entry(2)]).unwrap();
     assert_eq!(device.read_table("InVlan").unwrap().len(), 2);
 }
