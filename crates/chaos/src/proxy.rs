@@ -107,9 +107,7 @@ impl FaultProxy {
                 lock(&accept_state.stats).connections += 1;
                 if accept_state.partitioned() {
                     lock(&accept_state.stats).refused += 1;
-                    telemetry::record_event_note(
-                        telemetry::Plane::Chaos,
-                        "chaos.fault",
+                    telemetry::catalogue::CHAOS_FAULT.record_note(
                         0,
                         &[("conn", conn_id)],
                         "partition-refused",
@@ -164,9 +162,7 @@ impl FaultProxy {
     /// Imperatively partition the link: new connections are refused
     /// until `d` elapses. Active connections are also severed.
     pub fn partition_for(&self, d: Duration) {
-        telemetry::record_event_note(
-            telemetry::Plane::Chaos,
-            "chaos.fault",
+        telemetry::catalogue::CHAOS_FAULT.record_note(
             0,
             &[("duration_ms", d.as_millis() as u64)],
             "partition",
@@ -306,9 +302,7 @@ fn pump(
             // while leaving the client→server direction untouched.
             if !to_server && !fault.s2c_throttle.is_zero() {
                 if !shared.throttle_noted.swap(true, Ordering::SeqCst) {
-                    telemetry::record_event_note(
-                        telemetry::Plane::Chaos,
-                        "chaos.fault",
+                    telemetry::catalogue::CHAOS_FAULT.record_note(
                         0,
                         &[
                             ("conn", conn_id),
@@ -324,9 +318,7 @@ fn pump(
                 if fault.stall_at == Some(seq) && !shared.stall_fired.swap(true, Ordering::SeqCst) {
                     *lock(&shared.stall_until) = Some(Instant::now() + fault.stall_duration);
                     lock(&state.stats).stalls += 1;
-                    telemetry::record_event_note(
-                        telemetry::Plane::Chaos,
-                        "chaos.fault",
+                    telemetry::catalogue::CHAOS_FAULT.record_note(
                         0,
                         &[
                             ("conn", conn_id),
@@ -355,9 +347,7 @@ fn pump(
                 match fault.truncate_to {
                     Some(t) if t < msg.len() => {
                         lock(&state.stats).truncations += 1;
-                        telemetry::record_event_note(
-                            telemetry::Plane::Chaos,
-                            "chaos.fault",
+                        telemetry::catalogue::CHAOS_FAULT.record_note(
                             0,
                             &[("conn", conn_id), ("bytes", t as u64)],
                             "truncate",
@@ -382,9 +372,7 @@ fn pump(
             }
             if fatal {
                 lock(&state.stats).kills += 1;
-                telemetry::record_event_note(
-                    telemetry::Plane::Chaos,
-                    "chaos.fault",
+                telemetry::catalogue::CHAOS_FAULT.record_note(
                     0,
                     &[
                         ("conn", conn_id),

@@ -204,45 +204,6 @@ impl MonitorConfig {
     }
 }
 
-struct SupervisorMetrics {
-    attempts: telemetry::Counter,
-    connects: telemetry::Counter,
-    backoff_us: telemetry::Histogram,
-    resync_delta_ops: telemetry::Histogram,
-    epoch_resets: telemetry::Counter,
-}
-
-fn supervisor_metrics() -> &'static SupervisorMetrics {
-    static M: std::sync::OnceLock<SupervisorMetrics> = std::sync::OnceLock::new();
-    M.get_or_init(|| {
-        let reg = &telemetry::global().registry;
-        SupervisorMetrics {
-            attempts: reg.counter(
-                "resync_connect_attempts_total",
-                "OVSDB connection attempts by supervisors (including failures)",
-            ),
-            connects: reg.counter(
-                "resync_connects_total",
-                "Successful OVSDB (re)connections by supervisors",
-            ),
-            backoff_us: reg.histogram(
-                "resync_backoff_delay_us",
-                "Backoff delays slept before reconnection attempts (us)",
-                &telemetry::LATENCY_BOUNDS_US,
-            ),
-            resync_delta_ops: reg.histogram(
-                "resync_delta_ops",
-                "Operations per snapshot resync (the incrementality invariant)",
-                &telemetry::SIZE_BOUNDS,
-            ),
-            epoch_resets: reg.counter(
-                "resync_epoch_resets_total",
-                "Server restarts detected via a lower commit index (full resync forced)",
-            ),
-        }
-    })
-}
-
 /// Counters describing a supervisor's recovery history.
 #[derive(Debug, Clone, Default)]
 pub struct SupervisorStats {
@@ -273,6 +234,8 @@ pub struct OvsdbSupervisor {
     policy: BackoffPolicy,
     /// Recovery counters (readable between calls).
     pub stats: SupervisorStats,
+    /// OVSDB connection attempts by every supervisor in the process.
+    attempts_total: telemetry::Counter,
 }
 
 impl OvsdbSupervisor {
@@ -291,6 +254,10 @@ impl OvsdbSupervisor {
             config,
             policy,
             stats: SupervisorStats::default(),
+            attempts_total: telemetry::global().registry.counter(
+                "resync_connect_attempts_total",
+                "OVSDB connection attempts by supervisors (including failures)",
+            ),
         })
     }
 
@@ -322,14 +289,11 @@ impl OvsdbSupervisor {
                 ));
             };
             if !delay.is_zero() {
-                supervisor_metrics().backoff_us.record_duration(delay);
-                telemetry::record_event(
-                    telemetry::Plane::Stack,
-                    "resync.backoff",
+                telemetry::catalogue::RESYNC_BACKOFF.record(
                     0,
                     &[
                         ("attempt", self.stats.attempts),
-                        ("delay_ms", delay.as_millis() as u64),
+                        ("delay_us", delay.as_micros() as u64),
                     ],
                 );
                 telemetry::global()
@@ -338,7 +302,7 @@ impl OvsdbSupervisor {
                 std::thread::sleep(delay);
             }
             self.stats.attempts += 1;
-            supervisor_metrics().attempts.inc();
+            self.attempts_total.inc();
             let client = match ovsdb::Client::connect(self.addr) {
                 Ok(c) => c,
                 Err(e) => {
@@ -351,8 +315,9 @@ impl OvsdbSupervisor {
             // *lower* commit index than its predecessor. Monitor streams
             // carry no cross-restart continuity, so a lower index means
             // the snapshot we are about to diff may silently rewind rows
-            // — record the reset explicitly and force the full-diff
-            // resync path (never a continuity shortcut).
+            // — record the reset explicitly (once, when the reconnect
+            // succeeds) and force the full-diff resync path (never a
+            // continuity shortcut).
             let commit_index = match client.commit_index() {
                 Ok(i) => i,
                 Err(e) => {
@@ -365,8 +330,6 @@ impl OvsdbSupervisor {
                 .last_commit_index
                 .is_some_and(|prev| commit_index < prev);
             if epoch_reset {
-                self.stats.epoch_resets += 1;
-                supervisor_metrics().epoch_resets.inc();
                 telemetry::log_warn!(
                     "resync",
                     "server epoch reset: commit index went {} -> {commit_index}; forcing full resync",
@@ -388,13 +351,9 @@ impl OvsdbSupervisor {
             self.stats.last_commit_index = Some(commit_index);
             self.stats.connects += 1;
             self.stats.resyncs += 1;
+            self.stats.epoch_resets += epoch_reset as u64;
             self.stats.last_resync = Some(report.clone());
-            let m = supervisor_metrics();
-            m.connects.inc();
-            m.resync_delta_ops.record(report.delta_ops() as u64);
-            telemetry::record_event(
-                telemetry::Plane::Stack,
-                "resync.reconnect",
+            telemetry::catalogue::RESYNC_RECONNECT.record(
                 0,
                 &[
                     ("attempts", self.stats.attempts),

@@ -27,7 +27,6 @@ struct EngineMetrics {
     commits: telemetry::Counter,
     commit_us: telemetry::Histogram,
     input_ops: telemetry::Counter,
-    output_changes: telemetry::Counter,
     zset_rows: telemetry::Gauge,
     state_bytes: telemetry::Gauge,
 }
@@ -44,10 +43,6 @@ fn engine_metrics() -> &'static EngineMetrics {
                 &telemetry::LATENCY_BOUNDS_US,
             ),
             input_ops: reg.counter("ddlog_input_ops_total", "Input relation operations applied"),
-            output_changes: reg.counter(
-                "ddlog_output_changes_total",
-                "Output relation row changes emitted",
-            ),
             zset_rows: reg.gauge("ddlog_zset_rows", "Visible rows across all relation stores"),
             state_bytes: reg.gauge(
                 "ddlog_state_bytes",
@@ -459,7 +454,6 @@ impl Engine {
         metrics.commit_us.record_duration(started.elapsed());
         metrics.commits.inc();
         let delta = out?;
-        metrics.output_changes.add(delta.len() as u64);
         for (rel, rows) in &delta.changes {
             if !self.relation_changes.contains_key(rel) {
                 self.relation_changes
@@ -489,9 +483,7 @@ impl Engine {
             delta.changes.len(),
             profile.total_tuples()
         );
-        telemetry::record_event(
-            telemetry::Plane::Control,
-            "ddlog.apply",
+        telemetry::catalogue::DDLOG_APPLY.record(
             trace,
             &[
                 ("input_tuples", profile.input_tuples),
@@ -503,9 +495,7 @@ impl Engine {
         );
         if let Some(cfg) = self.audit {
             if let Err(msg) = cfg.check(&profile, delta.len() as u64) {
-                telemetry::record_event_note(
-                    telemetry::Plane::Control,
-                    "ddlog.audit_trip",
+                telemetry::catalogue::DDLOG_AUDIT_TRIP.record_note(
                     trace,
                     &[("work_tuples", profile.total_tuples())],
                     msg.clone(),

@@ -409,9 +409,7 @@ impl Harness {
     fn inject_fault(&mut self, kind: FaultKind, report: &mut OracleReport) -> Result<(), String> {
         match kind {
             FaultKind::OvsdbOutage { outage_steps } => {
-                telemetry::record_event_note(
-                    telemetry::Plane::Chaos,
-                    "chaos.fault",
+                telemetry::catalogue::CHAOS_FAULT.record_note(
                     0,
                     &[("outage_steps", outage_steps.max(1) as u64)],
                     "ovsdb-outage",
@@ -426,9 +424,7 @@ impl Harness {
                 // untouched, which the step's invariants enforce.
                 let sw = self.restarts % self.devices.len();
                 self.restarts += 1;
-                telemetry::record_event_note(
-                    telemetry::Plane::Chaos,
-                    "chaos.fault",
+                telemetry::catalogue::CHAOS_FAULT.record_note(
                     0,
                     &[("switch", sw as u64)],
                     "switch-restart",
@@ -464,9 +460,7 @@ impl Harness {
                 report.switch_restarts += 1;
             }
             FaultKind::CrashServer { torn_tail_bytes } => {
-                telemetry::record_event_note(
-                    telemetry::Plane::Chaos,
-                    "chaos.fault",
+                telemetry::catalogue::CHAOS_FAULT.record_note(
                     0,
                     &[("torn_tail_bytes", torn_tail_bytes)],
                     "crash-server",

@@ -154,14 +154,12 @@ impl Database {
         let result = Database::recover(dir, schema, cfg);
         match &result {
             Ok((_, report)) => {
-                wal::record_replay(report.replay_duration, report.truncated_tail);
-                telemetry::record_event(
-                    telemetry::Plane::Management,
-                    "ovsdb.recover",
+                telemetry::catalogue::OVSDB_RECOVER.record(
                     0,
                     &[
                         ("replayed_records", report.replayed_records),
                         ("truncated_tail", report.truncated_tail as u64),
+                        ("replay_us", report.replay_duration.as_micros() as u64),
                     ],
                 );
                 if report.truncated_tail {

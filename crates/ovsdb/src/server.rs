@@ -50,9 +50,7 @@ pub const TRACE_KEY: &str = "__trace";
 struct ServerMetrics {
     commits: telemetry::Counter,
     commit_us: telemetry::Histogram,
-    fanout: telemetry::Counter,
     connections: telemetry::Counter,
-    evictions: telemetry::Counter,
     disconnects: telemetry::Counter,
     outbox_depth: telemetry::Gauge,
     outbox_depth_hwm: telemetry::Gauge,
@@ -72,17 +70,9 @@ fn server_metrics() -> &'static ServerMetrics {
                 "OVSDB transaction commit latency (us)",
                 &telemetry::LATENCY_BOUNDS_US,
             ),
-            fanout: reg.counter(
-                "ovsdb_monitor_notifications_total",
-                "Monitor update notifications fanned out to subscribers",
-            ),
             connections: reg.counter(
                 "ovsdb_connections_total",
                 "Client connections accepted by the OVSDB server",
-            ),
-            evictions: reg.counter(
-                "ovsdb_monitor_evictions_total",
-                "Monitor subscribers evicted for failing to drain their outbox in time",
             ),
             disconnects: reg.counter(
                 "ovsdb_monitor_disconnects_total",
@@ -271,9 +261,7 @@ fn notify(
     // the switch writes that settle the trace. `examined` (rows the
     // transaction read) against `rows` (rows it changed) is the hop's
     // work per change.
-    telemetry::record_event(
-        telemetry::Plane::Management,
-        "ovsdb.commit",
+    telemetry::catalogue::OVSDB_COMMIT.record(
         id,
         &[
             ("rows", changes.len() as u64),
@@ -298,7 +286,6 @@ fn notify(
                 json!({"id": id, "commit_ns": commit_ns}),
             );
         }
-        server_metrics().fanout.inc();
         telemetry::log_debug!(
             "ovsdb",
             "monitor update to conn {} (trace {id})",
@@ -324,21 +311,14 @@ fn notify(
         match sent {
             Ok(()) => {
                 max_depth = max_depth.max(sub.tx.len());
-                telemetry::record_event(
-                    telemetry::Plane::Management,
-                    "ovsdb.monitor_fanout",
-                    id,
-                    &[("conn", sub.conn_id), ("rows", changes.len() as u64)],
-                );
+                telemetry::catalogue::OVSDB_MONITOR_FANOUT
+                    .record(id, &[("conn", sub.conn_id), ("rows", changes.len() as u64)]);
             }
             Err(true) => {
                 // Slow consumer: could not drain one slot within
                 // the deadline. Evict the whole connection; its
                 // reconnect + re-monitor resync makes this safe.
-                server_metrics().evictions.inc();
-                telemetry::record_event(
-                    telemetry::Plane::Management,
-                    "ovsdb.monitor_evict",
+                telemetry::catalogue::OVSDB_MONITOR_EVICT.record(
                     id,
                     &[
                         ("conn", sub.conn_id),
@@ -859,7 +839,8 @@ mod tests {
         let (_slow_sock, mut slow_rd) = raw_monitor(server.local_addr(), "slow");
         assert_eq!(server.subscription_count(), 2);
 
-        let evictions_before = server_metrics().evictions.get();
+        let registry = &telemetry::global().registry;
+        let evictions_before = registry.value("ovsdb_monitor_evictions_total");
         let disconnects_before = server_metrics().disconnects.get();
 
         // Flood with fat rows until the slow subscriber is evicted.
@@ -875,7 +856,7 @@ mod tests {
             }
         }
         assert!(evicted, "slow subscriber was never evicted");
-        assert!(server_metrics().evictions.get() > evictions_before);
+        assert!(registry.value("ovsdb_monitor_evictions_total") > evictions_before);
 
         // The healthy subscriber keeps receiving; the last transact must
         // still reach it after the eviction.

@@ -155,11 +155,7 @@ fn crc_of(commit_index: u64, payload: &[u8]) -> u32 {
 // ----------------------------------------------------------- metrics
 
 struct WalMetrics {
-    records: telemetry::Counter,
-    bytes: telemetry::Counter,
     fsyncs: telemetry::Counter,
-    replay_us: telemetry::Histogram,
-    truncated_tails: telemetry::Counter,
     compactions: telemetry::Counter,
 }
 
@@ -168,26 +164,9 @@ fn wal_metrics() -> &'static WalMetrics {
     M.get_or_init(|| {
         let reg = &telemetry::global().registry;
         WalMetrics {
-            records: reg.counter(
-                "ovsdb_wal_records_appended_total",
-                "Transaction records appended to the OVSDB write-ahead log",
-            ),
-            bytes: reg.counter(
-                "ovsdb_wal_bytes_total",
-                "Bytes appended to the OVSDB write-ahead log",
-            ),
             fsyncs: reg.counter(
                 "ovsdb_wal_fsyncs_total",
                 "fsync calls issued by the OVSDB write-ahead log",
-            ),
-            replay_us: reg.histogram(
-                "ovsdb_wal_replay_duration_us",
-                "WAL replay duration on database open (us)",
-                &telemetry::LATENCY_BOUNDS_US,
-            ),
-            truncated_tails: reg.counter(
-                "ovsdb_wal_truncated_tails_total",
-                "Torn WAL tails detected and truncated during recovery",
             ),
             compactions: reg.counter(
                 "ovsdb_wal_snapshot_compactions_total",
@@ -374,12 +353,7 @@ impl Wal {
         self.file.write_all(&bytes)?;
         self.bytes += bytes.len() as u64;
         self.appends_since_fsync += 1;
-        let m = wal_metrics();
-        m.records.inc();
-        m.bytes.add(bytes.len() as u64);
-        telemetry::record_event(
-            telemetry::Plane::Management,
-            "wal.append",
+        telemetry::catalogue::WAL_APPEND.record(
             0,
             &[
                 ("commit_index", record.commit_index),
@@ -394,7 +368,7 @@ impl Wal {
         if syncing {
             self.file.sync_data()?;
             self.appends_since_fsync = 0;
-            m.fsyncs.inc();
+            wal_metrics().fsyncs.inc();
         }
         Ok(bytes.len() as u64)
     }
@@ -417,16 +391,6 @@ impl Wal {
         self.appends_since_fsync = 0;
         wal_metrics().fsyncs.inc();
         Ok(())
-    }
-}
-
-/// Record a completed replay's duration and (optional) torn-tail event
-/// in the `ovsdb_wal_*` series.
-pub(crate) fn record_replay(duration: std::time::Duration, truncated_tail: bool) {
-    let m = wal_metrics();
-    m.replay_us.record_duration(duration);
-    if truncated_tail {
-        m.truncated_tails.inc();
     }
 }
 

@@ -16,44 +16,6 @@ use crate::p4info::P4Info;
 use crate::runtime::{ControlRequest, ControlResponse, Digest, Update, Wire};
 use crate::switch::{ProcessResult, Switch};
 
-struct DeviceMetrics {
-    write_batches: telemetry::Counter,
-    write_updates: telemetry::Counter,
-    write_errors: telemetry::Counter,
-    write_batch_size: telemetry::Histogram,
-    digests: telemetry::Counter,
-}
-
-fn device_metrics() -> &'static DeviceMetrics {
-    static M: std::sync::OnceLock<DeviceMetrics> = std::sync::OnceLock::new();
-    M.get_or_init(|| {
-        let reg = &telemetry::global().registry;
-        DeviceMetrics {
-            write_batches: reg.counter(
-                "p4_write_batches_total",
-                "P4Runtime write batches applied to switch devices",
-            ),
-            write_updates: reg.counter(
-                "p4_write_updates_total",
-                "Individual table updates applied to switch devices",
-            ),
-            write_errors: reg.counter(
-                "p4_write_errors_total",
-                "P4Runtime write batches rejected by switch devices",
-            ),
-            write_batch_size: reg.histogram(
-                "p4_write_batch_size",
-                "Updates per P4Runtime write batch",
-                &telemetry::SIZE_BOUNDS,
-            ),
-            digests: reg.counter(
-                "p4_digests_total",
-                "Digest messages fanned out to subscribers",
-            ),
-        }
-    })
-}
-
 /// An in-process switch device: the switch plus digest fan-out. The
 /// packet substrate calls [`SwitchDevice::inject`]; controllers subscribe
 /// to digests either in-process or over TCP.
@@ -79,10 +41,7 @@ impl SwitchDevice {
     pub fn inject(&self, port: u16, bytes: &[u8]) -> ProcessResult {
         let result = self.inner.lock().process_packet(port, bytes);
         if !result.digests.is_empty() {
-            device_metrics().digests.add(result.digests.len() as u64);
-            telemetry::record_event(
-                telemetry::Plane::Data,
-                "p4.digest",
+            telemetry::catalogue::P4_DIGEST.record(
                 0,
                 &[
                     ("digests", result.digests.len() as u64),
@@ -111,31 +70,18 @@ impl SwitchDevice {
 
     /// Apply table updates, noting the causal trace that produced them.
     pub fn write_traced(&self, updates: &[Update], trace: Option<u64>) -> Result<(), String> {
-        let m = device_metrics();
-        m.write_batches.inc();
-        m.write_updates.add(updates.len() as u64);
-        m.write_batch_size.record(updates.len() as u64);
         let res = self.inner.lock().write(updates);
         match &res {
             Ok(()) => {
                 if let Some(t) = trace {
                     self.last_write_trace.store(t, Ordering::Relaxed);
                 }
-                telemetry::record_event(
-                    telemetry::Plane::Data,
-                    "p4.write",
-                    trace.unwrap_or(0),
-                    &[("updates", updates.len() as u64)],
-                );
+                telemetry::catalogue::P4_WRITE
+                    .record(trace.unwrap_or(0), &[("updates", updates.len() as u64)]);
             }
             Err(_) => {
-                m.write_errors.inc();
-                telemetry::record_event(
-                    telemetry::Plane::Data,
-                    "p4.write_error",
-                    trace.unwrap_or(0),
-                    &[("updates", updates.len() as u64)],
-                );
+                telemetry::catalogue::P4_WRITE_ERROR
+                    .record(trace.unwrap_or(0), &[("updates", updates.len() as u64)]);
             }
         }
         res

@@ -242,6 +242,7 @@ impl WriterShared {
 /// ordinary commit→convert→write paths while actual device
 /// programming happens on the writer thread.
 struct AsyncSwitch {
+    shard: usize,
     switch_id: usize,
     queue: WriteQueue,
     stat: Arc<ShardStat>,
@@ -265,11 +266,12 @@ impl AsyncSwitch {
             Err(PushError::Timeout(_)) => {
                 self.stat.shed_inputs.inc();
                 self.stat.dirty.lock().unwrap().insert(self.switch_id);
-                telemetry::record_event(
-                    telemetry::Plane::Control,
-                    "shard.overload",
+                telemetry::catalogue::SHARD_OVERLOAD.record(
                     0,
-                    &[("switch", self.switch_id as u64)],
+                    &[
+                        ("shard", self.shard as u64),
+                        ("switch", self.switch_id as u64),
+                    ],
                 );
                 Err(format!(
                     "write queue full past deadline for switch {} (job shed, switch marked dirty)",
@@ -418,6 +420,7 @@ impl ShardRuntime {
                 controller.add_switch_with_id(
                     *id,
                     Box::new(AsyncSwitch {
+                        shard,
                         switch_id: *id,
                         queue: queue.clone(),
                         stat: stat.clone(),
@@ -509,9 +512,7 @@ impl ShardRuntime {
             .enumerate()
         {
             if !slice.is_empty() {
-                telemetry::record_event(
-                    telemetry::Plane::Control,
-                    "shard.route",
+                telemetry::catalogue::SHARD_ROUTE.record(
                     ctx.id(),
                     &[("shard", shard as u64), ("rows", slice.len() as u64)],
                 );
@@ -688,9 +689,7 @@ impl ShardRuntime {
 
     fn enqueue(&self, shard: usize, input: ShardInput) -> Result<(), String> {
         let stat = &self.stats[shard];
-        telemetry::record_event(
-            telemetry::Plane::Control,
-            "shard.enqueue",
+        telemetry::catalogue::SHARD_ENQUEUE.record(
             0,
             &[
                 ("shard", shard as u64),
@@ -709,12 +708,7 @@ impl ShardRuntime {
                 telemetry::global()
                     .health
                     .set(format!("shard/{shard}"), "degraded(input shed)");
-                telemetry::record_event(
-                    telemetry::Plane::Control,
-                    "shard.overload",
-                    0,
-                    &[("shard", shard as u64)],
-                );
+                telemetry::catalogue::SHARD_OVERLOAD.record(0, &[("shard", shard as u64)]);
                 telemetry::log_warn!(
                     "shard",
                     "shard {} input queue full past deadline; input shed",
@@ -973,9 +967,7 @@ fn spawn_watchdog(
                 telemetry::global()
                     .health
                     .set(format!("shard/{shard}"), "degraded(writer watchdog)");
-                telemetry::record_event(
-                    telemetry::Plane::Control,
-                    "shard.watchdog_fire",
+                telemetry::catalogue::SHARD_WATCHDOG_FIRE.record(
                     0,
                     &[
                         ("shard", shard as u64),
@@ -1052,9 +1044,7 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
         *shared.inflight.lock().unwrap() = None;
         if shared.queue.generation() != my_gen {
             drop(dp);
-            telemetry::record_event_note(
-                telemetry::Plane::Control,
-                "shard.writer_stale_exit",
+            telemetry::catalogue::SHARD_WRITER_STALE_EXIT.record_note(
                 0,
                 &[("shard", shard as u64), ("switch", switch_id as u64)],
                 "superseded writer dropped its device handle",
@@ -1098,9 +1088,7 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                 // orders the shard push before the p4.write it causes.
                 let trace = traces.first().copied().unwrap_or(0);
                 let updates = push.updates.len();
-                telemetry::record_event(
-                    telemetry::Plane::Control,
-                    "shard.push",
+                telemetry::catalogue::SHARD_PUSH.record(
                     trace,
                     &[
                         ("shard", shard as u64),
@@ -1127,9 +1115,7 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                         }
                     }
                     Err(e) => {
-                        telemetry::record_event_note(
-                            telemetry::Plane::Control,
-                            "shard.write_error",
+                        telemetry::catalogue::SHARD_WRITE_ERROR.record_note(
                             trace,
                             &[("shard", shard as u64), ("switch", switch_id as u64)],
                             &e,
@@ -1169,5 +1155,46 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                 let _ = reply.send(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn a_shed_write_job_names_its_shard_and_switch() {
+        let shard = 3;
+        let policy = OverloadPolicy {
+            write_queue_cap: 1,
+            enqueue_deadline: Duration::from_millis(20),
+            ..OverloadPolicy::default()
+        };
+        let queue = WriteQueue::new(policy.write_queue_cap);
+        let stat = Arc::new(ShardStat::new(shard, vec![10, 11]));
+        let handle = |switch_id| AsyncSwitch {
+            shard,
+            switch_id,
+            queue: queue.clone(),
+            stat: stat.clone(),
+            policy: policy.clone(),
+        };
+        let recorder = &telemetry::global().recorder;
+        let after = recorder.snapshot().last().map_or(0, |e| e.seq);
+
+        // No writer drains this queue: switch 10's push fills it, and
+        // switch 11's, which cannot merge into another switch's job, is
+        // shed at the deadline.
+        handle(10).write_updates(&[]).unwrap();
+        assert!(handle(11).write_updates(&[]).is_err());
+
+        let shed = recorder
+            .events_where(|e| e.seq > after && e.kind == telemetry::catalogue::SHARD_OVERLOAD.name);
+        assert_eq!(shed.len(), 1, "{shed:?}");
+        assert_eq!(shed[0].field("shard"), Some(shard as u64));
+        assert_eq!(shed[0].field("switch"), Some(11));
+        assert_eq!(stat.shed_inputs.get(), 1);
+        assert!(stat.dirty.lock().unwrap().contains(&11));
     }
 }

@@ -10,6 +10,8 @@
 //!   when a management-plane transaction commits. Events are the one
 //!   record of a change's path: per-plane timing trees ([`SpanTree`]) and
 //!   convergence lag are derived from them on demand;
+//! - the **event [`catalogue`]**: every event kind with its plane and
+//!   the metric series folded from it as it is recorded;
 //! - a **live introspection endpoint** ([`IntrospectionServer`])
 //!   serving `/metrics`, `/traces`, `/convergence`, `/flight`, and
 //!   `/health` over HTTP.
@@ -19,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod catalogue;
 pub mod health;
 pub mod log;
 pub mod metrics;
@@ -26,6 +29,8 @@ pub mod recorder;
 pub mod server;
 pub mod trace;
 
+pub use catalogue::Kind;
+use catalogue::{Sinks, CONVERGENCE_SETTLED as SETTLED, DDLOG_APPLY};
 pub use health::Health;
 pub use log::Level;
 pub use metrics::{
@@ -49,10 +54,6 @@ struct Page {
     render: Box<dyn Fn() -> String + Send + Sync>,
 }
 
-/// The event every convergence view reads: one switch's device calls
-/// for a trace, all acknowledged.
-const SETTLED: &str = "convergence.settled";
-
 /// Span trees served on `/traces`: the most recent traces.
 const TRACES_SHOWN: usize = 256;
 
@@ -65,6 +66,8 @@ pub struct Telemetry {
     pub health: Health,
     /// The flight recorder: per-plane event rings and `.nfr` dumps.
     pub recorder: FlightRecorder,
+    /// The catalogue's folds, resolved against `registry`.
+    sinks: Sinks,
     /// Each open trace's convergence clock.
     convergence: ConvergenceTracker,
     /// Extra endpoint pages registered by components (e.g. `/dataflow`).
@@ -83,12 +86,21 @@ impl Telemetry {
         let registry = Registry::new();
         let recorder = FlightRecorder::new(&registry);
         Telemetry {
+            sinks: Sinks::new(&registry),
             registry,
             health: Health::default(),
             recorder,
             convergence: ConvergenceTracker::default(),
             pages: Mutex::new(BTreeMap::new()),
         }
+    }
+
+    /// Record one event of a catalogued kind: apply the kind's folds to
+    /// this bundle's registry (also while the recorder is disabled),
+    /// then push the event onto its plane's ring.
+    pub fn record(&self, kind: &Kind, trace: u64, fields: &[(&'static str, u64)]) {
+        self.sinks.apply(&self.registry, kind, fields);
+        self.recorder.record(kind.plane, kind.name, trace, fields);
     }
 
     /// Start a trace's convergence clock: the management plane
@@ -99,10 +111,10 @@ impl Telemetry {
 
     /// Switch `switch` acknowledged its last device call for `trace`
     /// (`updates` table entries, `write_ns` spent in the device calls):
-    /// record the lag from the trace's begin anchor into
-    /// `nerpa_convergence_lag_ns` (global, plus the shard's series) and
-    /// the `convergence.settled` event every convergence view and the
-    /// trace's `p4.write` span are read from. Traces without an anchor
+    /// record the lag from the trace's begin anchor as the
+    /// `convergence.settled` event every convergence view, the trace's
+    /// `p4.write` span and `nerpa_convergence_lag_ns` (global, plus the
+    /// shard's series) are derived from. Traces without an anchor
     /// (evicted, or begun in another process) are not settled.
     pub fn convergence_settled(
         &self,
@@ -113,7 +125,7 @@ impl Telemetry {
         write_ns: u64,
     ) {
         let now = self.recorder.now_ns();
-        let Some(lag) = self.convergence.settle(&self.registry, trace, shard, now) else {
+        let Some(lag) = self.convergence.settle(trace, now) else {
             return;
         };
         let fields = [
@@ -124,15 +136,14 @@ impl Telemetry {
             ("shard", shard.unwrap_or(0) as u64),
         ];
         let n = if shard.is_some() { 5 } else { 4 };
-        self.recorder
-            .record(Plane::Data, SETTLED, trace, &fields[..n]);
+        self.record(&SETTLED, trace, &fields[..n]);
     }
 
     /// The largest lag recorded for `trace` (its last switch to
     /// settle), if its settlements are still buffered.
     pub fn lag_of(&self, trace: u64) -> Option<u64> {
         self.recorder
-            .events_where(|e| e.trace == trace && e.kind == SETTLED)
+            .events_where(|e| e.trace == trace && e.kind == SETTLED.name)
             .iter()
             .filter_map(|e| e.field("lag_ns"))
             .max()
@@ -145,7 +156,7 @@ impl Telemetry {
         let mut order: Vec<u64> = Vec::new();
         let mut traces: HashMap<u64, (u64, u64, u64, Option<u64>)> = HashMap::new();
         let mut settled = 0;
-        for e in self.recorder.events_where(|e| e.kind == SETTLED) {
+        for e in self.recorder.events_where(|e| e.kind == SETTLED.name) {
             let lag = e.field("lag_ns").unwrap_or(0);
             settled += 1;
             let entry = traces.entry(e.trace).or_insert_with(|| {
@@ -189,7 +200,7 @@ impl Telemetry {
             .recorder
             .events_where(|e| e.trace != 0 && trace::is_stage(e.kind));
         let mut newest_first: Vec<u64> = Vec::new();
-        for e in events.iter().rev().filter(|e| e.kind == "ddlog.apply") {
+        for e in events.iter().rev().filter(|e| e.kind == DDLOG_APPLY.name) {
             if newest_first.len() < TRACES_SHOWN && !newest_first.contains(&e.trace) {
                 newest_first.push(e.trace);
             }
@@ -236,25 +247,6 @@ pub fn global() -> &'static Arc<Telemetry> {
     GLOBAL.get_or_init(|| Arc::new(Telemetry::new()))
 }
 
-/// Record one flight-recorder event into the process-wide recorder.
-pub fn record_event(plane: Plane, kind: &'static str, trace: u64, fields: &[(&'static str, u64)]) {
-    global().recorder.record(plane, kind, trace, fields);
-}
-
-/// Record one flight-recorder event with a free-form note (keep off
-/// hot paths).
-pub fn record_event_note(
-    plane: Plane,
-    kind: &'static str,
-    trace: u64,
-    fields: &[(&'static str, u64)],
-    note: impl Into<String>,
-) {
-    global()
-        .recorder
-        .record_note(plane, kind, trace, fields, note);
-}
-
 /// Dump the process-wide registry when `NERPA_METRICS` is set (`json`
 /// for JSON, anything else for Prometheus text). Report binaries and
 /// `nerpa prof` call this last, so a run can attach the raw counters and
@@ -275,5 +267,6 @@ pub fn dump_metrics_snapshot() {
 /// `failure.signal` event and, when a dump directory is armed, writes
 /// an `.nfr` snapshot of every ring. Returns the dump path if written.
 pub fn failure_signal(source: &'static str, note: &str) -> Option<std::path::PathBuf> {
-    global().recorder.failure_signal(source, note)
+    catalogue::FAILURE_SIGNAL.record_note(0, &[], format!("{source}: {note}"));
+    global().recorder.failure_dump(source, note)
 }

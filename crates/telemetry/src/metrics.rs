@@ -548,8 +548,11 @@ fn render_histogram_text(out: &mut String, name: &str, labels: &str, h: &Histogr
             .unwrap_or_else(|| "+Inf".to_string());
         out.push_str(&format!("{name}_bucket{} {cumulative}\n", merge_le(&le)));
     }
+    // The count is the buckets' total as read above, not the count
+    // atomic: an observation recorded while this renders would make
+    // `+Inf` and `_count` disagree.
     out.push_str(&format!("{name}_sum{labels} {}\n", h.sum()));
-    out.push_str(&format!("{name}_count{labels} {}\n", h.count()));
+    out.push_str(&format!("{name}_count{labels} {cumulative}\n"));
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).

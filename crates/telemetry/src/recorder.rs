@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::metrics::{json_string, Counter, Histogram, Registry};
+use crate::metrics::{json_string, Counter, Registry};
 use crate::trace::EventView;
 
 /// The `.nfr` dump format version written by this recorder.
@@ -421,17 +421,10 @@ impl FlightRecorder {
         Ok(path)
     }
 
-    /// A failure signal: record a `failure.signal` event, then — if a
-    /// dump directory is armed and the budget allows — snapshot all
-    /// rings to a dump file. Returns the dump path if one was written.
-    pub fn failure_signal(&self, source: &'static str, note: &str) -> Option<PathBuf> {
-        self.record_note(
-            Plane::Stack,
-            "failure.signal",
-            0,
-            &[],
-            format!("{source}: {note}"),
-        );
+    /// A failure signal's dump: if a dump directory is armed and the
+    /// budget allows, snapshot all rings to a dump file named after
+    /// `source`. Returns the dump path if one was written.
+    pub fn failure_dump(&self, source: &'static str, note: &str) -> Option<PathBuf> {
         let dir = self.armed_dir()?;
         let remaining = self
             .dumps_remaining
@@ -468,9 +461,6 @@ pub const CONVERGENCE_BOUNDS_NS: [u64; 14] = [
 /// Begin anchors kept before the oldest is evicted.
 const ANCHOR_CAP: usize = 1024;
 
-const LAG_SERIES: &str = "nerpa_convergence_lag_ns";
-const LAG_HELP: &str = "Commit-to-data-plane convergence lag: OVSDB ack to a switch write settling the trace, nanoseconds";
-
 /// The convergence clock of each open trace: when its commit was
 /// acknowledged. This is the one fact about convergence no event can
 /// carry — a shard writer is handed only a `u64` trace id — so it is
@@ -490,10 +480,6 @@ struct Anchors {
     order: VecDeque<u64>,
     /// Traces anchored since start (evicted ones included).
     begun: u64,
-    /// `nerpa_convergence_lag_ns` handles, looked up on first use: the
-    /// global series and one per shard.
-    lag: Option<Histogram>,
-    shard_lag: Vec<Option<Histogram>>,
 }
 
 impl ConvergenceTracker {
@@ -517,39 +503,12 @@ impl ConvergenceTracker {
         a.begun += 1;
     }
 
-    /// A switch write carrying `trace` settled at `now_ns`: record the
-    /// lag into the global histogram (and the shard's, if sharded) and
-    /// return it. `None` for a trace with no anchor (evicted, or begun
+    /// The lag of a switch write carrying `trace` that settled at
+    /// `now_ns`. `None` for a trace with no anchor (evicted, or begun
     /// in another process).
-    pub(crate) fn settle(
-        &self,
-        registry: &Registry,
-        trace: u64,
-        shard: Option<usize>,
-        now_ns: u64,
-    ) -> Option<u64> {
-        let mut a = self.anchors.lock().unwrap();
-        let lag = now_ns.saturating_sub(*a.at.get(&trace)?);
-        a.lag
-            .get_or_insert_with(|| registry.histogram(LAG_SERIES, LAG_HELP, &CONVERGENCE_BOUNDS_NS))
-            .record(lag);
-        if let Some(shard) = shard {
-            if a.shard_lag.len() <= shard {
-                a.shard_lag.resize(shard + 1, None);
-            }
-            a.shard_lag[shard]
-                .get_or_insert_with(|| {
-                    let label = shard.to_string();
-                    registry.histogram_with(
-                        LAG_SERIES,
-                        LAG_HELP,
-                        &[("shard", &label)],
-                        &CONVERGENCE_BOUNDS_NS,
-                    )
-                })
-                .record(lag);
-        }
-        Some(lag)
+    pub(crate) fn settle(&self, trace: u64, now_ns: u64) -> Option<u64> {
+        let a = self.anchors.lock().unwrap();
+        Some(now_ns.saturating_sub(*a.at.get(&trace)?))
     }
 
     /// Traces whose convergence clock was started.
@@ -644,11 +603,12 @@ mod tests {
         let (_r, rec) = recorder();
         let dir = std::env::temp_dir().join(format!("nfr-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Not armed: signal records an event but writes nothing.
-        assert!(rec.failure_signal("oracle", "pre-arm").is_none());
+        rec.record_note(Plane::Stack, "failure.signal", 0, &[], "oracle: invariant");
+        // Not armed: nothing is written.
+        assert!(rec.failure_dump("oracle", "pre-arm").is_none());
         rec.arm(&dir);
         let path = rec
-            .failure_signal("oracle", "invariant")
+            .failure_dump("oracle", "invariant")
             .expect("dump written");
         assert!(path.exists());
         let text = std::fs::read_to_string(&path).unwrap();
@@ -659,30 +619,19 @@ mod tests {
 
     #[test]
     fn convergence_anchors_are_bounded_and_keep_the_first() {
-        let registry = Registry::new();
         let tracker = ConvergenceTracker::default();
         tracker.begin(5, 1_000);
         tracker.begin(5, 2_000); // repeat keeps the first anchor
-        assert_eq!(tracker.settle(&registry, 5, None, 51_000), Some(50_000));
-        assert_eq!(
-            tracker.settle(&registry, 5, Some(2), 101_000),
-            Some(100_000)
-        );
-        // Unknown trace: no lag, no sample.
-        assert_eq!(tracker.settle(&registry, 99, None, 500), None);
-        let text = registry.render_text();
-        assert!(text.contains("nerpa_convergence_lag_ns_count 2"), "{text}");
-        assert!(
-            text.contains("nerpa_convergence_lag_ns_count{shard=\"2\"} 1"),
-            "{text}"
-        );
-        crate::metrics::validate_exposition(&text).unwrap();
+        assert_eq!(tracker.settle(5, 51_000), Some(50_000));
+        assert_eq!(tracker.settle(5, 101_000), Some(100_000));
+        // Unknown trace: no lag.
+        assert_eq!(tracker.settle(99, 500), None);
         for t in 100..100 + ANCHOR_CAP as u64 {
             tracker.begin(t, 0);
         }
         assert_eq!(tracker.open(), ANCHOR_CAP);
         assert_eq!(tracker.begun(), 1 + ANCHOR_CAP as u64);
-        assert_eq!(tracker.settle(&registry, 5, None, 0), None, "evicted");
+        assert_eq!(tracker.settle(5, 0), None, "evicted");
     }
 
     #[test]

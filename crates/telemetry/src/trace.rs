@@ -14,6 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::catalogue::{Kind, CONVERGENCE_SETTLED, DDLOG_APPLY, OVSDB_COMMIT};
 use crate::metrics::json_string;
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
@@ -23,17 +24,17 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The events a span tree is made of: `(event kind, span name, plane,
-/// the field holding the stage's duration)`.
-const STAGES: [(&str, &str, &str, &str); 3] = [
-    ("ovsdb.commit", "ovsdb.commit", "management", "commit_ns"),
-    ("ddlog.apply", "ddlog.apply", "control", "wall_ns"),
-    ("convergence.settled", "p4.write", "data", "write_ns"),
+/// The events a span tree is made of: `(event kind, span name, the
+/// field holding the stage's duration)`. A span's plane is its kind's.
+const STAGES: [(&Kind, &str, &str); 3] = [
+    (&OVSDB_COMMIT, "ovsdb.commit", "commit_ns"),
+    (&DDLOG_APPLY, "ddlog.apply", "wall_ns"),
+    (&CONVERGENCE_SETTLED, "p4.write", "write_ns"),
 ];
 
 /// Whether events of `kind` become spans.
 pub fn is_stage(kind: &str) -> bool {
-    STAGES.iter().any(|s| s.0 == kind)
+    STAGES.iter().any(|s| s.0.name == kind)
 }
 
 /// One event as span derivation reads it, borrowed from the live
@@ -114,7 +115,7 @@ impl SpanTree {
         let mut stages: Vec<(u64, Span)> = Vec::new();
         let mut end = 0;
         for ev in events {
-            let Some(&(_, name, plane, dur_key)) = STAGES.iter().find(|s| s.0 == ev.kind) else {
+            let Some(&(stage, name, dur_key)) = STAGES.iter().find(|s| s.0.name == ev.kind) else {
                 continue;
             };
             let mut dur_ns = 0;
@@ -130,7 +131,7 @@ impl SpanTree {
             end = end.max(ev.at_ns);
             let span = Span {
                 name,
-                plane,
+                plane: stage.plane.as_str(),
                 start_ns: 0,
                 dur_ns: dur_ns.max(1),
                 attrs,

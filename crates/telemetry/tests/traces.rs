@@ -61,6 +61,19 @@ fn traces_and_convergence_are_views_of_events() {
     assert_eq!(tel.lag_of(99), None);
     assert_eq!(settled[1].field("shard"), Some(2));
     assert_eq!(settled[0].field("shard"), None);
+    // The lag histograms are folded from those events into this
+    // bundle's own registry: the global one and the shard's.
+    assert_eq!(tel.registry.value("nerpa_convergence_lag_ns"), Some(2));
+    assert_eq!(
+        tel.registry.value("nerpa_convergence_lag_ns{shard=\"2\"}"),
+        Some(1)
+    );
+    assert_eq!(
+        telemetry::global()
+            .registry
+            .value("nerpa_convergence_lag_ns"),
+        Some(0)
+    );
 
     let json = tel.render_convergence();
     for want in [

@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Nothing below may change what git sees under stackbench/ (a build that
+# rewrites its frozen Cargo.lock, say): taken before the first build,
+# compared after the last stage.
+stackbench_before=$(git status --porcelain -- stackbench)
+
 cargo build --release
 cargo test -q
 cargo fmt --check
@@ -137,9 +142,9 @@ echo "stackbench: OK (every workload correct, nothing failed)"
 
 # stackbench's own unit tests: its `Tap` settle tests are the only tests
 # of the `DataPlane` surface as the benchmark implements it. `--locked`
-# fails instead of rewriting stackbench/Cargo.lock, and the stage must
-# leave the checkout as it found it.
-before=$(git status --porcelain -- stackbench)
+# fails instead of rewriting stackbench/Cargo.lock, and the whole gate
+# (run.sh's unlocked build above included) must leave stackbench/ as it
+# found it.
 cargo test -q --locked --manifest-path stackbench/Cargo.toml
-test "$(git status --porcelain -- stackbench)" = "$before"
+test "$(git status --porcelain -- stackbench)" = "$stackbench_before"
 echo "stackbench unit tests: OK"

@@ -12,6 +12,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
+use chaos::{ConnFault, Direction, FaultProxy, FaultSchedule, Framing};
 use nerpa::codegen::CodegenOptions;
 use nerpa::controller::{Controller, NerpaProgram};
 use nerpa::resync::{BackoffPolicy, MonitorConfig, OvsdbSupervisor};
@@ -126,8 +127,24 @@ fn server_crash_recovers_wal_and_controller_reconverges() {
     };
     let mut controller = Controller::new(&nerpa_program).unwrap();
     controller.add_switch(Box::new(device.clone()));
-    let mut supervisor = OvsdbSupervisor::new(
+    // The supervisor dials through a proxy that lets its first session
+    // through and cuts its second (the reconnect after the crash) right
+    // after the `commit_index` reply, so the reconnect that detects the
+    // epoch reset fails once and is retried.
+    let proxy = FaultProxy::start(
         addr,
+        FaultSchedule::scripted(
+            0xE90C,
+            Framing::Ndjson,
+            vec![
+                ConnFault::transparent(),
+                ConnFault::kill_after(1, Direction::ServerToClient),
+            ],
+        ),
+    )
+    .unwrap();
+    let mut supervisor = OvsdbSupervisor::new(
+        proxy.local_addr(),
         MonitorConfig::all_columns("snvs", &["Port", "Switch"]),
         BackoffPolicy {
             base: Duration::from_millis(50),
@@ -195,11 +212,20 @@ fn server_crash_recovers_wal_and_controller_reconverges() {
     let server2 = restart_server(&scratch.0, &schema, addr);
 
     // --- Reconnect: epoch reset + resync ------------------------------
+    let resets = || {
+        telemetry::global()
+            .registry
+            .value("resync_epoch_resets_total")
+            .unwrap_or(0)
+    };
+    let resets_before = resets();
     let (client2, updates2, resync) = supervisor.connect_and_sync(&mut controller).unwrap();
+    assert_eq!(proxy.stats().kills, 1, "the first reconnect was cut");
     assert_eq!(
         supervisor.stats.epoch_resets, 1,
-        "lower commit index must be detected as an epoch reset"
+        "lower commit index must be detected as one epoch reset, however many tries it takes"
     );
+    assert_eq!(resets() - resets_before, 1);
     assert_eq!(supervisor.stats.last_commit_index, Some(1));
     // The controller held the lost transactions' rows; the resync
     // retracts them.
