@@ -17,7 +17,11 @@
 //! The updates cycle over [`UPDATED_PORTS`] ports; spread over the
 //! whole table, the 20 000-row log also pays a few cache misses per
 //! record (1.25–1.9x, median 1.4x, in five runs on a 2-vCPU host),
-//! which is the memory hierarchy, not replay work.
+//! which is the memory hierarchy, not replay work. The slope is taken
+//! within each round of one half-log and one full-log recovery and the
+//! median round counts: ten `--quick` runs on a 2-vCPU host read
+//! 0.72–1.18x, where the difference of each log's fastest recovery read
+//! 0.75–2.75x.
 //!
 //! Each transact run preloads an in-memory (not durable) table of 2 000
 //! or 20 000 ports and times the same one-row updates through
@@ -32,7 +36,7 @@
 //! the rows a transact examines, and the replay and transact wall
 //! ratios.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bench::BenchEntry;
 use ovsdb::{DurabilityConfig, FsyncPolicy};
@@ -49,7 +53,8 @@ const REPLAYED: usize = 1000;
 /// touch stay in cache at either table size, so the replay ratio
 /// measures work per record rather than the memory hierarchy.
 const UPDATED_PORTS: usize = 64;
-/// Recoveries timed per log (the fastest one counts).
+/// Rounds of paired half- and full-log recoveries timed per table (the
+/// median slope counts).
 const RECOVERIES: usize = 9;
 /// Rounds of [`UPDATED_PORTS`] updates timed per in-memory table (the
 /// fastest one counts).
@@ -172,27 +177,33 @@ fn build_logs(rows: usize, records: usize) -> ReplayLogs {
 }
 
 /// Nanoseconds per replayed record for each of `logs`. Each recovery's
-/// snapshot time is subtracted from its total, and the cost per record
-/// is the slope between the half and the full log, so what a recovery
-/// pays once (reading the log, freeing the decoded snapshot) cancels
-/// out. Recoveries go round every log in turn, so a slow stretch of the
-/// host hits all of them alike; the fastest of [`RECOVERIES`] counts.
+/// snapshot time is subtracted from its total, and a round's cost per
+/// record is the slope between its half- and full-log recovery, so what
+/// a recovery pays once (reading the log, freeing the decoded snapshot)
+/// cancels out. A round recovers a table's two logs back to back, the
+/// half first in even rounds and the full first in odd ones, so a slow
+/// stretch of the host or a warm cache hits both ends of one slope
+/// alike; the median slope of [`RECOVERIES`] rounds counts.
 fn replay_costs(logs: &[ReplayLogs], records: usize) -> Vec<u64> {
-    let mut fastest = vec![[Duration::MAX; 2]; logs.len()];
-    for _ in 0..RECOVERIES {
-        for (log, best) in logs.iter().zip(&mut fastest) {
-            for (dir, best) in [&log.half.0, &log.full.0].into_iter().zip(best) {
-                let (_, report) =
-                    ovsdb::Database::open(dir, schema(), REPLAY_CONFIG).expect("recover");
-                *best = (*best).min(report.replay_duration - report.snapshot_duration);
-            }
+    let recover = |dir: &std::path::Path| {
+        let (_, report) = ovsdb::Database::open(dir, schema(), REPLAY_CONFIG).expect("recover");
+        report.replay_duration - report.snapshot_duration
+    };
+    let slope_records = (records - records / 2) as u32;
+    let mut slopes = vec![Vec::with_capacity(RECOVERIES); logs.len()];
+    for round in 0..RECOVERIES {
+        for (log, slopes) in logs.iter().zip(&mut slopes) {
+            let (half, full) = if round % 2 == 0 {
+                let half = recover(&log.half.0);
+                (half, recover(&log.full.0))
+            } else {
+                let full = recover(&log.full.0);
+                (recover(&log.half.0), full)
+            };
+            slopes.push((full.saturating_sub(half) / slope_records).as_nanos() as u64);
         }
     }
-    let slope_records = (records - records / 2) as u32;
-    fastest
-        .iter()
-        .map(|[half, full]| (full.saturating_sub(*half) / slope_records).as_nanos() as u64)
-        .collect()
+    slopes.iter().map(|s| bench::median(s)).collect()
 }
 
 /// Nanoseconds and rows examined per one-row update on an in-memory

@@ -6,7 +6,7 @@
 //! including the digest feedback loop of Fig. 4.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam_channel::{Receiver, Select};
 use ddlog::{Engine, Transaction, TxnDelta, Type, Value};
@@ -112,102 +112,62 @@ impl DataPlane for p4sim::service::ControlClient {
     }
 }
 
-/// Latency and work metrics, the measurement surface for the paper's
-/// §4.3 experiment.
-///
-/// The fields are shared handles into the process-wide
-/// [`telemetry::Registry`]: recording is a lock-free atomic op, memory
-/// is bounded no matter how long the controller runs, and the same
-/// series appear on the live introspection endpoint's `/metrics`. Each
-/// controller instance gets fresh handles (so tests read exactly their
-/// own controller's counts) and publishes them under the `controller_*`
-/// names — the endpoint always shows the live instance.
-#[derive(Clone)]
-pub struct Metrics {
+/// The controller's series, the measurement surface for the paper's
+/// §4.3 experiment. A series is process-wide: resolved once, so every
+/// controller in the process (each shard's included) adds into the same
+/// series. An instance's own numbers are its state ([`Engine::commits`],
+/// the reports it returns).
+struct ControllerMetrics {
     /// End-to-end latencies of handled events (change observed →
     /// data-plane write acknowledged), in microseconds.
-    pub latency: telemetry::Histogram,
-    /// Number of engine transactions committed.
-    pub transactions: telemetry::Counter,
-    /// Number of table-entry updates pushed to switches.
-    pub entries_pushed: telemetry::Counter,
-    /// Snapshot resyncs performed (one per successful OVSDB reconnect).
-    pub resyncs: telemetry::Counter,
-    /// Switch reconciliations performed after data-plane restarts.
-    pub reconciles: telemetry::Counter,
-    /// Digest batches handled (the feedback loop of Fig. 4).
-    pub digest_batches: telemetry::Counter,
+    latency: telemetry::Histogram,
+    transactions: telemetry::Counter,
+    entries_pushed: telemetry::Counter,
+    resyncs: telemetry::Counter,
+    reconciles: telemetry::Counter,
+    digest_batches: telemetry::Counter,
     /// Digest handling latency (batch received → write acked), in
     /// microseconds — the controller's digest lag.
-    pub digest_lag_us: telemetry::Histogram,
+    digest_lag_us: telemetry::Histogram,
 }
 
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics::new()
-    }
-}
-
-impl Metrics {
-    /// Fresh handles, published into the global registry.
-    pub fn new() -> Metrics {
-        let m = Metrics {
-            latency: telemetry::Histogram::new(&telemetry::LATENCY_BOUNDS_US),
-            transactions: telemetry::Counter::new(),
-            entries_pushed: telemetry::Counter::new(),
-            resyncs: telemetry::Counter::new(),
-            reconciles: telemetry::Counter::new(),
-            digest_batches: telemetry::Counter::new(),
-            digest_lag_us: telemetry::Histogram::new(&telemetry::LATENCY_BOUNDS_US),
-        };
+fn metrics() -> &'static ControllerMetrics {
+    static M: std::sync::OnceLock<ControllerMetrics> = std::sync::OnceLock::new();
+    M.get_or_init(|| {
         let reg = &telemetry::global().registry;
-        reg.publish_histogram(
-            "controller_e2e_latency_us",
-            "End-to-end change-to-dataplane latency (us)",
-            &m.latency,
-        );
-        reg.publish_counter(
-            "controller_transactions_total",
-            "Engine transactions committed by the controller",
-            &m.transactions,
-        );
-        reg.publish_counter(
-            "controller_entries_pushed_total",
-            "Table-entry updates pushed to switches",
-            &m.entries_pushed,
-        );
-        reg.publish_counter(
-            "controller_resyncs_total",
-            "Snapshot resyncs after OVSDB reconnects",
-            &m.resyncs,
-        );
-        reg.publish_counter(
-            "controller_reconciles_total",
-            "Switch reconciliations after data-plane restarts",
-            &m.reconciles,
-        );
-        reg.publish_counter(
-            "controller_digest_batches_total",
-            "Digest batches handled by the controller",
-            &m.digest_batches,
-        );
-        reg.publish_histogram(
-            "controller_digest_lag_us",
-            "Digest handling latency, batch received to write acked (us)",
-            &m.digest_lag_us,
-        );
-        m
-    }
-
-    /// First recorded latency.
-    pub fn first_latency(&self) -> Option<Duration> {
-        self.latency.first().map(Duration::from_micros)
-    }
-
-    /// Last recorded latency.
-    pub fn last_latency(&self) -> Option<Duration> {
-        self.latency.last().map(Duration::from_micros)
-    }
+        ControllerMetrics {
+            latency: reg.histogram(
+                "controller_e2e_latency_us",
+                "End-to-end change-to-dataplane latency (us)",
+                &telemetry::LATENCY_BOUNDS_US,
+            ),
+            transactions: reg.counter(
+                "controller_transactions_total",
+                "Engine transactions committed by the controller",
+            ),
+            entries_pushed: reg.counter(
+                "controller_entries_pushed_total",
+                "Table-entry updates pushed to switches",
+            ),
+            resyncs: reg.counter(
+                "controller_resyncs_total",
+                "Snapshot resyncs after OVSDB reconnects",
+            ),
+            reconciles: reg.counter(
+                "controller_reconciles_total",
+                "Switch reconciliations after data-plane restarts",
+            ),
+            digest_batches: reg.counter(
+                "controller_digest_batches_total",
+                "Digest batches handled by the controller",
+            ),
+            digest_lag_us: reg.histogram(
+                "controller_digest_lag_us",
+                "Digest handling latency, batch received to write acked (us)",
+                &telemetry::LATENCY_BOUNDS_US,
+            ),
+        }
+    })
 }
 
 /// The causal context of one change flowing through the stack: the
@@ -344,8 +304,6 @@ pub struct Controller {
     /// Rendered `/why` snapshot (derived rows per relation), refreshed
     /// like `dataflow`.
     why_page: std::sync::Arc<std::sync::Mutex<String>>,
-    /// Metrics collected so far.
-    pub metrics: Metrics,
 }
 
 impl Controller {
@@ -368,6 +326,8 @@ impl Controller {
             check_actions(&engine, t)?;
         }
         let mcast_types = mcast_types(&engine)?;
+        // The series exist from the first controller on, not its first use.
+        metrics();
         let by_relation = |b: InputBinding| (b.relation.clone(), b);
         let tables = p4_gen.tables.into_iter().map(|t| (t.relation.clone(), t));
         Ok(Controller {
@@ -381,7 +341,6 @@ impl Controller {
             mcast: BTreeMap::new(),
             dataflow: std::sync::Arc::new(std::sync::Mutex::new(String::new())),
             why_page: std::sync::Arc::new(std::sync::Mutex::new(String::new())),
-            metrics: Metrics::default(),
         })
     }
 
@@ -432,11 +391,6 @@ impl Controller {
             why.lock().unwrap().clone()
         });
         telemetry::IntrospectionServer::start(addr, telemetry::global().clone())
-    }
-
-    /// Number of registered switches.
-    pub fn switch_count(&self) -> usize {
-        self.switches.len()
     }
 
     /// Direct read access to the engine (dumps, diagnostics).
@@ -546,10 +500,9 @@ impl Controller {
         }
         let source = if insert { "digest" } else { "digest_retract" };
         let delta = self.commit_and_push(ops, TraceCtx::minted(source))?;
-        self.metrics.digest_batches.inc();
-        self.metrics
-            .digest_lag_us
-            .record_duration(started.elapsed());
+        let m = metrics();
+        m.digest_batches.inc();
+        m.digest_lag_us.record_duration(started.elapsed());
         Ok(delta)
     }
 
@@ -608,7 +561,7 @@ impl Controller {
         self.engine.set_commit_trace(ctx.id);
         telemetry::global().convergence_begin(ctx.id);
         let delta = self.engine.commit(txn).map_err(|e| e.to_string())?;
-        self.metrics.transactions.inc();
+        metrics().transactions.inc();
         // Refresh the /dataflow snapshot only while an introspection
         // endpoint actually holds the other end.
         if std::sync::Arc::strong_count(&self.dataflow) > 1 {
@@ -689,7 +642,7 @@ impl Controller {
                 return Err(format!("push plan routed to unregistered switch {t}"));
             };
             let write_start = Instant::now();
-            self.metrics.entries_pushed.add(push.updates.len() as u64);
+            metrics().entries_pushed.add(push.updates.len() as u64);
             dp.push(&push, ctx.id)?;
             if dp.settles_inline() {
                 let write_ns = write_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -697,7 +650,7 @@ impl Controller {
                 telemetry::global().convergence_settled(ctx.id, t, None, updates, write_ns);
             }
         }
-        self.metrics.latency.record_duration(start.elapsed());
+        metrics().latency.record_duration(start.elapsed());
         Ok(())
     }
 
@@ -812,7 +765,7 @@ impl Controller {
             }
         }
         self.commit_and_push(ops, TraceCtx::minted("resync"))?;
-        self.metrics.resyncs.inc();
+        metrics().resyncs.inc();
         telemetry::log_info!(
             "controller",
             "resync: {} snapshot rows, +{} -{} across {} tables",
@@ -1038,10 +991,10 @@ impl Controller {
         for (id, res) in &results {
             match res {
                 Ok(report) => {
-                    self.metrics
-                        .entries_pushed
+                    let m = metrics();
+                    m.entries_pushed
                         .add((report.inserted + report.deleted) as u64);
-                    self.metrics.reconciles.inc();
+                    m.reconciles.inc();
                     telemetry::global()
                         .health
                         .set(format!("switch/{id}"), "ok(reconciled)");
@@ -1258,57 +1211,4 @@ fn reconcile_device(
         dp.push(&push, 0)?;
     }
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn metrics_latency_histogram_is_bounded_and_exact() {
-        let m = Metrics::new();
-        let h = &m.latency;
-        assert_eq!(h.count(), 0);
-        assert!(h.mean().is_none());
-        h.record_duration(Duration::from_micros(40)); // bucket 0 (<= 50us)
-        h.record_duration(Duration::from_micros(60)); // bucket 1 (<= 100us)
-        h.record_duration(Duration::from_millis(1)); // bucket 4 (<= 1000us)
-        h.record_duration(Duration::from_secs(1)); // overflow bucket
-        assert_eq!(h.count(), 4);
-        assert_eq!(m.first_latency(), Some(Duration::from_micros(40)));
-        assert_eq!(m.last_latency(), Some(Duration::from_secs(1)));
-        assert_eq!(h.max(), Some(1_000_000));
-        assert_eq!(h.sum(), 1_100 + 1_000_000);
-        let b = h.bucket_counts();
-        assert_eq!(b[0], 1);
-        assert_eq!(b[1], 1);
-        assert_eq!(b[4], 1);
-        assert_eq!(b[telemetry::LATENCY_BOUNDS_US.len()], 1);
-        assert_eq!(b.iter().sum::<u64>(), 4);
-
-        // Memory stays fixed no matter how many events are recorded —
-        // the bucket array never grows.
-        for _ in 0..10_000 {
-            h.record_duration(Duration::from_micros(5));
-        }
-        assert_eq!(h.count(), 10_004);
-        assert_eq!(h.bucket_counts()[0], 10_001);
-        assert!(h.mean().is_some());
-
-        // The published series read through to this instance's handles
-        // (same #[test] so no parallel Metrics::new() can replace them).
-        m.transactions.add(3);
-        assert_eq!(
-            telemetry::global()
-                .registry
-                .value("controller_transactions_total"),
-            Some(3)
-        );
-        assert_eq!(
-            telemetry::global()
-                .registry
-                .value("controller_e2e_latency_us"),
-            Some(10_004)
-        );
-    }
 }

@@ -34,7 +34,7 @@ pub mod convert;
 pub mod resync;
 
 pub use codegen::{assemble_program, ovsdb2ddlog, p4info2ddlog, CodegenOptions, Generated};
-pub use controller::{Controller, DataPlane, Metrics, NerpaProgram};
+pub use controller::{Controller, DataPlane, NerpaProgram};
 pub use resync::{
     BackoffPolicy, MonitorConfig, OvsdbSupervisor, ReconcileReport, ResyncReport, SupervisorStats,
 };

@@ -48,6 +48,7 @@ use nerpa::controller::{Controller, DataPlane, NerpaProgram, SwitchPush, TraceCt
 use ovsdb::db::RowChange;
 use p4sim::runtime::{Digest, TableEntry, Update};
 use serde_json::{json, Value as Json};
+use telemetry::catalogue;
 
 use crate::overload::{OverloadPolicy, Popped, PushError, Pushed, WriteJob, WriteQueue};
 use crate::partition::Router;
@@ -138,11 +139,7 @@ impl ShardStat {
                 "Device write batches pushed by the shard's writer",
                 labels,
             ),
-            write_errors: registry.counter_with(
-                "nerpa_shard_write_errors_total",
-                "Failed device pushes, per shard",
-                labels,
-            ),
+            write_errors: catalogue::SHARD_WRITE_ERROR.folds[0].counter_for(shard as u64),
             entries_written: registry.counter_with(
                 "nerpa_shard_entries_written_total",
                 "Table-entry updates pushed by the shard's writer",
@@ -168,11 +165,7 @@ impl ShardStat {
                 "High-water mark of the shard's writer queue depth",
                 labels,
             ),
-            shed_inputs: registry.counter_with(
-                "nerpa_shard_shed_inputs_total",
-                "Inputs or write jobs shed after the enqueue deadline on a full queue",
-                labels,
-            ),
+            shed_inputs: catalogue::SHARD_OVERLOAD.folds[0].counter_for(shard as u64),
             dropped_inputs: registry.counter_with(
                 "nerpa_shard_dropped_inputs_total",
                 "Sends that failed because the shard's worker or writer is gone",
@@ -183,11 +176,7 @@ impl ShardStat {
                 "Write jobs coalesced into an already-queued job for the same switch",
                 labels,
             ),
-            watchdog_restarts: registry.counter_with(
-                "nerpa_shard_watchdog_restarts_total",
-                "Writer threads superseded and respawned by the push watchdog",
-                labels,
-            ),
+            watchdog_restarts: catalogue::SHARD_WATCHDOG_FIRE.folds[0].counter_for(shard as u64),
             dirty: Mutex::new(BTreeSet::new()),
             resync_state: Mutex::new("idle".to_string()),
         }
@@ -264,9 +253,8 @@ impl AsyncSwitch {
                 Ok(())
             }
             Err(PushError::Timeout(_)) => {
-                self.stat.shed_inputs.inc();
                 self.stat.dirty.lock().unwrap().insert(self.switch_id);
-                telemetry::catalogue::SHARD_OVERLOAD.record(
+                catalogue::SHARD_OVERLOAD.record(
                     0,
                     &[
                         ("shard", self.shard as u64),
@@ -512,7 +500,7 @@ impl ShardRuntime {
             .enumerate()
         {
             if !slice.is_empty() {
-                telemetry::catalogue::SHARD_ROUTE.record(
+                catalogue::SHARD_ROUTE.record(
                     ctx.id(),
                     &[("shard", shard as u64), ("rows", slice.len() as u64)],
                 );
@@ -664,32 +652,9 @@ impl ShardRuntime {
         self.stats[shard].dirty.lock().unwrap().clone()
     }
 
-    /// Read a switch's tables through its shard's writer queue (ordered
-    /// after every write enqueued before this call).
-    pub fn read_switch_tables(
-        &self,
-        switch_id: usize,
-    ) -> Result<Vec<(String, Vec<TableEntry>)>, String> {
-        let shard = self.router.route_switch(switch_id);
-        let (tx, rx) = bounded(1);
-        let shared = &self.writer_shared[shard];
-        shared
-            .queue
-            .push(
-                WriteJob::ReadAll {
-                    switch_id,
-                    reply: tx,
-                },
-                None,
-            )
-            .map_err(|_| "shard writer gone".to_string())?;
-        self.stats[shard].note_write_queue_depth(shared.queue.len());
-        rx.recv().map_err(|_| "shard writer gone".to_string())?
-    }
-
     fn enqueue(&self, shard: usize, input: ShardInput) -> Result<(), String> {
         let stat = &self.stats[shard];
-        telemetry::catalogue::SHARD_ENQUEUE.record(
+        catalogue::SHARD_ENQUEUE.record(
             0,
             &[
                 ("shard", shard as u64),
@@ -704,11 +669,10 @@ impl ShardRuntime {
                 Ok(())
             }
             Err(SendTimeoutError::Timeout(_)) => {
-                stat.shed_inputs.inc();
                 telemetry::global()
                     .health
                     .set(format!("shard/{shard}"), "degraded(input shed)");
-                telemetry::catalogue::SHARD_OVERLOAD.record(0, &[("shard", shard as u64)]);
+                catalogue::SHARD_OVERLOAD.record(0, &[("shard", shard as u64)]);
                 telemetry::log_warn!(
                     "shard",
                     "shard {} input queue full past deadline; input shed",
@@ -956,7 +920,6 @@ fn spawn_watchdog(
                     continue;
                 };
                 *shared.inflight.lock().unwrap() = None;
-                stat.watchdog_restarts.inc();
                 stat.dirty.lock().unwrap().insert(switch_id);
                 if let Some(slot) = shared.switches.lock().unwrap().get_mut(&switch_id) {
                     // The handle is out with the superseded thread; it
@@ -967,7 +930,7 @@ fn spawn_watchdog(
                 telemetry::global()
                     .health
                     .set(format!("shard/{shard}"), "degraded(writer watchdog)");
-                telemetry::catalogue::SHARD_WATCHDOG_FIRE.record(
+                catalogue::SHARD_WATCHDOG_FIRE.record(
                     0,
                     &[
                         ("shard", shard as u64),
@@ -996,8 +959,15 @@ fn spawn_watchdog(
 }
 
 fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my_gen: u64) {
-    let mark_dirty = |switch_id: usize, err: &str| {
-        stat.write_errors.inc();
+    // A failed push, whether the device refused it or the writer could
+    // not start it: the event (and its fold, the shard's write-error
+    // count) says why the switch went dirty.
+    let mark_dirty = |switch_id: usize, trace: u64, err: &str| {
+        catalogue::SHARD_WRITE_ERROR.record_note(
+            trace,
+            &[("shard", shard as u64), ("switch", switch_id as u64)],
+            err,
+        );
         stat.dirty.lock().unwrap().insert(switch_id);
         telemetry::global()
             .health
@@ -1044,7 +1014,7 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
         *shared.inflight.lock().unwrap() = None;
         if shared.queue.generation() != my_gen {
             drop(dp);
-            telemetry::catalogue::SHARD_WRITER_STALE_EXIT.record_note(
+            catalogue::SHARD_WRITER_STALE_EXIT.record_note(
                 0,
                 &[("shard", shard as u64), ("switch", switch_id as u64)],
                 "superseded writer dropped its device handle",
@@ -1077,18 +1047,18 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                 push,
                 traces,
             } => {
+                let trace = traces.first().copied().unwrap_or(0);
                 let dp = match take_dp(switch_id) {
                     Ok(dp) => dp,
                     Err(e) => {
-                        mark_dirty(switch_id, &e);
+                        mark_dirty(switch_id, trace, &e);
                         continue;
                     }
                 };
                 // Recorded before the device call so the timeline
                 // orders the shard push before the p4.write it causes.
-                let trace = traces.first().copied().unwrap_or(0);
                 let updates = push.updates.len();
-                telemetry::catalogue::SHARD_PUSH.record(
+                catalogue::SHARD_PUSH.record(
                     trace,
                     &[
                         ("shard", shard as u64),
@@ -1114,14 +1084,7 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
                             tel.convergence_settled(t, switch_id, Some(shard), updates, write_ns);
                         }
                     }
-                    Err(e) => {
-                        telemetry::catalogue::SHARD_WRITE_ERROR.record_note(
-                            trace,
-                            &[("shard", shard as u64), ("switch", switch_id as u64)],
-                            &e,
-                        );
-                        mark_dirty(switch_id, &e);
-                    }
+                    Err(e) => mark_dirty(switch_id, trace, &e),
                 }
                 push_us().record_duration(started.elapsed());
             }
@@ -1189,12 +1152,59 @@ mod tests {
         handle(10).write_updates(&[]).unwrap();
         assert!(handle(11).write_updates(&[]).is_err());
 
-        let shed = recorder
-            .events_where(|e| e.seq > after && e.kind == telemetry::catalogue::SHARD_OVERLOAD.name);
+        let shed =
+            recorder.events_where(|e| e.seq > after && e.kind == catalogue::SHARD_OVERLOAD.name);
         assert_eq!(shed.len(), 1, "{shed:?}");
         assert_eq!(shed[0].field("shard"), Some(shard as u64));
         assert_eq!(shed[0].field("switch"), Some(11));
         assert_eq!(stat.shed_inputs.get(), 1);
         assert!(stat.dirty.lock().unwrap().contains(&11));
+    }
+
+    #[test]
+    fn a_push_that_never_reaches_its_device_names_its_shard_and_switch() {
+        let shard = 5;
+        let poisoned = SwitchSlot {
+            dp: None,
+            poisoned: true,
+        };
+        // Switch 10 is poisoned by the watchdog; switch 11 is not this
+        // shard's. Neither push reaches a device.
+        let shared = Arc::new(WriterShared {
+            queue: WriteQueue::new(4),
+            switches: Mutex::new([(10, poisoned)].into()),
+            inflight: Mutex::new(None),
+            writer_handle: Mutex::new(None),
+        });
+        let stat = Arc::new(ShardStat::new(shard, vec![10]));
+        let recorder = &telemetry::global().recorder;
+        let after = recorder.snapshot().last().map_or(0, |e| e.seq);
+        spawn_writer(shard, shared.clone(), stat.clone(), 0).unwrap();
+        for switch_id in [10, 11] {
+            let push = WriteJob::Push {
+                switch_id,
+                push: SwitchPush::default(),
+                traces: vec![],
+            };
+            shared.queue.push(push, None).unwrap();
+        }
+        let (tx, rx) = bounded(1);
+        shared.queue.push(WriteJob::Flush(tx), None).unwrap();
+        rx.recv().unwrap();
+
+        let errors =
+            recorder.events_where(|e| e.seq > after && e.kind == catalogue::SHARD_WRITE_ERROR.name);
+        let named: Vec<_> = errors
+            .iter()
+            .map(|e| (e.field("shard"), e.field("switch"), e.note.is_some()))
+            .collect();
+        let shard = Some(shard as u64);
+        assert_eq!(named, [(shard, Some(10), true), (shard, Some(11), true)]);
+        assert_eq!(stat.write_errors.get(), 2);
+        assert_eq!(*stat.dirty.lock().unwrap(), [10, 11].into());
+
+        shared.queue.close();
+        let writer = shared.writer_handle.lock().unwrap().take();
+        writer.unwrap().join().unwrap();
     }
 }

@@ -39,11 +39,6 @@ impl ShardSet {
         &self.router
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard controllers, in shard order.
     pub fn controllers(&self) -> &[Controller] {
         &self.shards
@@ -136,9 +131,6 @@ impl ShardSet {
 
     /// Total engine transactions committed across all shards.
     pub fn transactions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.metrics.transactions.get())
-            .sum()
+        self.shards.iter().map(|s| s.engine().commits()).sum()
     }
 }

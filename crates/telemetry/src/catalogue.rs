@@ -12,15 +12,40 @@
 //! that mirrors an event is never bumped by hand, and deriving one more
 //! is one fold below.
 //!
-//! Series no event mirrors stay plain registry handles where they are
-//! bumped: counts that include no-op or failed work
-//! (`ovsdb_commits_total`, `ddlog_commits_total`), wire, fsync and
-//! connection counters, gauges, and per-operator or per-relation series.
+//! A fold labelled by a field either also writes the family's
+//! unlabelled series (`nerpa_convergence_lag_ns`) or writes only the
+//! labelled ones ([`Fold::count_by`]: the per-shard shed, watchdog and
+//! write-error counts), so that summing such a family counts each event
+//! once.
+//!
+//! Every series is process-wide, whoever bumps it: N controllers or N
+//! shards add into one series, and nothing replaces a series' handle
+//! with another instance's. An instance's own numbers are its state
+//! (`Engine::commits`, the reports its calls return).
+//!
+//! Series no event mirrors stay plain registry handles, resolved once
+//! where they are bumped, because folding one needs an event that does
+//! not exist, or one on the per-op path, which would raise the events
+//! recorded per change:
+//!
+//! - counts that include work no event records: `ovsdb_commits_total`
+//!   and its duration count transactions that change nothing
+//!   (`ovsdb.commit` fires only on a change), `ddlog_commits_total` and
+//!   its duration include failed commits;
+//! - wire bytes, fsyncs, compactions, connections and connect attempts,
+//!   which no event records;
+//! - gauges (queue and outbox depths, their high-water marks, state
+//!   sizes): a fold adds, a gauge is set;
+//! - per-operator and per-relation series, labelled by the planner's
+//!   operator numbering and by relation name, not by an event field;
+//! - the `controller_*` series and the shard runtime's per-shard
+//!   commit, write-batch, entry, queue and coalescing series, counted at
+//!   points where no event is recorded one for one.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::metrics::{Registry, LATENCY_BOUNDS_US, SIZE_BOUNDS};
+use crate::metrics::{Counter, Registry, LATENCY_BOUNDS_US, SIZE_BOUNDS};
 use crate::recorder::{Plane, CONVERGENCE_BOUNDS_NS};
 
 /// How one kind's events derive one metric series.
@@ -37,6 +62,10 @@ pub struct Fold {
     /// A field whose value, when an event carries it, labels a second
     /// series the event is also folded into.
     pub by: Option<&'static str>,
+    /// Whether the events also fold into the unlabelled series. `false`
+    /// for a family of per-label series only, so summing the family
+    /// counts each event once.
+    pub total: bool,
 }
 
 impl Fold {
@@ -48,6 +77,7 @@ impl Fold {
             field: None,
             bounds: None,
             by: None,
+            total: true,
         }
     }
 
@@ -70,6 +100,27 @@ impl Fold {
             bounds: Some(bounds),
             ..Fold::sum(series, help, field)
         }
+    }
+
+    /// One per event, into the counter labelled by the event's `by`
+    /// field only.
+    pub const fn count_by(series: &'static str, help: &'static str, by: &'static str) -> Fold {
+        Fold {
+            by: Some(by),
+            total: false,
+            ..Fold::count(series, help)
+        }
+    }
+
+    /// The process-wide counter this fold adds to for events whose `by`
+    /// field is `label`, created at 0 if no event made it yet, so the
+    /// exposition shows it before the first event.
+    pub fn counter_for(&self, label: u64) -> Counter {
+        let by = self.by.expect("a fold labelled by a field");
+        debug_assert!(self.bounds.is_none(), "{} is a histogram", self.series);
+        crate::global()
+            .registry
+            .counter_with(self.series, self.help, &[(by, &label.to_string())])
     }
 }
 
@@ -164,17 +215,26 @@ kinds! {
     SHARD_ENQUEUE = Control "shard.enqueue" [];
     /// A shard input or writer job was shed past its deadline (`shard`,
     /// and `switch` for a writer job).
-    SHARD_OVERLOAD = Control "shard.overload" [];
+    SHARD_OVERLOAD = Control "shard.overload" [
+        Fold::count_by("nerpa_shard_shed_inputs_total",
+            "Inputs or write jobs shed after the enqueue deadline on a full queue", "shard"),
+    ];
     /// A writer stuck in a device call was superseded (`shard`,
     /// `switch`, `generation`).
-    SHARD_WATCHDOG_FIRE = Control "shard.watchdog_fire" [];
+    SHARD_WATCHDOG_FIRE = Control "shard.watchdog_fire" [
+        Fold::count_by("nerpa_shard_watchdog_restarts_total",
+            "Writer threads superseded and respawned by the push watchdog", "shard"),
+    ];
     /// A superseded writer dropped its device handle (`shard`, `switch`).
     SHARD_WRITER_STALE_EXIT = Control "shard.writer_stale_exit" [];
     /// A shard writer is pushing to a switch (`shard`, `switch`,
     /// `updates`).
     SHARD_PUSH = Control "shard.push" [];
-    /// A shard writer's push failed (`shard`, `switch`).
-    SHARD_WRITE_ERROR = Control "shard.write_error" [];
+    /// A shard writer's push failed, at the device or before reaching
+    /// it (`shard`, `switch`; the note says why).
+    SHARD_WRITE_ERROR = Control "shard.write_error" [
+        Fold::count_by("nerpa_shard_write_errors_total", "Failed device pushes, per shard", "shard"),
+    ];
     /// A device applied a write batch (`updates`).
     P4_WRITE = Data "p4.write" [
         Fold::count("p4_write_batches_total", "P4Runtime write batches applied to switch devices"),
@@ -245,17 +305,21 @@ fn handle(fold: &Fold, registry: &Registry, labels: &[(&str, &str)]) -> Handle {
     }
 }
 
-/// One fold in one registry: its series, and for a fold with a `by`
-/// field its labelled series by label value, grown on first use.
-type Sink = (Handle, Option<Mutex<BTreeMap<u64, Handle>>>);
+/// One fold in one registry: its unlabelled series unless the fold has
+/// none, and for a fold with a `by` field its labelled series by label
+/// value, grown on first use.
+type Sink = (Option<Handle>, Option<Mutex<BTreeMap<u64, Handle>>>);
 
 /// Every kind's folds resolved against one registry, which holds every
-/// catalogued series from the start.
+/// catalogued unlabelled series from the start.
 pub(crate) struct Sinks(Vec<Vec<Sink>>);
 
 impl Sinks {
     pub(crate) fn new(registry: &Registry) -> Sinks {
-        let sink = |f: &Fold| (handle(f, registry, &[]), f.by.map(|_| Default::default()));
+        let sink = |f: &Fold| {
+            let total = f.total.then(|| handle(f, registry, &[]));
+            (total, f.by.map(|_| Default::default()))
+        };
         Sinks(
             KINDS
                 .iter()
@@ -272,7 +336,9 @@ impl Sinks {
                 debug_assert!(false, "{} recorded without {:?}", kind.name, fold.field);
                 continue;
             };
-            series(value);
+            if let Some(series) = series {
+                series(value);
+            }
             let (Some(labelled), Some(by)) = (labelled, fold.by) else {
                 continue;
             };

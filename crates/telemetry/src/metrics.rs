@@ -96,10 +96,6 @@ struct HistogramInner {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
-    max: AtomicU64,
-    /// First observation; `u64::MAX` = none yet.
-    first: AtomicU64,
-    last: AtomicU64,
 }
 
 /// A fixed-bucket histogram over `u64` observations (latencies in
@@ -107,12 +103,6 @@ struct HistogramInner {
 /// array never grows.
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramInner>);
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new(&LATENCY_BOUNDS_US)
-    }
-}
 
 impl Histogram {
     /// A fresh, unregistered histogram with the given inclusive bucket
@@ -123,9 +113,6 @@ impl Histogram {
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            first: AtomicU64::new(u64::MAX),
-            last: AtomicU64::new(0),
         }))
     }
 
@@ -144,11 +131,6 @@ impl Histogram {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
                 Some(s.saturating_add(v))
             });
-        h.max.fetch_max(v, Ordering::Relaxed);
-        let _ = h
-            .first
-            .compare_exchange(u64::MAX, v, Ordering::Relaxed, Ordering::Relaxed);
-        h.last.store(v, Ordering::Relaxed);
     }
 
     /// Record a [`std::time::Duration`] in microseconds.
@@ -170,22 +152,6 @@ impl Histogram {
     pub fn mean(&self) -> Option<f64> {
         let n = self.count();
         (n > 0).then(|| self.sum() as f64 / n as f64)
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.0.max.load(Ordering::Relaxed))
-    }
-
-    /// First observation.
-    pub fn first(&self) -> Option<u64> {
-        let v = self.0.first.load(Ordering::Relaxed);
-        (v != u64::MAX).then_some(v)
-    }
-
-    /// Most recent observation.
-    pub fn last(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.0.last.load(Ordering::Relaxed))
     }
 
     /// The inclusive bucket upper bounds.
@@ -360,50 +326,6 @@ impl Registry {
             Series::Histogram(h) => h,
             _ => unreachable!(),
         }
-    }
-
-    /// Register (or replace) `handle` as the series behind `name`. Used
-    /// by components that keep per-instance handles — e.g. a controller
-    /// registers its own counters so the endpoint always shows the live
-    /// instance, while tests read the handle they own.
-    pub fn publish_counter(&self, name: &str, help: &str, handle: &Counter) {
-        self.publish(
-            name,
-            help,
-            MetricKind::Counter,
-            Series::Counter(handle.clone()),
-        );
-    }
-
-    /// Register (or replace) a gauge handle (see [`Registry::publish_counter`]).
-    pub fn publish_gauge(&self, name: &str, help: &str, handle: &Gauge) {
-        self.publish(name, help, MetricKind::Gauge, Series::Gauge(handle.clone()));
-    }
-
-    /// Register (or replace) a histogram handle (see [`Registry::publish_counter`]).
-    pub fn publish_histogram(&self, name: &str, help: &str, handle: &Histogram) {
-        self.publish(
-            name,
-            help,
-            MetricKind::Histogram,
-            Series::Histogram(handle.clone()),
-        );
-    }
-
-    fn publish(&self, name: &str, help: &str, kind: MetricKind, series: Series) {
-        let mut fams = self.families.lock().unwrap();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind,
-            series: BTreeMap::new(),
-        });
-        assert!(
-            fam.kind == kind,
-            "metric `{name}` registered as {} but published as {}",
-            fam.kind.as_str(),
-            kind.as_str()
-        );
-        fam.series.insert(String::new(), series);
     }
 
     /// Every registered series name (family name + label set), sorted.

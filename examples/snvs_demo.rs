@@ -92,9 +92,8 @@ fn main() {
     assert!(!who.contains(&b1));
 
     println!(
-        "\ncontroller metrics: {} transactions, {} entries pushed",
-        stack.controller.metrics.transactions.get(),
-        stack.controller.metrics.entries_pushed.get()
+        "\ncontroller: {} engine transactions committed",
+        stack.controller.engine().commits()
     );
     println!("done.");
 }

@@ -109,7 +109,8 @@ fn check_names() {
 /// Every folded series (labelled ones included) → `(observations, sum)`
 /// recomputed from the buffered events.
 fn folds_of_snapshot() -> BTreeMap<String, (u64, u64)> {
-    let recorder = &telemetry::global().recorder;
+    let tel = telemetry::global();
+    let recorder = &tel.recorder;
     for plane in PLANES {
         assert!(
             recorder.recorded(plane) <= RING_CAP as u64,
@@ -117,10 +118,27 @@ fn folds_of_snapshot() -> BTreeMap<String, (u64, u64)> {
             plane.as_str()
         );
     }
+    // A fold's unlabelled series exists from the start; a per-label
+    // family's series from its label's start (a shard's, from
+    // `ShardRuntime::start`): each at 0 until an event.
+    let per_label: BTreeSet<&str> = KINDS
+        .iter()
+        .flat_map(|k| k.folds)
+        .filter(|f| !f.total)
+        .map(|f| f.series)
+        .collect();
     let mut folds: BTreeMap<String, (u64, u64)> = KINDS
         .iter()
         .flat_map(|k| k.folds)
-        .map(|f| (f.series.to_string(), (0, 0)))
+        .filter(|f| f.total)
+        .map(|f| f.series.to_string())
+        .chain(
+            tel.registry
+                .series_names()
+                .into_iter()
+                .filter(|s| per_label.contains(family_of(s))),
+        )
+        .map(|s| (s, (0, 0)))
         .collect();
     for e in recorder.snapshot() {
         let kind = KINDS
@@ -137,7 +155,9 @@ fn folds_of_snapshot() -> BTreeMap<String, (u64, u64)> {
                 acc.0 += 1;
                 acc.1 += v;
             };
-            add(fold.series.to_string());
+            if fold.total {
+                add(fold.series.to_string());
+            }
             if let Some((by, label)) = fold.by.and_then(|by| Some((by, e.field(by)?))) {
                 add(format!("{}{{{by}=\"{label}\"}}", fold.series));
             }
@@ -170,8 +190,13 @@ fn check_folds() {
             assert_eq!(registry.value(series), Some(*sum), "{series}");
         }
     }
+    let families: BTreeSet<&str> = KINDS
+        .iter()
+        .flat_map(|k| k.folds)
+        .map(|f| f.series)
+        .collect();
     for series in registry.series_names() {
-        if folds.contains_key(family_of(&series)) {
+        if families.contains(family_of(&series)) {
             assert!(folds.contains_key(&series), "{series} is not a fold");
         }
     }
@@ -187,6 +212,9 @@ fn check_folds() {
         "resync_backoff_delay_us",
         "resync_connects_total",
         "nerpa_convergence_lag_ns{shard=\"1\"}",
+        "nerpa_shard_shed_inputs_total{shard=\"0\"}",
+        "nerpa_shard_watchdog_restarts_total{shard=\"0\"}",
+        "nerpa_shard_write_errors_total{shard=\"0\"}",
     ] {
         assert!(folds[moved].0 > 0, "the run never moved {moved}");
     }

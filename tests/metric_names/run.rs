@@ -1,8 +1,9 @@
 //! One stack run that registers and moves the series of every plane:
 //! an in-process snvs stack with learned MACs, a traced commit over
 //! TCP, a durable server recovered after a supervised reconnect that
-//! backs off, a two-shard runtime, a write the device rejects, and a
-//! monitor evicted for not reading.
+//! backs off, a two-shard runtime, a shard writer stalled past its
+//! watchdog, a write the device rejects, and a monitor evicted for not
+//! reading.
 //!
 //! `parent_run.tsv` next to this file is the series list this run
 //! showed at commit 9f7676d, before metrics were folded from events,
@@ -21,7 +22,7 @@ use p4sim::runtime::{FieldMatch, TableEntry, Update, WriteOp};
 use p4sim::service::{ControlClient, ControlService, SwitchDevice};
 use p4sim::Switch;
 use serde_json::{json, Value as Json};
-use shard::{PartitionSpec, Router, ShardRuntime};
+use shard::{OverloadPolicy, PartitionSpec, Router, ShardRuntime};
 use snvs::{PortMode, SnvsStack};
 
 fn program() -> (ovsdb::Schema, p4sim::ast::Program, NerpaProgram) {
@@ -43,6 +44,7 @@ pub fn run_stack(tag: &str) {
     traced_tcp_commit();
     durable_server_and_supervisor(tag);
     sharded_runtime();
+    stalled_shard_writer();
     rejected_write();
     evicted_monitor();
 }
@@ -185,6 +187,63 @@ fn sharded_runtime() {
         {"op": "update", "table": "Port", "where": [["id", "==", 1]],
          "row": {"tag": 20}}
     ]));
+    runtime.shutdown();
+}
+
+/// A switch whose device call never returns in time.
+struct Hanging;
+
+impl DataPlane for Hanging {
+    fn write_updates(&self, _: &[Update]) -> Result<(), String> {
+        std::thread::sleep(Duration::from_secs(2));
+        Ok(())
+    }
+
+    fn set_mcast_group(&self, _: u16, _: Vec<u16>) -> Result<(), String> {
+        std::thread::sleep(Duration::from_secs(2));
+        Ok(())
+    }
+}
+
+/// One shard whose writer hangs on switch 0: a push queued behind the
+/// hung one fills the writer queue, so the next change's push is shed;
+/// the watchdog supersedes the writer and poisons switch 0, so a later
+/// push to it fails before reaching it.
+fn stalled_shard_writer() {
+    let (schema, p4, program) = program();
+    let switches: Vec<(usize, Box<dyn DataPlane>)> = vec![
+        (0, Box::new(Hanging)),
+        (1, Box::new(SwitchDevice::new(Switch::new(p4)))),
+    ];
+    let policy = OverloadPolicy {
+        write_queue_cap: 1,
+        enqueue_deadline: Duration::from_millis(20),
+        push_deadline: Duration::from_millis(200),
+        watchdog_poll: Duration::from_millis(5),
+        ..OverloadPolicy::default()
+    };
+    let router = Router::new(PartitionSpec::snvs(), 1);
+    let runtime = ShardRuntime::start_with(&program, router, switches, policy).unwrap();
+    let mut db = ovsdb::Database::new(schema);
+    let mut commit = |ops: Json| {
+        let (_, changes) = db.transact(&ops);
+        runtime.handle_row_changes(&changes).unwrap();
+    };
+    let retag = |tag: u64| {
+        json!([{"op": "update", "table": "Port", "where": [["id", "==", 1]],
+                "row": {"tag": tag}}])
+    };
+    commit(json!([
+        {"op": "insert", "table": "Switch", "row": {"idx": 0}},
+        {"op": "insert", "table": "Switch", "row": {"idx": 1}},
+        {"op": "insert", "table": "Port",
+         "row": {"id": 1, "vlan_mode": "access", "tag": 10}}
+    ]));
+    commit(retag(20));
+    runtime.flush();
+    assert_eq!(runtime.poisoned_switches(0), [0]);
+    commit(retag(30));
+    runtime.flush();
     runtime.shutdown();
 }
 
