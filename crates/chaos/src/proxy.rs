@@ -69,7 +69,6 @@ impl ProxyState {
 /// that want imperative control.
 pub struct FaultProxy {
     addr: SocketAddr,
-    upstream: SocketAddr,
     state: Arc<ProxyState>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -129,7 +128,6 @@ impl FaultProxy {
         });
         Ok(FaultProxy {
             addr,
-            upstream,
             state,
             accept_thread: Some(accept_thread),
         })
@@ -138,11 +136,6 @@ impl FaultProxy {
     /// The proxy's listening address (point clients here).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The upstream address the proxy forwards to.
-    pub fn upstream_addr(&self) -> SocketAddr {
-        self.upstream
     }
 
     /// A snapshot of the proxy counters.

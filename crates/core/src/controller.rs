@@ -123,8 +123,6 @@ struct ControllerMetrics {
     latency: telemetry::Histogram,
     transactions: telemetry::Counter,
     entries_pushed: telemetry::Counter,
-    resyncs: telemetry::Counter,
-    reconciles: telemetry::Counter,
     digest_batches: telemetry::Counter,
     /// Digest handling latency (batch received → write acked), in
     /// microseconds — the controller's digest lag.
@@ -149,14 +147,6 @@ fn metrics() -> &'static ControllerMetrics {
                 "controller_entries_pushed_total",
                 "Table-entry updates pushed to switches",
             ),
-            resyncs: reg.counter(
-                "controller_resyncs_total",
-                "Snapshot resyncs after OVSDB reconnects",
-            ),
-            reconciles: reg.counter(
-                "controller_reconciles_total",
-                "Switch reconciliations after data-plane restarts",
-            ),
             digest_batches: reg.counter(
                 "controller_digest_batches_total",
                 "Digest batches handled by the controller",
@@ -171,20 +161,19 @@ fn metrics() -> &'static ControllerMetrics {
 }
 
 /// The causal context of one change flowing through the stack: the
-/// trace id every event of the change is stamped with, and where the
-/// change entered.
+/// trace id every event of the change is stamped with.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceCtx {
     id: u64,
-    source: &'static str,
 }
 
 impl TraceCtx {
-    /// Mint a fresh trace for a change entering the stack at `source`.
-    pub fn minted(source: &'static str) -> TraceCtx {
+    /// Mint a fresh trace for a change entering the stack at `source`,
+    /// a label for the call site's reader: the events of the change
+    /// carry only the id.
+    pub fn minted(_source: &'static str) -> TraceCtx {
         TraceCtx {
             id: telemetry::next_trace_id(),
-            source,
         }
     }
 
@@ -194,10 +183,7 @@ impl TraceCtx {
     /// server's `ovsdb.commit` event already records it.
     pub fn from_monitor(embedded: Option<(u64, u64)>) -> TraceCtx {
         match embedded {
-            Some((id, _commit_ns)) => TraceCtx {
-                id,
-                source: "monitor",
-            },
+            Some((id, _commit_ns)) => TraceCtx { id },
             None => TraceCtx::minted("monitor"),
         }
     }
@@ -545,7 +531,6 @@ impl Controller {
             return Ok((TxnDelta::default(), None));
         }
         let start = Instant::now();
-        let input_ops = ops.len();
         let mut txn = Transaction::new();
         for (rel, row, insert) in ops {
             if insert {
@@ -607,15 +592,6 @@ impl Controller {
             dels.extend(ins);
             switches.entry(t).or_default().updates = dels;
         }
-
-        telemetry::log_debug!(
-            "controller",
-            "trace {}: {} ops -> {} changes ({} source)",
-            ctx.id,
-            input_ops,
-            delta.len(),
-            ctx.source
-        );
 
         let plan = PushPlan {
             ctx,
@@ -765,14 +741,14 @@ impl Controller {
             }
         }
         self.commit_and_push(ops, TraceCtx::minted("resync"))?;
-        metrics().resyncs.inc();
-        telemetry::log_info!(
-            "controller",
-            "resync: {} snapshot rows, +{} -{} across {} tables",
-            report.snapshot_rows,
-            report.inserts,
-            report.deletes,
-            report.tables
+        telemetry::catalogue::CONTROLLER_RESYNC.record(
+            0,
+            &[
+                ("snapshot_rows", report.snapshot_rows as u64),
+                ("inserts", report.inserts as u64),
+                ("deletes", report.deletes as u64),
+                ("tables", report.tables as u64),
+            ],
         );
         Ok(report)
     }
@@ -991,26 +967,31 @@ impl Controller {
         for (id, res) in &results {
             match res {
                 Ok(report) => {
-                    let m = metrics();
-                    m.entries_pushed
+                    metrics()
+                        .entries_pushed
                         .add((report.inserted + report.deleted) as u64);
-                    m.reconciles.inc();
+                    telemetry::catalogue::CONTROLLER_RECONCILE.record(
+                        0,
+                        &[
+                            ("switch", *id as u64),
+                            ("inserted", report.inserted as u64),
+                            ("deleted", report.deleted as u64),
+                            ("unchanged", report.unchanged as u64),
+                        ],
+                    );
                     telemetry::global()
                         .health
                         .set(format!("switch/{id}"), "ok(reconciled)");
-                    telemetry::log_info!(
-                        "controller",
-                        "reconcile switch {id}: +{} -{} ={}",
-                        report.inserted,
-                        report.deleted,
-                        report.unchanged
-                    );
                 }
                 Err(e) => {
+                    telemetry::catalogue::CONTROLLER_RECONCILE_ERROR.record_note(
+                        0,
+                        &[("switch", *id as u64)],
+                        e.as_str(),
+                    );
                     telemetry::global()
                         .health
                         .set(format!("switch/{id}"), "degraded(reconcile failed)");
-                    telemetry::log_warn!("controller", "reconcile switch {id} failed: {e}");
                 }
             }
         }
@@ -1065,13 +1046,10 @@ impl Controller {
                         }
                         Err(_) => {
                             // Link died: reconnect.
+                            telemetry::catalogue::RESYNC_LINK_LOST.record(0, &[]);
                             telemetry::global()
                                 .health
                                 .set("ovsdb", "down(monitor channel)");
-                            telemetry::log_warn!(
-                                "controller",
-                                "ovsdb monitor link died; reconnecting"
-                            );
                             break 'session;
                         }
                     }

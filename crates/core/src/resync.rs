@@ -307,7 +307,11 @@ impl OvsdbSupervisor {
                 Ok(c) => c,
                 Err(e) => {
                     last_err = e.to_string();
-                    telemetry::log_warn!("resync", "connect to {} failed: {last_err}", self.addr);
+                    telemetry::catalogue::RESYNC_CONNECT_ERROR.record_note(
+                        0,
+                        &[("attempt", self.stats.attempts)],
+                        format!("connect to {}: {last_err}", self.addr),
+                    );
                     continue;
                 }
             };
@@ -329,13 +333,6 @@ impl OvsdbSupervisor {
                 .stats
                 .last_commit_index
                 .is_some_and(|prev| commit_index < prev);
-            if epoch_reset {
-                telemetry::log_warn!(
-                    "resync",
-                    "server epoch reset: commit index went {} -> {commit_index}; forcing full resync",
-                    self.stats.last_commit_index.unwrap_or(0)
-                );
-            }
             let (initial, updates) = match client.monitor(
                 &self.config.db,
                 self.config.mon_id.clone(),
@@ -362,13 +359,6 @@ impl OvsdbSupervisor {
                 ],
             );
             telemetry::global().health.set("ovsdb", "connected");
-            telemetry::log_info!(
-                "resync",
-                "connected to {} after {} attempts; resync delta {} ops",
-                self.addr,
-                self.stats.attempts,
-                report.delta_ops()
-            );
             return Ok((client, updates, report));
         }
     }

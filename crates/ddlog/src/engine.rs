@@ -475,14 +475,6 @@ impl Engine {
         }
         self.cumulative.merge(&profile);
         self.last_profile = Some(profile.clone());
-        telemetry::log_debug!(
-            "ddlog",
-            "commit #{}: {} output changes across {} relations, {} tuples processed",
-            self.commits,
-            delta.len(),
-            delta.changes.len(),
-            profile.total_tuples()
-        );
         telemetry::catalogue::DDLOG_APPLY.record(
             trace,
             &[

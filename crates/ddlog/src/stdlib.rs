@@ -6,7 +6,6 @@
 //! expressions, iteration"). This module provides the equivalent library
 //! for our dialect. All functions are pure.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::error::{Error, Phase, Pos, Result};
@@ -374,11 +373,6 @@ pub fn eval_call(name: &str, args: &[Value]) -> Result<Value> {
 
 fn two_strs(args: &[Value]) -> Option<(&str, &str)> {
     Some((args[0].as_str()?, args[1].as_str()?))
-}
-
-/// The empty-set constant of a given element type, used by aggregation.
-pub fn empty_set() -> Value {
-    Value::Set(Arc::new(BTreeSet::new()))
 }
 
 #[cfg(test)]

@@ -98,11 +98,6 @@ impl<T: Eq + Hash + Clone> ZSet<T> {
         self.entries.iter().map(|(e, w)| (e, *w))
     }
 
-    /// Consume the Z-set, yielding `(element, weight)` pairs.
-    pub fn into_iter_weighted(self) -> impl Iterator<Item = (T, isize)> {
-        self.entries.into_iter()
-    }
-
     /// The negation (all weights flipped).
     pub fn negate(&self) -> ZSet<T> {
         ZSet {

@@ -100,11 +100,6 @@ impl Network {
         &self.switches[id]
     }
 
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Send raw bytes from a host; returns every delivery in
     /// deterministic order.
     pub fn send_raw(&self, from: HostId, bytes: Vec<u8>) -> Vec<Delivery> {

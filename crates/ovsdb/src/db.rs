@@ -157,6 +157,7 @@ impl Database {
                 telemetry::catalogue::OVSDB_RECOVER.record(
                     0,
                     &[
+                        ("snapshot_commit_index", report.snapshot_commit_index),
                         ("replayed_records", report.replayed_records),
                         ("truncated_tail", report.truncated_tail as u64),
                         ("replay_us", report.replay_duration.as_micros() as u64),
@@ -250,18 +251,6 @@ impl Database {
             cfg,
             log: Monitor::all(db.schema()),
         });
-        telemetry::log_info!(
-            "ovsdb",
-            "recovered {} (snapshot commit {}, {} wal records replayed{})",
-            dir.display(),
-            report.snapshot_commit_index,
-            report.replayed_records,
-            if report.truncated_tail {
-                ", torn tail truncated"
-            } else {
-                ""
-            }
-        );
         Ok((db, report))
     }
 
@@ -388,11 +377,6 @@ impl Database {
         self.durability.as_ref().map(|d| d.dir.join(WAL_FILE))
     }
 
-    /// The durability directory, when durable.
-    pub fn durable_dir(&self) -> Option<PathBuf> {
-        self.durability.as_ref().map(|d| d.dir.clone())
-    }
-
     /// Current WAL length in bytes (0 when not durable).
     pub fn wal_bytes(&self) -> u64 {
         self.durability.as_ref().map(|d| d.wal.bytes).unwrap_or(0)
@@ -410,12 +394,12 @@ impl Database {
         self.durability = Some(d);
         result?;
         self.durability.as_mut().unwrap().wal.reset()?;
-        wal::record_compaction();
-        telemetry::log_info!(
-            "ovsdb",
-            "snapshot compaction at commit {} ({} tables)",
-            self.txn_counter,
-            self.tables.len()
+        telemetry::catalogue::WAL_COMPACT.record(
+            0,
+            &[
+                ("commit_index", self.txn_counter),
+                ("tables", self.tables.len() as u64),
+            ],
         );
         Ok(())
     }
@@ -520,7 +504,11 @@ impl Database {
                 ops: d.log.format_changes(&changes).unwrap_or_else(|| json!({})),
             };
             if let Err(e) = d.wal.append(&record) {
-                telemetry::log_warn!("ovsdb", "WAL append failed, aborting txn: {e}");
+                telemetry::catalogue::WAL_APPEND_ERROR.record_note(
+                    0,
+                    &[("commit_index", record.commit_index)],
+                    e.to_string(),
+                );
                 return (
                     json!([{"error": "io error", "details": e.to_string()}]),
                     vec![],
@@ -535,7 +523,7 @@ impl Database {
     }
 
     /// Compact when the WAL has outgrown its configured threshold. A
-    /// compaction failure is logged but does not fail the (already
+    /// compaction failure is recorded but does not fail the (already
     /// durable) transaction.
     fn maybe_compact(&mut self) {
         let due = self
@@ -544,7 +532,11 @@ impl Database {
             .is_some_and(|d| d.wal.bytes > d.cfg.snapshot_after_bytes);
         if due {
             if let Err(e) = self.compact() {
-                telemetry::log_warn!("ovsdb", "snapshot compaction failed: {e}");
+                telemetry::catalogue::WAL_COMPACT_ERROR.record_note(
+                    0,
+                    &[("commit_index", self.txn_counter)],
+                    e.to_string(),
+                );
             }
         }
     }

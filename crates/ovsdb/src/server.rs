@@ -50,8 +50,6 @@ pub const TRACE_KEY: &str = "__trace";
 struct ServerMetrics {
     commits: telemetry::Counter,
     commit_us: telemetry::Histogram,
-    connections: telemetry::Counter,
-    disconnects: telemetry::Counter,
     outbox_depth: telemetry::Gauge,
     outbox_depth_hwm: telemetry::Gauge,
 }
@@ -69,14 +67,6 @@ fn server_metrics() -> &'static ServerMetrics {
                 "ovsdb_commit_duration_us",
                 "OVSDB transaction commit latency (us)",
                 &telemetry::LATENCY_BOUNDS_US,
-            ),
-            connections: reg.counter(
-                "ovsdb_connections_total",
-                "Client connections accepted by the OVSDB server",
-            ),
-            disconnects: reg.counter(
-                "ovsdb_monitor_disconnects_total",
-                "Monitor connections torn down after a failed socket write",
             ),
             outbox_depth: reg.gauge(
                 "ovsdb_monitor_outbox_depth",
@@ -286,11 +276,6 @@ fn notify(
                 json!({"id": id, "commit_ns": commit_ns}),
             );
         }
-        telemetry::log_debug!(
-            "ovsdb",
-            "monitor update to conn {} (trace {id})",
-            sub.conn_id
-        );
         let msg = Message::Notification {
             method: "update".to_string(),
             params: json!([sub.mon_id, updates]),
@@ -329,13 +314,6 @@ fn notify(
                         ),
                     ],
                 );
-                telemetry::log_warn!(
-                    "ovsdb",
-                    "evicting slow monitor subscriber on conn {} (outbox {} full past {:?})",
-                    sub.conn_id,
-                    sub.tx.len(),
-                    state.overload.evict_deadline
-                );
                 evicted.push(sub.conn_id);
             }
             Err(false) => {
@@ -358,8 +336,7 @@ fn notify(
 
 fn serve_connection(state: Arc<ServerState>, stream: TcpStream) {
     let conn_id = state.next_conn.fetch_add(1, Ordering::Relaxed);
-    server_metrics().connections.inc();
-    telemetry::log_info!("ovsdb", "connection {conn_id} accepted");
+    telemetry::catalogue::OVSDB_CONNECT.record(0, &[("conn", conn_id)]);
     let _ = stream.set_nodelay(true);
     let write_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -377,15 +354,15 @@ fn serve_connection(state: Arc<ServerState>, stream: TcpStream) {
     let writer = std::thread::spawn(move || {
         let mut w = write_stream;
         for msg in rx.iter() {
-            if write_message(&mut w, &msg).is_err() {
+            if let Err(e) = write_message(&mut w, &msg) {
                 // The peer is gone (or its socket is wedged): tear down
                 // this connection's subscriptions now so fan-out stops
                 // paying for it, instead of waiting for the reader side
                 // to notice EOF.
-                server_metrics().disconnects.inc();
-                telemetry::log_warn!(
-                    "ovsdb",
-                    "write to conn {conn_id} failed; dropping its subscriptions"
+                telemetry::catalogue::OVSDB_WRITE_ERROR.record_note(
+                    0,
+                    &[("conn", conn_id)],
+                    e.to_string(),
                 );
                 writer_state.subs.lock().retain(|s| s.conn_id != conn_id);
                 writer_state.sever_conn(conn_id);
@@ -841,7 +818,8 @@ mod tests {
 
         let registry = &telemetry::global().registry;
         let evictions_before = registry.value("ovsdb_monitor_evictions_total");
-        let disconnects_before = server_metrics().disconnects.get();
+        let disconnects = || registry.value("ovsdb_monitor_disconnects_total");
+        let disconnects_before = disconnects();
 
         // Flood with fat rows until the slow subscriber is evicted.
         let big = "x".repeat(1 << 20);
@@ -883,12 +861,10 @@ mod tests {
         // Severing the socket makes the blocked writer's in-flight
         // write fail, which exercises the failed-write teardown path.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server_metrics().disconnects.get() == disconnects_before
-            && std::time::Instant::now() < deadline
-        {
+        while disconnects() == disconnects_before && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(server_metrics().disconnects.get() > disconnects_before);
+        assert!(disconnects() > disconnects_before);
     }
 
     #[test]

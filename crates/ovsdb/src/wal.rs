@@ -154,25 +154,13 @@ fn crc_of(commit_index: u64, payload: &[u8]) -> u32 {
 
 // ----------------------------------------------------------- metrics
 
-struct WalMetrics {
-    fsyncs: telemetry::Counter,
-    compactions: telemetry::Counter,
-}
-
-fn wal_metrics() -> &'static WalMetrics {
-    static M: std::sync::OnceLock<WalMetrics> = std::sync::OnceLock::new();
+fn fsyncs() -> &'static telemetry::Counter {
+    static M: std::sync::OnceLock<telemetry::Counter> = std::sync::OnceLock::new();
     M.get_or_init(|| {
-        let reg = &telemetry::global().registry;
-        WalMetrics {
-            fsyncs: reg.counter(
-                "ovsdb_wal_fsyncs_total",
-                "fsync calls issued by the OVSDB write-ahead log",
-            ),
-            compactions: reg.counter(
-                "ovsdb_wal_snapshot_compactions_total",
-                "Snapshot compactions (full-state snapshot + log truncation)",
-            ),
-        }
+        telemetry::global().registry.counter(
+            "ovsdb_wal_fsyncs_total",
+            "fsync calls issued by the OVSDB write-ahead log",
+        )
     })
 }
 
@@ -329,7 +317,7 @@ impl Wal {
         if len > valid_bytes {
             file.set_len(valid_bytes)?;
             file.sync_all()?;
-            wal_metrics().fsyncs.inc();
+            fsyncs().inc();
         }
         file.seek(SeekFrom::Start(valid_bytes))?;
         Ok(Wal {
@@ -368,7 +356,7 @@ impl Wal {
         if syncing {
             self.file.sync_data()?;
             self.appends_since_fsync = 0;
-            wal_metrics().fsyncs.inc();
+            fsyncs().inc();
         }
         Ok(bytes.len() as u64)
     }
@@ -379,7 +367,7 @@ impl Wal {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_all()?;
-        wal_metrics().fsyncs.inc();
+        fsyncs().inc();
         self.bytes = 0;
         self.appends_since_fsync = 0;
         Ok(())
@@ -389,14 +377,9 @@ impl Wal {
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.file.sync_data()?;
         self.appends_since_fsync = 0;
-        wal_metrics().fsyncs.inc();
+        fsyncs().inc();
         Ok(())
     }
-}
-
-/// Record a snapshot compaction in the `ovsdb_wal_*` series.
-pub(crate) fn record_compaction() {
-    wal_metrics().compactions.inc();
 }
 
 // -------------------------------------------------- chaos/test hooks

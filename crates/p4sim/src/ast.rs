@@ -328,21 +328,6 @@ impl Program {
         self.types.get(&self.meta_type)
     }
 
-    /// Find an action in a control.
-    pub fn find_action<'a>(&self, control: &'a ControlDecl, name: &str) -> Option<&'a ActionDecl> {
-        control.actions.iter().find(|a| a.name == name)
-    }
-
-    /// Find a table in either control, with its owning control.
-    pub fn find_table(&self, name: &str) -> Option<(&ControlDecl, &TableDecl)> {
-        for c in [&self.ingress, &self.egress] {
-            if let Some(t) = c.tables.iter().find(|t| t.name == name) {
-                return Some((c, t));
-            }
-        }
-        None
-    }
-
     /// All tables across both controls.
     pub fn all_tables(&self) -> impl Iterator<Item = (&ControlDecl, &TableDecl)> {
         self.ingress

@@ -3,7 +3,7 @@
 //! `p4info2ddlog` codegen consumes to generate control-plane relations
 //! (§4.2 of the paper).
 
-use crate::ast::{MatchKind, Program};
+use crate::ast::Program;
 
 /// One table key field.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,13 +147,6 @@ impl P4Info {
     /// Look up a table.
     pub fn table(&self, name: &str) -> Option<&TableInfo> {
         self.tables.iter().find(|t| t.name == name)
-    }
-
-    /// True if any table key uses `kind`.
-    pub fn uses_match_kind(&self, kind: MatchKind) -> bool {
-        self.tables
-            .iter()
-            .any(|t| t.keys.iter().any(|k| k.match_kind == kind.name()))
     }
 }
 

@@ -124,8 +124,7 @@ impl RuntimeTable {
         self.entries.sort_by(|a, b| {
             let pa = (b.priority, total_prefix(b));
             let pb = (a.priority, total_prefix(a));
-            pa.cmp(&pb)
-                .then_with(|| format!("{a:?}").cmp(&format!("{b:?}")))
+            pa.cmp(&pb).then_with(|| a.cmp(b))
         });
     }
 
@@ -437,6 +436,35 @@ mod tests {
         // Both match 0x0101; priority 20 wins.
         assert_eq!(t.lookup_with_widths(&[0x0101]).unwrap().1, vec![2]);
         assert_eq!(t.lookup_with_widths(&[0x0102]).unwrap().1, vec![1]);
+    }
+
+    #[test]
+    fn equal_rank_ties_break_the_same_in_any_insert_order() {
+        // Same priority and care-bit count: both of the first two match
+        // 0x0101, so only the tie-break picks the winner.
+        let ternary =
+            |value, mask, param| entry(vec![FieldMatch::Ternary { value, mask }], 10, param);
+        let entries = [
+            ternary(0x0100, 0xff00, 1),
+            ternary(0x0001, 0x00ff, 2),
+            ternary(0x0200, 0xff00, 3),
+        ];
+        let table = |order: &[usize]| {
+            let mut t = RuntimeTable::new(decl(&[(MatchKind::Ternary, 16)]));
+            for &i in order {
+                t.apply(&Update {
+                    op: WriteOp::Insert,
+                    entry: entries[i].clone(),
+                })
+                .unwrap();
+            }
+            t
+        };
+        let (mut forward, mut backward) = (table(&[0, 1, 2]), table(&[2, 1, 0]));
+        assert_eq!(forward.entries(), backward.entries());
+        let winner = forward.lookup_with_widths(&[0x0101]).unwrap();
+        assert_eq!(backward.lookup_with_widths(&[0x0101]).unwrap(), winner);
+        assert_eq!(winner.1, vec![2], "the lesser entry by `Ord` wins a tie");
     }
 
     #[test]

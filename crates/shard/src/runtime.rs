@@ -129,11 +129,7 @@ impl ShardStat {
                 "Engine transactions committed, per shard",
                 labels,
             ),
-            commit_errors: registry.counter_with(
-                "nerpa_shard_commit_errors_total",
-                "Failed shard commits, per shard",
-                labels,
-            ),
+            commit_errors: catalogue::SHARD_INPUT_ERROR.folds[0].counter_for(shard as u64),
             write_batches: registry.counter_with(
                 "nerpa_shard_write_batches_total",
                 "Device write batches pushed by the shard's writer",
@@ -673,21 +669,16 @@ impl ShardRuntime {
                     .health
                     .set(format!("shard/{shard}"), "degraded(input shed)");
                 catalogue::SHARD_OVERLOAD.record(0, &[("shard", shard as u64)]);
-                telemetry::log_warn!(
-                    "shard",
-                    "shard {} input queue full past deadline; input shed",
-                    shard
-                );
                 Err(format!(
                     "shard {shard} input queue full past deadline (input shed)"
                 ))
             }
             Err(SendTimeoutError::Disconnected(_)) => {
                 stat.dropped_inputs.inc();
+                catalogue::SHARD_WORKER_GONE.record(0, &[("shard", shard as u64)]);
                 telemetry::global()
                     .health
                     .set(format!("shard/{shard}"), "degraded(worker dead)");
-                telemetry::log_warn!("shard", "shard {} worker is gone; input dropped", shard);
                 Err(format!("shard {shard} worker is gone (input dropped)"))
             }
         }
@@ -855,11 +846,10 @@ fn worker_loop(
                 }
             }
             Err(e) => {
-                stat.commit_errors.inc();
+                catalogue::SHARD_INPUT_ERROR.record_note(0, &[("shard", shard as u64)], e);
                 telemetry::global()
                     .health
                     .set(format!("shard/{shard}"), "degraded(commit failed)");
-                telemetry::log_warn!("shard", "shard {} input failed: {}", shard, e);
             }
         }
     }
@@ -938,16 +928,12 @@ fn spawn_watchdog(
                         ("generation", new_gen),
                     ],
                 );
-                telemetry::log_warn!(
-                    "shard",
-                    "shard {} writer stuck pushing to switch {} past {:?}; superseding (gen {})",
-                    shard,
-                    switch_id,
-                    policy.push_deadline,
-                    new_gen
-                );
-                if spawn_writer(shard, shared.clone(), stat.clone(), new_gen).is_err() {
-                    telemetry::log_warn!("shard", "shard {} writer respawn failed", shard);
+                if let Err(e) = spawn_writer(shard, shared.clone(), stat.clone(), new_gen) {
+                    catalogue::SHARD_RESPAWN_ERROR.record_note(
+                        0,
+                        &[("shard", shard as u64), ("generation", new_gen)],
+                        e,
+                    );
                 }
                 // Re-enter the dirty-switch reconcile path; best-effort
                 // (the reconcile will fast-fail on the poisoned switch
@@ -972,13 +958,6 @@ fn writer_loop(shard: usize, shared: Arc<WriterShared>, stat: Arc<ShardStat>, my
         telemetry::global()
             .health
             .set(format!("shard/{shard}"), "degraded(write failed)");
-        telemetry::log_warn!(
-            "shard",
-            "shard {} push to switch {} failed: {}",
-            shard,
-            switch_id,
-            err
-        );
     };
     let mark_clean = |switch_id: usize| {
         let mut dirty = stat.dirty.lock().unwrap();

@@ -16,8 +16,10 @@
 //!   serving `/metrics`, `/traces`, `/convergence`, `/flight`, and
 //!   `/health` over HTTP.
 //!
-//! Plus a leveled [`log`] gated by `NERPA_LOG` whose disabled sites
-//! cost one relaxed atomic load.
+//! A log line is a recorded event: each kind has a constant [`Level`],
+//! and recording prints the event to stderr when that level is within
+//! `NERPA_LOG` ([`log`]); below it, the check costs one relaxed atomic
+//! load.
 
 #![warn(missing_docs)]
 
@@ -96,11 +98,41 @@ impl Telemetry {
     }
 
     /// Record one event of a catalogued kind: apply the kind's folds to
-    /// this bundle's registry (also while the recorder is disabled),
+    /// this bundle's registry, print the event when its kind's level is
+    /// within `NERPA_LOG` (both also while the recorder is disabled),
     /// then push the event onto its plane's ring.
     pub fn record(&self, kind: &Kind, trace: u64, fields: &[(&'static str, u64)]) {
+        self.emit(kind, trace, fields, None);
+    }
+
+    /// [`Telemetry::record`] with a free-form note (keep off hot paths).
+    pub fn record_note(
+        &self,
+        kind: &Kind,
+        trace: u64,
+        fields: &[(&'static str, u64)],
+        note: impl Into<String>,
+    ) {
+        self.emit(kind, trace, fields, Some(note.into()));
+    }
+
+    /// The one recording path.
+    fn emit(&self, kind: &Kind, trace: u64, fields: &[(&'static str, u64)], note: Option<String>) {
         self.sinks.apply(&self.registry, kind, fields);
-        self.recorder.record(kind.plane, kind.name, trace, fields);
+        let echo = log::enabled(kind.level);
+        let keep = self.recorder.is_enabled();
+        if !echo && !keep {
+            return;
+        }
+        let ev = self
+            .recorder
+            .stamp(kind.plane, kind.name, trace, fields, note);
+        if echo {
+            log::echo(kind.level, &ev);
+        }
+        if keep {
+            self.recorder.push(ev);
+        }
     }
 
     /// Start a trace's convergence clock: the management plane

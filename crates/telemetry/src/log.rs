@@ -1,15 +1,20 @@
-//! A leveled structured logger gated by `NERPA_LOG`.
+//! `NERPA_LOG`: which recorded events are also printed to stderr.
 //!
-//! The level check is one relaxed atomic load, so disabled log sites
-//! cost nothing measurable on hot paths — and at the default level
-//! (`warn`) the hot paths emit nothing at all. Set `NERPA_LOG` to one
-//! of `off`, `error`, `warn`, `info`, `debug`, `trace` to widen it.
-//!
-//! Records go to stderr as `LEVEL target: message` lines; tests can
-//! install a capture sink instead.
+//! A log line is a recorded event. Every catalogued kind has a constant
+//! [`Level`] (`warn` for failures, `info` for lifecycle steps, `debug`
+//! for per-op events), and the one recording path
+//! ([`Telemetry::record`](crate::Telemetry::record)) prints an event as
+//! `LEVEL <its .nfr line>` when its kind's level is within the maximum,
+//! whether or not the flight recorder is enabled. The level check is
+//! one relaxed atomic load, and at the default level (`warn`) the hot
+//! paths print nothing at all. Set `NERPA_LOG` to one of `off`,
+//! `error`, `warn`, `info`, `debug`, `trace` to change it; tests can
+//! install a capture sink instead of stderr.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use crate::recorder::Event;
 
 /// Log severity, most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -17,9 +22,10 @@ use std::sync::Mutex;
 pub enum Level {
     /// Logging disabled.
     Off = 0,
-    /// Unrecoverable problems.
+    /// Unrecoverable problems (no kind records one; `error` silences
+    /// warnings).
     Error = 1,
-    /// Recoverable problems (reconnects, retries).
+    /// Recoverable problems (reconnects, retries, failed pushes).
     Warn = 2,
     /// Lifecycle events (connects, resyncs, reconciles).
     Info = 3,
@@ -95,7 +101,7 @@ pub fn set_level(level: Level) {
     MAX_LEVEL.store(level as usize, Ordering::Relaxed);
 }
 
-/// Whether records at `level` would be emitted. One atomic load.
+/// Whether events at `level` are printed. One atomic load.
 #[inline]
 pub fn enabled(level: Level) -> bool {
     let max = MAX_LEVEL.load(Ordering::Relaxed);
@@ -103,27 +109,27 @@ pub fn enabled(level: Level) -> bool {
     (level as usize) <= max
 }
 
-/// Total records actually emitted by this process. Tests assert this
-/// does not move across hot paths at the default level.
+/// Total lines printed by this process. Tests assert this does not move
+/// across hot paths at the default level.
 pub fn records_emitted() -> u64 {
     EMITTED.load(Ordering::Relaxed)
 }
 
-/// Emit one record (callers go through the `log_*` macros, which check
-/// [`enabled`] first).
-pub fn write_record(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
-    let line = format!("{} {}: {}", level.as_str(), target, args);
+/// Print one event at its kind's level (the recording path calls this
+/// after checking [`enabled`]).
+pub(crate) fn echo(level: Level, event: &Event) {
+    let line = format!("{} {}", level.as_str(), event.to_json());
     EMITTED.fetch_add(1, Ordering::Relaxed);
-    let mut sink = SINK.lock().unwrap();
+    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     match sink.as_mut() {
         Some(buf) => buf.push(line),
         None => eprintln!("{line}"),
     }
 }
 
-/// Run `f` with records captured instead of written to stderr; returns
-/// the result and the captured lines. Serializes concurrent captures
-/// through the sink lock's owner (intended for tests).
+/// Run `f` with printed lines captured instead of written to stderr;
+/// returns the result and the captured lines. One capture at a time:
+/// concurrent captures share the one sink (intended for tests).
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
     {
         let mut sink = SINK.lock().unwrap();
@@ -132,54 +138,4 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
     let r = f();
     let lines = SINK.lock().unwrap().take().unwrap_or_default();
     (r, lines)
-}
-
-/// Log at [`Level::Error`].
-#[macro_export]
-macro_rules! log_error {
-    ($target:expr, $($arg:tt)+) => {
-        if $crate::log::enabled($crate::log::Level::Error) {
-            $crate::log::write_record($crate::log::Level::Error, $target, format_args!($($arg)+));
-        }
-    };
-}
-
-/// Log at [`Level::Warn`].
-#[macro_export]
-macro_rules! log_warn {
-    ($target:expr, $($arg:tt)+) => {
-        if $crate::log::enabled($crate::log::Level::Warn) {
-            $crate::log::write_record($crate::log::Level::Warn, $target, format_args!($($arg)+));
-        }
-    };
-}
-
-/// Log at [`Level::Info`].
-#[macro_export]
-macro_rules! log_info {
-    ($target:expr, $($arg:tt)+) => {
-        if $crate::log::enabled($crate::log::Level::Info) {
-            $crate::log::write_record($crate::log::Level::Info, $target, format_args!($($arg)+));
-        }
-    };
-}
-
-/// Log at [`Level::Debug`] (hot paths; off by default).
-#[macro_export]
-macro_rules! log_debug {
-    ($target:expr, $($arg:tt)+) => {
-        if $crate::log::enabled($crate::log::Level::Debug) {
-            $crate::log::write_record($crate::log::Level::Debug, $target, format_args!($($arg)+));
-        }
-    };
-}
-
-/// Log at [`Level::Trace`].
-#[macro_export]
-macro_rules! log_trace {
-    ($target:expr, $($arg:tt)+) => {
-        if $crate::log::enabled($crate::log::Level::Trace) {
-            $crate::log::write_record($crate::log::Level::Trace, $target, format_args!($($arg)+));
-        }
-    };
 }

@@ -315,10 +315,21 @@ impl FlightRecorder {
         fields: &[(&'static str, u64)],
         note: Option<String>,
     ) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
+        if self.is_enabled() {
+            self.push(self.stamp(plane, kind, trace, fields, note));
         }
-        let ev = Event {
+    }
+
+    /// An event as of now: the next sequence number, the event clock.
+    pub(crate) fn stamp(
+        &self,
+        plane: Plane,
+        kind: &'static str,
+        trace: u64,
+        fields: &[(&'static str, u64)],
+        note: Option<String>,
+    ) -> Event {
+        Event {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             ts_ns: self.now_ns(),
             plane,
@@ -326,8 +337,12 @@ impl FlightRecorder {
             trace,
             fields: FieldSet::from_slice(fields),
             note,
-        };
-        self.rings[plane.index()].push(ev);
+        }
+    }
+
+    /// Push a stamped event onto its plane's ring.
+    pub(crate) fn push(&self, ev: Event) {
+        self.rings[ev.plane.index()].push(ev);
         self.events_total.inc();
     }
 

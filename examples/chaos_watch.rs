@@ -13,8 +13,9 @@
 //! curl http://127.0.0.1:9090/health     # 503 while the link is down
 //! ```
 //!
-//! Stop with Ctrl-C. Set `NERPA_LOG=info` to narrate reconnects and
-//! resyncs on stderr.
+//! Stop with Ctrl-C. Set `NERPA_LOG=info` to narrate reconnects,
+//! resyncs and reconciles on stderr: each line is the recorded event
+//! (`resync.reconnect`, `controller.resync`, ...) as a `.nfr` line.
 
 use std::thread;
 use std::time::Duration;

@@ -20,7 +20,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 # Telemetry: the equivalence suite and the cross-plane e2e test run
-# with debug logging wide open (every hot-path log site formats), and
+# with debug logging wide open (every per-op event prints), and
 # the e2e test scrapes the live introspection endpoint over HTTP,
 # failing on malformed Prometheus exposition.
 NERPA_LOG=debug cargo test -q --test equivalence
@@ -53,8 +53,10 @@ cargo run --release -q -p oracle --bin oracle -- --seed 1..8 --steps 200 --chaos
 # causally ordered .nfr dump; convergence lag is recorded under chaos
 # reconnects), then a seeded chaos oracle run armed with --flight-dir:
 # it must leave a .nfr dump that `nerpa flight` parses back into a
-# timeline containing the injected chaos faults, and from which it
-# derives the span tree of a commit the dump holds.
+# timeline containing the injected chaos faults and the reconciles of
+# the restarted switches (a log line is an event, so the dump holds what
+# stderr shows), and from which it derives the span tree of a commit
+# the dump holds.
 cargo test -q --test flight_e2e
 rm -rf target/flight-ci
 cargo build --release -q --bin nerpa
@@ -64,6 +66,7 @@ dump=$(ls target/flight-ci/*.nfr | head -n 1)
 test -n "$dump"
 target/release/nerpa flight show --json "$dump" >target/flight-ci/timeline.json
 grep -q '"kind":"chaos.fault"' target/flight-ci/timeline.json
+grep -q '"kind":"controller.reconcile"' target/flight-ci/timeline.json
 trace=$(grep -o '"kind":"ddlog.apply","trace":[1-9][0-9]*' "$dump" | tail -n 1 | grep -o '[0-9]*$')
 test -n "$trace"
 target/release/nerpa flight show --trace "$trace" "$dump" >target/flight-ci/trace.txt

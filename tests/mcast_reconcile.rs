@@ -1,11 +1,15 @@
-//! Flood groups reach a switch registered after they were computed.
+//! Reconciling a switch.
 //!
-//! snvs declares `MulticastGroup(group, port)` without a switch column:
-//! every switch holds every VLAN's flood group. A switch added after the
-//! groups were committed must get them all from `reconcile_switch`, like
-//! it gets its table entries.
+//! Flood groups reach a switch registered after they were computed:
+//! snvs declares `MulticastGroup(group, port)` without a switch column,
+//! so every switch holds every VLAN's flood group. A switch added after
+//! the groups were committed must get them all from `reconcile_switch`,
+//! like it gets its table entries.
+//!
+//! A switch that cannot be reconciled leaves an event holding the
+//! device's error, so a flight dump shows why it stayed degraded.
 
-use p4sim::service::SwitchDevice;
+use p4sim::service::{ControlClient, ControlService, SwitchDevice};
 use p4sim::Switch;
 use snvs::{PortMode, SnvsStack};
 
@@ -30,4 +34,26 @@ fn late_switch_gets_every_broadcast_flood_group_on_reconcile() {
     assert_eq!(report.mcast_groups, 3);
     assert_eq!(late.mcast_snapshot(), groups);
     assert_eq!(stack.controller.mcast_snapshot(id), groups);
+}
+
+#[test]
+fn a_failed_reconcile_records_the_device_error() {
+    let mut stack = SnvsStack::new(1).unwrap();
+    stack.add_port(1, PortMode::Access(10), None).unwrap();
+    let program = p4sim::parse_p4(snvs::assets::SNVS_P4).unwrap();
+    let mut service =
+        ControlService::start(SwitchDevice::new(Switch::new(program)), "127.0.0.1:0").unwrap();
+    let client = ControlClient::connect(service.local_addr()).unwrap();
+    let id = stack.controller.add_switch(Box::new(client));
+    service.shutdown();
+
+    let mut results = stack.controller.try_reconcile_switches(&[id]);
+    let err = results.remove(&id).unwrap().unwrap_err();
+
+    let events = telemetry::global().recorder.events_where(|e| {
+        e.kind == telemetry::catalogue::CONTROLLER_RECONCILE_ERROR.name
+            && e.field("switch") == Some(id as u64)
+    });
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(events[0].note.as_deref(), Some(err.as_str()));
 }

@@ -215,6 +215,12 @@ fn check_folds() {
         "nerpa_shard_shed_inputs_total{shard=\"0\"}",
         "nerpa_shard_watchdog_restarts_total{shard=\"0\"}",
         "nerpa_shard_write_errors_total{shard=\"0\"}",
+        "nerpa_shard_commit_errors_total{shard=\"0\"}",
+        "ovsdb_connections_total",
+        "ovsdb_monitor_disconnects_total",
+        "ovsdb_wal_snapshot_compactions_total",
+        "controller_resyncs_total",
+        "controller_reconciles_total",
     ] {
         assert!(folds[moved].0 > 0, "the run never moved {moved}");
     }

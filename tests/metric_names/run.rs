@@ -1,9 +1,10 @@
 //! One stack run that registers and moves the series of every plane:
 //! an in-process snvs stack with learned MACs, a traced commit over
 //! TCP, a durable server recovered after a supervised reconnect that
-//! backs off, a two-shard runtime, a shard writer stalled past its
-//! watchdog, a write the device rejects, and a monitor evicted for not
-//! reading.
+//! backs off and then compacted, a two-shard runtime, a shard writer
+//! stalled past its watchdog (its shard's reconcile fails on the
+//! poisoned switch), a write the device rejects, and a monitor evicted
+//! for not reading, whose blocked socket write then fails.
 //!
 //! `parent_run.tsv` next to this file is the series list this run
 //! showed at commit 9f7676d, before metrics were folded from events,
@@ -97,7 +98,7 @@ fn traced_tcp_commit() {
 
 /// A durable server the supervisor reaches through a proxy that is
 /// partitioned at first (so it backs off), then the database reopened
-/// from its log.
+/// from its log and compacted.
 fn durable_server_and_supervisor(tag: &str) {
     let (schema, p4, nerpa_program) = program();
     let dir = std::env::temp_dir().join(format!("nerpa-metric-folds-{}-{tag}", std::process::id()));
@@ -154,8 +155,9 @@ fn durable_server_and_supervisor(tag: &str) {
     drop(proxy);
     drop(server);
 
-    let (db, report) = ovsdb::Database::open(&dir, schema, durability).unwrap();
+    let (mut db, report) = ovsdb::Database::open(&dir, schema, durability).unwrap();
     assert_eq!(report.replayed_records, 2);
+    db.compact().unwrap();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -267,7 +269,15 @@ fn rejected_write() {
 /// A monitor that never reads: its TCP window and then its outbox fill
 /// with fat rows until the fan-out evicts it. The update that timed out
 /// into the eviction was never delivered, so it is no notification.
+/// Severing the socket fails the write its connection's writer is
+/// blocked in, on that thread: waited for, so the run ends with it.
 fn evicted_monitor() {
+    let disconnects = || {
+        telemetry::global()
+            .registry
+            .value("ovsdb_monitor_disconnects_total")
+    };
+    let disconnects_before = disconnects();
     let schema = ovsdb::Schema::from_json(&json!({
         "name": "slow",
         "tables": {"T": {"columns": {"k": {"type": "string"}}, "isRoot": true}}
@@ -298,5 +308,10 @@ fn evicted_monitor() {
         if server.subscription_count() == 0 {
             break;
         }
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while disconnects() == disconnects_before {
+        assert!(std::time::Instant::now() < deadline, "no failed write");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
